@@ -46,7 +46,13 @@ def frequency(k):
 
 
 def basis_matrix(x, ks) -> np.ndarray:
-    """Evaluate basis functions on a grid: out[i, m] = e_{ks[m]}(x[i])."""
+    """Evaluate basis functions on a grid: out[i, m] = e_{ks[m]}(x[i]).
+
+    One cos/sin table row per distinct frequency, in increasing order.
+    A frequency one above its predecessor comes from the angle-addition
+    step; any other is evaluated directly.  Cost is O(n x distinct
+    frequencies), and the recurrence drifts by about run length x eps.
+    """
     x = np.asarray(x, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.int64)
     if ks.size and ks.min() < 1:
@@ -54,42 +60,28 @@ def basis_matrix(x, ks) -> np.ndarray:
     if x.size and (x.min() < 0.0 or x.max() > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
     j = (ks + 1) // 2
-    out = np.empty((x.size, ks.size), dtype=np.float64)
-    if ks.size == 0 or x.size == 0:
-        return out
-    jmax = int(j.max())
-    odd = (ks % 2) == 1
-    if jmax > 4 * ks.size + 64:
-        # Sparse index set: evaluate requested frequencies directly.
-        jf = j.astype(np.float64)
-        if odd.any():
-            out[:, odd] = _SQRT2 * np.cos(_TWO_PI * np.multiply.outer(x, jf[odd]))
-        even = ~odd
-        if even.any():
-            out[:, even] = _SQRT2 * np.sin(_TWO_PI * np.multiply.outer(x, jf[even]))
-        return out
-    # Dense index set: one cos/sin pair per point, higher frequencies by
-    # angle-addition recurrence (drift ~ jmax * eps, far below test tolerances).
-    ang = _TWO_PI * x
-    c1 = np.cos(ang)
-    s1 = np.sin(ang)
-    cos_tab = np.empty((jmax, x.size))
-    sin_tab = np.empty((jmax, x.size))
-    cos_tab[0] = c1
-    sin_tab[0] = s1
-    for m in range(1, jmax):
-        cp = cos_tab[m - 1]
-        sp = sin_tab[m - 1]
-        np.multiply(cp, c1, out=cos_tab[m])
-        cos_tab[m] -= sp * s1
-        np.multiply(sp, c1, out=sin_tab[m])
-        sin_tab[m] += cp * s1
-    if odd.any():
-        out[:, odd] = _SQRT2 * cos_tab[j[odd] - 1].T
-    even = ~odd
-    if even.any():
-        out[:, even] = _SQRT2 * sin_tab[j[even] - 1].T
-    return out
+    freqs = sorted(set(j.tolist()))
+    tab = np.empty((len(freqs), 2, x.size))  # cos and sin row per frequency
+    c1 = s1 = None
+    for row, f in enumerate(freqs):
+        c, s = tab[row]
+        if row and f == freqs[row - 1] + 1:
+            if c1 is None:
+                ang = _TWO_PI * x
+                c1, s1 = np.cos(ang), np.sin(ang)
+            cp, sp = tab[row - 1]
+            np.multiply(cp, c1, out=c)
+            c -= sp * s1
+            np.multiply(sp, c1, out=s)
+            s += cp * s1
+        else:
+            ang = _TWO_PI * (x * f)
+            np.cos(ang, out=c)
+            np.sin(ang, out=s)
+            if f == 1:
+                c1, s1 = c, s
+    cols = 2 * np.searchsorted(freqs, j) + (ks % 2 == 0)
+    return np.multiply(tab.reshape(2 * len(freqs), x.size)[cols].T, _SQRT2, order="C")
 
 
 def eval_basis(k: int, x: float) -> float:

@@ -75,8 +75,20 @@ class ExperimentConfig:
             raise CliError("n_grid must be nonempty", field="n_grid")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise CliError("n_grid must be strictly increasing", field="n_grid")
-        if self.reps < 1:
-            raise CliError("reps must be at least 1", field="reps")
+        min_n = 1 if self.study == "simulate" else 3
+        if self.n_grid[0] < min_n:
+            raise CliError(f"{self.study} needs every n >= {min_n}", field="n_grid")
+        if self.study == "rate-study":
+            if len(self.n_grid) < 4 or self.n_grid[-1] / self.n_grid[0] < 10.0:
+                raise CliError("rate-study needs at least 4 n_grid points spanning a decade", field="n_grid")
+            if self.phi_family is None or self.phi_family.kind != "sobolev":
+                raise CliError(
+                    "rate-study needs dgp.phi given as a sobolev family so the smoothness s is known",
+                    field="dgp.phi",
+                )
+        min_reps = 2 if self.study in ("risk-curve", "rate-study") else 1
+        if self.reps < min_reps:
+            raise CliError(f"{self.study} needs reps >= {min_reps}", field="reps")
         if self.jobs < 1:
             raise CliError("jobs must be at least 1", field="jobs")
 
@@ -312,12 +324,6 @@ def _run_risk_curve(config: ExperimentConfig, out: Path):
 
 
 def _run_rate_study(config: ExperimentConfig, out: Path):
-    family = config.phi_family
-    if family is None or family.kind != "sobolev":
-        raise CliError(
-            "rate-study needs dgp.phi given as a sobolev family so the smoothness s is known",
-            field="dgp.phi",
-        )
     result = oracle_ratio_study(
         config.dgp,
         config.estimator,
@@ -326,7 +332,7 @@ def _run_rate_study(config: ExperimentConfig, out: Path):
         config.master_seed,
         jobs=config.jobs,
     )
-    fit = rate_fit(result.curve, s=float(family.s), t=float(config.dgp.t))
+    fit = rate_fit(result.curve, s=float(config.phi_family.s), t=float(config.dgp.t))
     _write_risk_curve_csv(out, result)
     write_json(out / "rate_fit.json", to_plain(fit))
     emit_plot_data(result.curve, out / "plot_data.csv")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import seeds
 from .basis import CoefficientVector, FunctionFamilySpec, basis_matrix, frequency, make_test_function, synthesize
-from .serialize import format_value, to_plain
+from .serialize import to_plain, write_csv
 
 __all__ = [
     "ORACLE_DRAWS",
@@ -58,8 +58,6 @@ def true_eigenvalue(k, t):
 
 def eigenvalue_profile(K: int, t: float) -> np.ndarray:
     """Eigenvalues for k = 1..K."""
-    if K == 0:
-        return np.empty(0)
     return true_eigenvalue(np.arange(1, K + 1), t)
 
 
@@ -179,10 +177,7 @@ class IvSample:
         return IvSample(y=float(c) * self.y, x=self.x, w=self.w)
 
     def to_csv(self, path) -> None:
-        rows = zip(self.y, self.x, self.w)
-        lines = ["y,x,w"]
-        lines.extend(",".join(format_value(v) for v in row) for row in rows)
-        Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        write_csv(path, ("y", "x", "w"), zip(self.y, self.x, self.w))
 
     @classmethod
     def from_csv(cls, path) -> "IvSample":
@@ -208,6 +203,47 @@ def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
     return IvSample(y=y, x=x, w=w)
 
 
+def _chunks(n: int) -> list[slice]:
+    """Row blocks of at most _CHUNK observations covering 0..n-1."""
+    return [slice(i0, min(i0 + _CHUNK, n)) for i0 in range(0, n, _CHUNK)]
+
+
+def _response_moments(sample: IvSample, K: int, order: int = 2) -> tuple:
+    """Moments of Z_k = Y psi_k(W), k = 1..K, accumulated over row chunks.
+
+    Pass 1 gives the mean of Z_k.  For order 2 or 4, pass 2 adds the
+    mean centred square, and for order 4 also the mean centred fourth
+    power.  A sample of one chunk builds its basis once for both passes.
+    """
+    n = sample.n
+    ks = np.arange(1, K + 1)
+    chunks = _chunks(n)
+    whole = basis_matrix(sample.w, ks) if len(chunks) == 1 else None
+
+    def basis(sl):
+        return whole if whole is not None else basis_matrix(sample.w[sl], ks)
+
+    total = np.zeros(K)
+    for sl in chunks:
+        total += basis(sl).T @ sample.y[sl]
+    mean = total / n
+    if order == 1:
+        return (mean,)
+    acc2 = np.zeros(K)
+    acc4 = np.zeros(K)
+    for sl in chunks:
+        dev = sample.y[sl, None] * basis(sl)
+        dev -= mean
+        dev *= dev
+        acc2 += np.sum(dev, axis=0)
+        if order == 4:
+            dev *= dev
+            acc4 += np.sum(dev, axis=0)
+    if order == 2:
+        return mean, acc2 / n
+    return mean, acc2 / n, acc4 / n
+
+
 _SIGMA_CACHE: dict = {}
 
 
@@ -229,22 +265,7 @@ def sigma_sq_profile(
     if hit is not None:
         return hit
     sample = generate_sample(spec, n_draws, seed=seeds.sequence(seed, "sigma-oracle"))
-    ks = np.arange(1, K + 1)
-    sums = np.zeros(K)
-    for i0 in range(0, n_draws, _CHUNK):
-        sl = slice(i0, min(i0 + _CHUNK, n_draws))
-        sums += basis_matrix(sample.w[sl], ks).T @ sample.y[sl]
-    means = sums / n_draws
-    acc2 = np.zeros(K)
-    acc4 = np.zeros(K)
-    for i0 in range(0, n_draws, _CHUNK):
-        sl = slice(i0, min(i0 + _CHUNK, n_draws))
-        dev = sample.y[sl, None] * basis_matrix(sample.w[sl], ks) - means
-        sq = dev * dev
-        acc2 += np.sum(sq, axis=0)
-        acc4 += np.sum(sq * sq, axis=0)
-    var = acc2 / n_draws
-    mu4 = acc4 / n_draws
+    _, var, mu4 = _response_moments(sample, K, order=4)
     se = np.sqrt(np.maximum(mu4 - var**2, 0.0) / n_draws)
     var.setflags(write=False)
     se.setflags(write=False)

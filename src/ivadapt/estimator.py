@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import CoefficientVector, basis_matrix
-from .dgp import IvSample, eigenvalue_profile, true_eigenvalue
-from .serialize import format_value, to_plain
+from .dgp import IvSample, _chunks, _response_moments, eigenvalue_profile, true_eigenvalue
+from .serialize import to_plain, write_csv
 
 __all__ = [
     "DegenerateSampleError",
@@ -37,7 +37,6 @@ __all__ = [
     "thresholded_estimator",
 ]
 
-_CHUNK = 1 << 16
 _SCAN_BLOCK = 16
 
 
@@ -77,54 +76,23 @@ class EstimatorConfig:
 
 def _mean_basis_product(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     total = np.zeros(ks.size)
-    n = x.size
-    for i0 in range(0, n, _CHUNK):
-        sl = slice(i0, min(i0 + _CHUNK, n))
+    for sl in _chunks(x.size):
         total += np.sum(basis_matrix(x[sl], ks) * basis_matrix(w[sl], ks), axis=0)
-    return total / n
+    return total / x.size
 
 
 def estimate_r_coeffs(sample: IvSample, K: int) -> np.ndarray:
     """Empirical response coefficients (1/n) sum_i Y_i psi_k(W_i), k = 1..K."""
     if K < 0:
         raise ValueError("K must be nonnegative")
-    if K == 0:
-        return np.empty(0)
-    ks = np.arange(1, K + 1)
-    total = np.zeros(K)
-    for i0 in range(0, sample.n, _CHUNK):
-        sl = slice(i0, min(i0 + _CHUNK, sample.n))
-        total += basis_matrix(sample.w[sl], ks).T @ sample.y[sl]
-    return total / sample.n
+    return _response_moments(sample, K, order=1)[0]
 
 
 def estimate_eigenvalues(sample: IvSample, K: int) -> np.ndarray:
     """Empirical eigenvalues (1/n) sum_i psi_k(W_i) phi_k(X_i), k = 1..K."""
     if K < 0:
         raise ValueError("K must be nonnegative")
-    if K == 0:
-        return np.empty(0)
     return _mean_basis_product(sample.x, sample.w, np.arange(1, K + 1))
-
-
-def _response_moments(sample: IvSample, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """r_hat and sigma_sq_hat together, sharing one basis build when possible."""
-    if K == 0:
-        return np.empty(0), np.empty(0)
-    ks = np.arange(1, K + 1)
-    if sample.n <= _CHUNK:
-        # Single chunk: identical accumulation to the chunked paths below.
-        bw = basis_matrix(sample.w, ks)
-        r_hat = (bw.T @ sample.y) / sample.n
-        dev = sample.y[:, None] * bw - r_hat
-        return r_hat, np.sum(dev * dev, axis=0) / sample.n
-    r_hat = estimate_r_coeffs(sample, K)
-    acc = np.zeros(K)
-    for i0 in range(0, sample.n, _CHUNK):
-        sl = slice(i0, min(i0 + _CHUNK, sample.n))
-        dev = sample.y[sl, None] * basis_matrix(sample.w[sl], ks) - r_hat
-        acc += np.sum(dev * dev, axis=0)
-    return r_hat, acc / sample.n
 
 
 def estimate_sigma_sq(sample: IvSample, K: int) -> np.ndarray:
@@ -320,12 +288,7 @@ class EstimateReport:
         }
 
     def write_phi_csv(self, path) -> None:
-        from pathlib import Path
-
-        lines = ["k,coefficient"]
-        for k, c in enumerate(self.phi_hat.coeffs, start=1):
-            lines.append(f"{k},{format_value(c)}")
-        Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        write_csv(path, ("k", "coefficient"), enumerate(self.phi_hat.coeffs, start=1))
 
 
 def adaptive_estimate(sample: IvSample, config: EstimatorConfig | None = None) -> EstimateReport:

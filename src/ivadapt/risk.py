@@ -67,8 +67,7 @@ def loss(phi_a: CoefficientVector, phi_b: CoefficientVector) -> float:
     return parseval_sq_distance(phi_a, phi_b)
 
 
-def risk_naive(phi: CoefficientVector, t: float, sigma_sq, n: int, m: int) -> float:
-    """Tail bias plus (1/n) sum_{k<=m} lambda_k^-2 sigma_k^2."""
+def _risk(phi: CoefficientVector, t: float, sigma_sq, n: int, m: int, penalized: bool) -> float:
     if n < 1:
         raise ValueError("sample size must be positive")
     if m < 0:
@@ -80,23 +79,18 @@ def risk_naive(phi: CoefficientVector, t: float, sigma_sq, n: int, m: int) -> fl
     if m == 0:
         return tail
     lam = eigenvalue_profile(m, t)
-    return tail + float(np.sum(sig[:m] / lam**2)) / n
+    factor = math.log(n) ** 2 if penalized else 1.0
+    return tail + factor * float(np.sum(sig[:m] / lam**2)) / n
+
+
+def risk_naive(phi: CoefficientVector, t: float, sigma_sq, n: int, m: int) -> float:
+    """Tail bias plus (1/n) sum_{k<=m} lambda_k^-2 sigma_k^2."""
+    return _risk(phi, t, sigma_sq, n, m, penalized=False)
 
 
 def risk_penalized(phi: CoefficientVector, t: float, sigma_sq, n: int, m: int) -> float:
     """Naive risk with the variance term inflated by log^2 n."""
-    if n < 1:
-        raise ValueError("sample size must be positive")
-    if m < 0:
-        raise ValueError("truncation level m must be nonnegative")
-    sig = np.asarray(sigma_sq, dtype=np.float64)
-    if m > sig.size:
-        raise ValueError(f"sigma_sq must cover k = 1..{m}")
-    tail = float(np.sum(phi.coeffs[m:] ** 2)) if m < phi.support else 0.0
-    if m == 0:
-        return tail
-    lam = eigenvalue_profile(m, t)
-    return tail + math.log(n) ** 2 * float(np.sum(sig[:m] / lam**2)) / n
+    return _risk(phi, t, sigma_sq, n, m, penalized=True)
 
 
 def _risk_scan(phi, t, sigma_sq, n, fn) -> np.ndarray:

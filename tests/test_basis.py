@@ -51,6 +51,33 @@ def test_sup_norm_bound_on_dense_grid():
     assert np.abs(vals).max() <= SUP_NORM_BOUND + 1e-9
 
 
+def _direct_basis(x, ks):
+    j = (np.asarray(ks) + 1) // 2
+    arg = 2 * np.pi * np.multiply.outer(x, j)
+    return ROOT2 * np.where(np.asarray(ks) % 2 == 1, np.cos(arg), np.sin(arg))
+
+
+@pytest.mark.parametrize(
+    "ks",
+    [np.arange(k0, k0 + 16) for k0 in (17, 129, 1025)] + [[7, 3, 500], [1, 4096], [12, 11, 2, 1, 40, 39]],
+    ids=["block17", "block129", "block1025", "unsorted", "far-apart", "runs"],
+)
+def test_basis_matrix_any_index_set_matches_direct(ks):
+    x = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(3).random(997)])
+    got = basis_matrix(x, ks)
+    assert got.shape == (x.size, len(ks))
+    assert np.allclose(got, _direct_basis(x, ks), rtol=0.0, atol=1e-11)
+
+
+def test_basis_matrix_prefix_columns_are_bitwise_stable():
+    x = np.random.default_rng(4).random(501)
+    full = basis_matrix(x, np.arange(1, 81))
+    for K in (1, 2, 17, 40):
+        assert np.array_equal(basis_matrix(x, np.arange(1, K + 1)), full[:, :K])
+    assert basis_matrix(x, []).shape == (501, 0)
+    assert basis_matrix([], [1, 2]).shape == (0, 2)
+
+
 @given(st.integers(min_value=1, max_value=500))
 def test_index_convention(k):
     j = frequency(k)

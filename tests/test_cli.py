@@ -160,6 +160,30 @@ def test_invalid_config_gives_machine_readable_error(tmp_path, capsys):
     assert missing == 2
 
 
+@pytest.mark.parametrize(
+    "study, overrides, field",
+    [
+        ("estimate", {"n_grid": [2]}, "n_grid"),
+        ("coverage-study", {"n_grid": [2]}, "n_grid"),
+        ("oracle-study", {"n_grid": [2]}, "n_grid"),
+        ("simulate", {"n_grid": [0]}, "n_grid"),
+        ("risk-curve", {"n_grid": [128, 256], "reps": 1}, "reps"),
+        ("rate-study", {"n_grid": [128, 256, 512, 1024, 2048], "reps": 1}, "reps"),
+        ("rate-study", {"n_grid": [128, 512, 2048], "reps": 2}, "n_grid"),
+        ("rate-study", {"n_grid": [128, 256, 512, 1024], "reps": 2}, "n_grid"),
+    ],
+)
+def test_study_preconditions_give_error_record(tmp_path, capsys, study, overrides, field):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "x"
+    assert main([study, "--config", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["field"] == field and record["error"]
+    assert not out.exists()
+
+
 def test_unwritable_output_dir(tmp_path, capsys):
     cfg = write_config(tmp_path)
     blocker = tmp_path / "blocked"

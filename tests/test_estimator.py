@@ -117,6 +117,19 @@ def test_sigma_sq_quadratic_scaling():
     assert np.allclose(estimate_sigma_sq(sample.scaled_response(3.0), 6), 9.0 * base, rtol=1e-12)
 
 
+def test_response_moments_across_the_chunk_boundary():
+    n = 2**16 + 3
+    sample = generate_sample(DgpSpec.default(), n, seed=29)
+    K = 6
+    k = np.arange(1, K + 1)
+    arg = 2 * np.pi * np.multiply.outer(sample.w, (k + 1) // 2)
+    z = sample.y[:, None] * ROOT2 * np.where(k % 2 == 1, np.cos(arg), np.sin(arg))
+    r_ref = z.mean(axis=0)
+    sigma_ref = ((z - r_ref) ** 2).mean(axis=0)
+    assert np.allclose(estimate_r_coeffs(sample, K), r_ref, rtol=1e-12, atol=0.0)
+    assert np.allclose(estimate_sigma_sq(sample, K), sigma_ref, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # resolution selection
 
