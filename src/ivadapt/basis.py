@@ -52,6 +52,12 @@ def basis_matrix(x, ks) -> np.ndarray:
     A frequency one above its predecessor comes from the angle-addition
     step; any other is evaluated directly.  Cost is O(n x distinct
     frequencies), and the recurrence drifts by about run length x eps.
+
+    The result is the transpose of a C-ordered (len(ks), n) table, so it
+    is F-ordered: each column is contiguous, and reducing over points
+    (``out.T @ y``, ``einsum("ij,ij->j", ...)``) needs no copy.  Values
+    do not depend on the layout; use ``np.ascontiguousarray`` where C
+    order is required.
     """
     x = np.asarray(x, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.int64)
@@ -80,8 +86,14 @@ def basis_matrix(x, ks) -> np.ndarray:
             np.sin(ang, out=s)
             if f == 1:
                 c1, s1 = c, s
+    rows = tab.reshape(2 * len(freqs), x.size)
     cols = 2 * np.searchsorted(freqs, j) + (ks % 2 == 0)
-    return np.multiply(tab.reshape(2 * len(freqs), x.size)[cols].T, _SQRT2, order="C")
+    if np.array_equal(cols, np.arange(cols.size)):
+        out = rows[: cols.size]  # already in table order: no gather
+    else:
+        out = rows[cols]
+    out *= _SQRT2
+    return out.T
 
 
 def eval_basis(k: int, x: float) -> float:
@@ -162,15 +174,22 @@ class CoefficientVector:
 
 
 def synthesize(f: CoefficientVector, x):
-    """Pointwise value sum_k coeffs[k] e_k(x); x scalar or array in [0, 1]."""
+    """Pointwise value sum_k coeffs[k] e_k(x); x scalar or array in [0, 1].
+
+    Horner evaluation of sqrt(2) Re sum_j (c_{2j-1} - i c_{2j}) zeta^j
+    with zeta = exp(2 pi i x), j = 1..J: O(n J) work and O(n) memory,
+    with no basis matrix.  Rounding drifts by about J eps sum_k |c_k|.
+    """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    ks = np.arange(1, f.support + 1)
-    vals = np.zeros(xs.size)
-    chunk = max(1, (1 << 22) // max(1, f.support))
-    for i0 in range(0, xs.size, chunk):
-        sl = slice(i0, min(i0 + chunk, xs.size))
-        vals[sl] = basis_matrix(xs[sl], ks) @ f.coeffs
+    c = f.padded(f.support + f.support % 2)
+    a = c[0::2] - 1j * c[1::2]  # a[j - 1] pairs cos and sin at frequency j
+    zeta = np.exp(1j * (_TWO_PI * xs))
+    acc = np.zeros(xs.size, dtype=np.complex128)
+    for aj in a[::-1]:
+        acc += aj
+        acc *= zeta
+    vals = _SQRT2 * acc.real
     return float(vals[0]) if scalar else vals
 
 

@@ -112,20 +112,22 @@ class ExperimentConfig:
 
 
 def _reject_unknown_keys(node, allowed, label):
+    if not isinstance(node, dict):
+        raise CliError(f"{label} must be an object", field=label)
     unknown = sorted(set(node) - set(allowed))
     if unknown:
         raise CliError(f"unknown {label} keys: {', '.join(unknown)}", field=label)
 
 
 def _coefficient_node(node, label):
-    if not isinstance(node, dict):
-        raise CliError(f"{label} must be an object", field=label)
     _reject_unknown_keys(
         node, ("coeffs", "family", "s", "q", "gamma", "t_exp", "amplitude", "k_support"), label
     )
-    if "coeffs" in node:
-        return CoefficientVector(np.asarray(node["coeffs"], dtype=np.float64)), None
-    if "family" in node:
+    if "coeffs" not in node and "family" not in node:
+        raise CliError(f"{label} must provide 'coeffs' or 'family'", field=label)
+    try:
+        if "coeffs" in node:
+            return CoefficientVector(np.asarray(node["coeffs"], dtype=np.float64)), None
         family = FunctionFamilySpec(
             kind=str(node["family"]),
             k_support=int(node.get("k_support", 50)),
@@ -135,11 +137,9 @@ def _coefficient_node(node, label):
             gamma=node.get("gamma"),
             t_exp=node.get("t_exp"),
         )
-        try:
-            return make_test_function(family), family
-        except ValueError as exc:
-            raise CliError(str(exc), field=label) from exc
-    raise CliError(f"{label} must provide 'coeffs' or 'family'", field=label)
+        return make_test_function(family), family
+    except (TypeError, ValueError) as exc:
+        raise CliError(str(exc), field=label) from exc
 
 
 def load_config(path, study=None, seed=None, out=None, jobs=None):
@@ -155,6 +155,8 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
         raise CliError(f"config file not found: {path}", field="config") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"config file is not valid JSON: {exc}", field="config") from exc
+    if not isinstance(raw, dict):
+        raise CliError("config must be a JSON object", field="config")
 
     cfg_study = raw.get("study")
     if study is not None:
@@ -183,7 +185,7 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
             a=float(dgp_node.get("a", 0.0)),
             eta_sd=float(dgp_node.get("eta_sd", 0.5)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(str(exc), field="dgp") from exc
 
     est_node = raw.get("estimator", {})
@@ -200,7 +202,7 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
             u0_constant=float(est_node.get("u0_constant", 2.0)),
             allow_empty_model=bool(est_node.get("allow_empty_model", True)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(str(exc), field="estimator") from exc
     if estimator.n_cap is not None and estimator.n_cap > estimator.k_max:
         adjustments.append(

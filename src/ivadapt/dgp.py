@@ -21,7 +21,7 @@ import numpy as np
 
 from . import seeds
 from .basis import CoefficientVector, FunctionFamilySpec, basis_matrix, frequency, make_test_function, synthesize
-from .serialize import to_plain, write_csv
+from .serialize import _float_rows, to_plain, write_csv
 
 __all__ = [
     "ORACLE_DRAWS",
@@ -44,7 +44,7 @@ ORACLE_SEED = 741_003
 ORACLE_DRAWS = 10**6
 
 _TWO_PI = 2.0 * math.pi
-_CHUNK = 1 << 16
+_BLOCK_CELLS = 1 << 20
 
 
 def true_eigenvalue(k, t):
@@ -177,7 +177,7 @@ class IvSample:
         return IvSample(y=float(c) * self.y, x=self.x, w=self.w)
 
     def to_csv(self, path) -> None:
-        write_csv(path, ("y", "x", "w"), zip(self.y, self.x, self.w))
+        write_csv(path, ("y", "x", "w"), _float_rows(self.y, self.x, self.w))
 
     @classmethod
     def from_csv(cls, path) -> "IvSample":
@@ -203,42 +203,52 @@ def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
     return IvSample(y=y, x=x, w=w)
 
 
-def _chunks(n: int) -> list[slice]:
-    """Row blocks of at most _CHUNK observations covering 0..n-1."""
-    return [slice(i0, min(i0 + _CHUNK, n)) for i0 in range(0, n, _CHUNK)]
+def _chunks(n: int, width: int) -> list[slice]:
+    """Row blocks covering 0..n-1, each of at most _BLOCK_CELLS cells.
+
+    A block holds max(1, _BLOCK_CELLS // width) rows, so a basis block
+    of ``width`` columns stays near 8 MiB whatever n and K are: large
+    enough that a replication-sized sample (n <= 2^15, K <= 32) is one
+    block, small enough that the 10^6 x 100 oracle never materializes.
+    """
+    rows = max(1, _BLOCK_CELLS // max(1, width))
+    return [slice(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
 
 
 def _response_moments(sample: IvSample, K: int, order: int = 2) -> tuple:
-    """Moments of Z_k = Y psi_k(W), k = 1..K, accumulated over row chunks.
+    """Moments of Z_k = Y psi_k(W), k = 1..K, accumulated over row blocks.
 
     Pass 1 gives the mean of Z_k.  For order 2 or 4, pass 2 adds the
     mean centred square, and for order 4 also the mean centred fourth
-    power.  A sample of one chunk builds its basis once for both passes.
+    power.  Both passes work on the (K, rows) transpose of the basis
+    block, so every reduction runs along contiguous memory.  A sample
+    of one block builds its basis once for both passes.
     """
     n = sample.n
     ks = np.arange(1, K + 1)
-    chunks = _chunks(n)
-    whole = basis_matrix(sample.w, ks) if len(chunks) == 1 else None
+    chunks = _chunks(n, K)
+    whole = basis_matrix(sample.w, ks).T if len(chunks) == 1 else None
 
-    def basis(sl):
-        return whole if whole is not None else basis_matrix(sample.w[sl], ks)
+    def basis_t(sl):
+        return whole if whole is not None else basis_matrix(sample.w[sl], ks).T
 
     total = np.zeros(K)
     for sl in chunks:
-        total += basis(sl).T @ sample.y[sl]
+        total += basis_t(sl) @ sample.y[sl]
     mean = total / n
     if order == 1:
         return (mean,)
+    centre = mean[:, None]
     acc2 = np.zeros(K)
     acc4 = np.zeros(K)
     for sl in chunks:
-        dev = sample.y[sl, None] * basis(sl)
-        dev -= mean
+        dev = basis_t(sl) * sample.y[sl]
+        dev -= centre
         dev *= dev
-        acc2 += np.sum(dev, axis=0)
+        acc2 += np.sum(dev, axis=1)
         if order == 4:
             dev *= dev
-            acc4 += np.sum(dev, axis=0)
+            acc4 += np.sum(dev, axis=1)
     if order == 2:
         return mean, acc2 / n
     return mean, acc2 / n, acc4 / n

@@ -76,8 +76,8 @@ class EstimatorConfig:
 
 def _mean_basis_product(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     total = np.zeros(ks.size)
-    for sl in _chunks(x.size):
-        total += np.sum(basis_matrix(x[sl], ks) * basis_matrix(w[sl], ks), axis=0)
+    for sl in _chunks(x.size, ks.size):
+        total += np.einsum("ij,ij->j", basis_matrix(x[sl], ks), basis_matrix(w[sl], ks))
     return total / x.size
 
 

@@ -55,6 +55,14 @@ def format_value(value) -> str:
 
 def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    lines += (",".join(map(format_value, row)) for row in rows)
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _float_rows(*columns):
+    """Rows of already formatted cells from equal-length float columns.
+
+    Same text as format_value gives each float, but formatted column by
+    column from Python floats rather than one numpy scalar at a time.
+    """
+    return zip(*(map(repr, np.asarray(c, dtype=np.float64).tolist()) for c in columns))

@@ -118,6 +118,21 @@ def test_synthesize_vectorized_matches_scalar():
         assert vi == pytest.approx(synthesize(f, float(xi)), abs=1e-12)
 
 
+@pytest.mark.parametrize("support", [0, 1, 2, 49, 50, 51, 2000])
+def test_synthesize_matches_basis_matrix_product(support):
+    c = np.random.default_rng(support).standard_normal(support)
+    f = CoefficientVector(c)
+    x = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53], np.random.default_rng(7).random(500)])
+    ref = basis_matrix(x, np.arange(1, support + 1)) @ c
+    tol = 1e-12 * np.abs(c).sum()
+    got = synthesize(f, x)
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - ref) <= tol)
+    for xi, ri in zip(x[:3], ref[:3]):
+        value = synthesize(f, float(xi))
+        assert isinstance(value, float) and abs(value - ri) <= tol
+
+
 def test_parseval_identity_and_orthonormal_distance():
     f = CoefficientVector([1.0, 0.0])
     g = CoefficientVector([0.0, 1.0])

@@ -184,6 +184,27 @@ def test_study_preconditions_give_error_record(tmp_path, capsys, study, override
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"estimator": [1]}, "estimator"),
+        ({"estimator": ["k_max"]}, "estimator"),
+        ({"dgp": {"phi": {"coeffs": "abc"}}}, "dgp.phi"),
+        ({"dgp": {"phi": {"family": "sobolev", "s": "abc"}}}, "dgp.phi"),
+        ({"dgp": {"phi": {"coeffs": [1.0]}, "g": {"coeffs": [1.0]}, "t": [1]}}, "dgp"),
+    ],
+)
+def test_malformed_config_fields_give_error_record(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "x"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["field"] == field and record["error"]
+    assert not out.exists()
+
+
 def test_unwritable_output_dir(tmp_path, capsys):
     cfg = write_config(tmp_path)
     blocker = tmp_path / "blocked"

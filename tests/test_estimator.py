@@ -28,6 +28,7 @@ from ivadapt import (
     true_eigenvalue,
 )
 from ivadapt import seeds
+from ivadapt.dgp import _chunks, _response_moments
 
 ROOT2 = math.sqrt(2.0)
 
@@ -128,6 +129,28 @@ def test_response_moments_across_the_chunk_boundary():
     sigma_ref = ((z - r_ref) ** 2).mean(axis=0)
     assert np.allclose(estimate_r_coeffs(sample, K), r_ref, rtol=1e-12, atol=0.0)
     assert np.allclose(estimate_sigma_sq(sample, K), sigma_ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("K", [1, 16, 100])
+def test_response_moments_straddle_row_blocks(K):
+    rows = _chunks(1 << 21, K)[0].stop
+    n = rows + rows // 2 + 1
+    assert len(_chunks(n, K)) == 2
+    sample = generate_sample(DgpSpec.default(), n, seed=31)
+    k = np.arange(1, K + 1)
+    arg = 2 * np.pi * np.multiply.outer(sample.w, (k + 1) // 2)
+    z = sample.y[:, None] * ROOT2 * np.where(k % 2 == 1, np.cos(arg), np.sin(arg))
+    mean = z.mean(axis=0)
+    dev = z - mean
+    reference = (mean, (dev**2).mean(axis=0), (dev**4).mean(axis=0))
+    # relative to the mean size of each moment's summands: a mean near
+    # zero cancels, so rtol alone would demand more than rounding gives
+    scale = (np.abs(z).mean(axis=0), reference[1], reference[2])
+    for order, count in ((1, 1), (2, 2), (4, 3)):
+        got = _response_moments(sample, K, order=order)
+        assert len(got) == count
+        for value, ref, size in zip(got, reference, scale):
+            assert np.all(np.abs(value - ref) <= 1e-12 * size)
 
 
 # ---------------------------------------------------------------------------
