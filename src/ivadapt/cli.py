@@ -119,6 +119,15 @@ def _reject_unknown_keys(node, allowed, label):
         raise CliError(f"unknown {label} keys: {', '.join(unknown)}", field=label)
 
 
+def _integer(value, field):
+    """An int from a JSON number; booleans, strings and fractions are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CliError(f"{field} must be an integer, got {value!r}", field=field)
+    return value
+
+
 def _coefficient_node(node, label):
     _reject_unknown_keys(
         node, ("coeffs", "family", "s", "q", "gamma", "t_exp", "amplitude", "k_support"), label
@@ -194,10 +203,11 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
         ("k_max", "n_cap", "penalty_log_exponent", "u0_constant", "allow_empty_model"),
         "estimator",
     )
+    n_cap = est_node.get("n_cap")
     try:
         estimator = EstimatorConfig(
-            k_max=int(est_node.get("k_max", 10**6)),
-            n_cap=est_node.get("n_cap"),
+            k_max=_integer(est_node.get("k_max", 10**6), "estimator.k_max"),
+            n_cap=None if n_cap is None else _integer(n_cap, "estimator.n_cap"),
             penalty_log_exponent=float(est_node.get("penalty_log_exponent", 2.0)),
             u0_constant=float(est_node.get("u0_constant", 2.0)),
             allow_empty_model=bool(est_node.get("allow_empty_model", True)),
@@ -218,23 +228,28 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
     if job_count is None:
         job_count = os.cpu_count() or 1
         adjustments.append(f"jobs defaulted to available cores: {job_count}")
+    job_count = _integer(job_count, "jobs")
 
     master_seed = seed if seed is not None else raw.get("master_seed")
     if master_seed is None:
         raise CliError("a master seed is required (config master_seed or --seed)", field="master_seed")
+    master_seed = _integer(master_seed, "master_seed")
     if seed is not None and raw.get("master_seed") not in (None, seed):
         adjustments.append(f"master_seed overridden: {raw.get('master_seed')} -> {seed}")
 
+    n_grid = raw.get("n_grid", [])
+    if not isinstance(n_grid, list):
+        raise CliError("n_grid must be a list of integers", field="n_grid")
     try:
         config = ExperimentConfig(
             study=cfg_study,
             dgp=dgp,
             estimator=estimator,
-            n_grid=tuple(int(v) for v in raw.get("n_grid", [])),
-            reps=int(raw.get("reps", 1)),
-            master_seed=int(master_seed),
+            n_grid=tuple(_integer(v, "n_grid") for v in n_grid),
+            reps=_integer(raw.get("reps", 1), "reps"),
+            master_seed=master_seed,
             output_dir=str(output_dir),
-            jobs=int(job_count),
+            jobs=job_count,
             phi_family=phi_family,
         )
     except (TypeError, ValueError) as exc:

@@ -105,6 +105,9 @@ class DgpSpec:
     eta_sd: float
 
     def __post_init__(self):
+        for name in ("t", "a", "eta_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.t <= 0:
             raise ValueError("ill-posedness degree t must be positive")
         if self.eta_sd < 0:

@@ -66,6 +66,9 @@ class EstimatorConfig:
             raise ValueError("k_max must be positive")
         if self.n_cap is not None and self.n_cap < 1:
             raise ValueError("n_cap must be positive when given")
+        for name in ("penalty_log_exponent", "u0_constant"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.penalty_log_exponent < 0:
             raise ValueError("penalty_log_exponent must be nonnegative")
 

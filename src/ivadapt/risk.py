@@ -11,7 +11,6 @@ and the bracketing frequency of the random resolution bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +169,8 @@ def _mc_replication(payload):
 def _map_payloads(fn, payloads, jobs):
     if jobs is None or jobs <= 1:
         return [fn(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(payloads) // (jobs * 4))
         return list(pool.map(fn, payloads, chunksize=chunk))
@@ -380,10 +381,20 @@ def _coverage_replication(payload):
 
 
 def _clopper_pearson(hits: int, reps: int, alpha: float = 0.05) -> tuple[float, float]:
-    from scipy.stats import beta
+    """Exact two-sided 1 - alpha interval for a binomial proportion.
 
-    low = 0.0 if hits == 0 else float(beta.ppf(alpha / 2, hits, reps - hits + 1))
-    high = 1.0 if hits == reps else float(beta.ppf(1 - alpha / 2, hits + 1, reps - hits))
+    The bounds are the alpha/2 and 1 - alpha/2 quantiles of
+    Beta(hits, reps - hits + 1) and Beta(hits + 1, reps - hits)
+    (Clopper & Pearson, Biometrika 1934), clamped to 0 and 1 at the
+    ends.  They come from scipy.special.betaincinv, the inverse
+    regularized incomplete beta that scipy.stats.beta.ppf calls, so the
+    values are the same; importing scipy.stats would cost more start-up
+    time and memory than a whole coverage study.
+    """
+    from scipy.special import betaincinv
+
+    low = 0.0 if hits == 0 else float(betaincinv(hits, reps - hits + 1, alpha / 2))
+    high = 1.0 if hits == reps else float(betaincinv(hits + 1, reps - hits, 1 - alpha / 2))
     return low, high
 
 

@@ -205,6 +205,93 @@ def test_malformed_config_fields_give_error_record(tmp_path, capsys, overrides, 
     assert not out.exists()
 
 
+def with_dgp(**fields):
+    return {"dgp": {**BASE_CONFIG["dgp"], **fields}}
+
+
+def with_estimator(**fields):
+    return {"estimator": {**BASE_CONFIG["estimator"], **fields}}
+
+
+NON_FINITE_FLOATS = [
+    ("estimate", with_dgp(t="nan"), "dgp"),
+    ("estimate", with_dgp(t="inf"), "dgp"),
+    ("estimate", with_dgp(t="-inf"), "dgp"),
+    ("estimate", with_dgp(eta_sd="nan"), "dgp"),
+    ("estimate", with_dgp(a="inf"), "dgp"),
+    ("estimate", with_dgp(a="-inf"), "dgp"),
+    ("coverage-study", with_dgp(t="nan"), "dgp"),
+    ("coverage-study", with_dgp(t="inf"), "dgp"),
+    ("coverage-study", with_dgp(eta_sd="nan"), "dgp"),
+    ("coverage-study", with_dgp(a="inf"), "dgp"),
+    ("estimate", with_estimator(penalty_log_exponent="nan"), "estimator"),
+    ("estimate", with_estimator(penalty_log_exponent="inf"), "estimator"),
+    ("estimate", with_estimator(u0_constant="nan"), "estimator"),
+    ("estimate", with_estimator(u0_constant="-inf"), "estimator"),
+]
+
+NON_INTEGER_COUNTS = [
+    ("simulate", {"n_grid": [1000.5]}, "n_grid"),
+    ("simulate", {"n_grid": [True]}, "n_grid"),
+    ("simulate", {"n_grid": ["10"]}, "n_grid"),
+    ("simulate", {"n_grid": 10}, "n_grid"),
+    ("simulate", {"n_grid": "10"}, "n_grid"),
+    ("coverage-study", {"reps": 2.5}, "reps"),
+    ("coverage-study", {"reps": True}, "reps"),
+    ("coverage-study", {"reps": "3"}, "reps"),
+    ("simulate", {"master_seed": 1.5}, "master_seed"),
+    ("simulate", {"master_seed": "7"}, "master_seed"),
+    ("simulate", {"master_seed": False}, "master_seed"),
+    ("simulate", {"jobs": 1.5}, "jobs"),
+    ("simulate", {"jobs": "2"}, "jobs"),
+    ("simulate", {"jobs": True}, "jobs"),
+    ("estimate", with_estimator(k_max=2.5), "estimator.k_max"),
+    ("estimate", with_estimator(k_max="100"), "estimator.k_max"),
+    ("estimate", with_estimator(n_cap=2.5), "estimator.n_cap"),
+    ("estimate", with_estimator(n_cap=True), "estimator.n_cap"),
+    ("estimate", with_estimator(n_cap="5"), "estimator.n_cap"),
+]
+
+
+@pytest.mark.parametrize(
+    "study, overrides, field, reason",
+    [(*case, "finite") for case in NON_FINITE_FLOATS] + [(*case, "integer") for case in NON_INTEGER_COUNTS],
+)
+def test_non_finite_floats_and_non_integer_counts_give_error_record(
+    tmp_path, capsys, study, overrides, field, reason
+):
+    cfg = write_config(tmp_path, **{"n_grid": [1000], "reps": 3, **overrides})
+    out = tmp_path / "x"
+    assert main([study, "--config", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["field"] == field and reason in record["error"]
+    assert not out.exists()
+
+
+def test_integral_floats_are_taken_as_ints(tmp_path):
+    as_ints = tmp_path / "ints"
+    as_ints.mkdir()
+    as_floats = tmp_path / "floats"
+    as_floats.mkdir()
+    cfg_a = write_config(
+        as_ints, n_grid=[10], reps=1, master_seed=99, jobs=1, **with_estimator(k_max=10**4, n_cap=50)
+    )
+    cfg_b = write_config(
+        as_floats, n_grid=[1e1], reps=1.0, master_seed=99.0, jobs=1.0,
+        **with_estimator(k_max=1e4, n_cap=5e1),
+    )
+    config, _ = load_config(cfg_b, out=str(tmp_path / "b"))
+    assert config.n_grid == (10,) and type(config.n_grid[0]) is int
+    assert type(config.reps) is int and type(config.master_seed) is int and type(config.jobs) is int
+    assert config.estimator.k_max == 10**4 and type(config.estimator.k_max) is int
+    assert config.estimator.n_cap == 50 and type(config.estimator.n_cap) is int
+    assert main(["simulate", "--config", str(cfg_a), "--out", str(tmp_path / "a")]) == 0
+    assert main(["simulate", "--config", str(cfg_b), "--out", str(tmp_path / "b")]) == 0
+    assert hash_outputs(tmp_path / "a") == hash_outputs(tmp_path / "b")
+
+
 def test_unwritable_output_dir(tmp_path, capsys):
     cfg = write_config(tmp_path)
     blocker = tmp_path / "blocked"

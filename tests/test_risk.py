@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from ivadapt import (
     truncation_remainder,
     true_eigenvalue,
 )
+from ivadapt.risk import _clopper_pearson
 
 ONES = np.ones(600)
 
@@ -278,3 +284,47 @@ def test_oracle_summary_consistency():
     assert summary.risk_values[summary.oracle_m] == summary.risk_values.min()
     assert summary.lower_bound <= summary.upper_bound
     assert summary.remainder >= 0.0
+
+
+def test_clopper_pearson_matches_beta_quantiles():
+    from scipy.stats import beta
+
+    alpha = 0.05
+    cases = [(h, r) for r in range(1, 61) for h in range(r + 1)]
+    cases += [(h, r) for r in (100, 500) for h in sorted({*range(0, r + 1, 7), r - 1, r})]
+    for h, r in cases:
+        low, high = _clopper_pearson(h, r)
+        old_low = 0.0 if h == 0 else float(beta.ppf(alpha / 2, h, r - h + 1))
+        old_high = 1.0 if h == r else float(beta.ppf(1 - alpha / 2, h + 1, r - h))
+        assert (low, high) == (old_low, old_high), (h, r)
+        assert low <= h / r <= high
+        if h == r:
+            assert low == pytest.approx((alpha / 2) ** (1 / r), rel=1e-12, abs=0)
+        if h == 0:
+            assert high == pytest.approx(-math.expm1(math.log(alpha / 2) / r), rel=1e-12, abs=0)
+
+
+_IMPORT_PROBE = """
+import json, sys
+import ivadapt.cli
+after_import = sorted(m for m in ("scipy", "concurrent.futures.process") if m in sys.modules)
+from ivadapt import DgpSpec, EstimatorConfig, coverage_study
+result = coverage_study(DgpSpec.default(), EstimatorConfig(), 200, 3, 1, jobs=1)
+print(json.dumps({"after_import": after_import, "reps": result.reps,
+                  "scipy_stats": "scipy.stats" in sys.modules}))
+"""
+
+
+def test_cli_import_and_serial_coverage_skip_scipy_stats_and_the_pool():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    probe = json.loads(proc.stdout)
+    assert probe["after_import"] == []
+    assert probe["reps"] == 3
+    assert probe["scipy_stats"] is False
