@@ -21,11 +21,9 @@ __all__ = [
     "CoefficientVector",
     "FunctionFamilySpec",
     "basis_matrix",
-    "eval_basis",
     "frequency",
     "make_test_function",
     "parseval_sq_distance",
-    "sobolev_seminorm_sq",
     "synthesize",
 ]
 
@@ -94,13 +92,6 @@ def basis_matrix(x, ks) -> np.ndarray:
         out = rows[cols]
     out *= _SQRT2
     return out.T
-
-
-def eval_basis(k: int, x: float) -> float:
-    """Value of the k-th basis function at a point x in [0, 1]."""
-    if np.ndim(k) != 0 or np.ndim(x) != 0:
-        raise ValueError("eval_basis takes scalar arguments; use basis_matrix")
-    return float(basis_matrix([x], [k])[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,14 +189,6 @@ def parseval_sq_distance(f: CoefficientVector, g: CoefficientVector) -> float:
     size = max(f.support, g.support)
     diff = f.padded(size) - g.padded(size)
     return float(np.sum(diff**2))
-
-
-def sobolev_seminorm_sq(f: CoefficientVector, s: float) -> float:
-    """Weighted coefficient sum sum_k k^(2s) coeffs[k]^2 for smoothness s > 0."""
-    if s <= 0:
-        raise ValueError("smoothness index s must be positive")
-    k = np.arange(1, f.support + 1, dtype=np.float64)
-    return float(np.sum(k ** (2.0 * s) * f.coeffs**2))
 
 
 @dataclass(frozen=True)

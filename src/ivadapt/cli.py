@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, seeds
 from .basis import CoefficientVector, FunctionFamilySpec, make_test_function
 from .dgp import DgpSpec, generate_sample
-from .estimator import EstimatorConfig, adaptive_estimate
+from .estimator import EstimatorConfig, adaptive_estimate, deterministic_resolution_bounds
 from .risk import (
     RiskCurve,
     _lsq_line,
@@ -86,6 +86,12 @@ class ExperimentConfig:
                     "rate-study needs dgp.phi given as a sobolev family so the smoothness s is known",
                     field="dgp.phi",
                 )
+        if self.study in ("coverage-study", "oracle-study"):
+            for n in self.n_grid:
+                try:
+                    deterministic_resolution_bounds(self.dgp.t, n)
+                except ValueError as exc:
+                    raise CliError(f"no resolution bracket at n = {n}: {exc}", field="dgp.t") from exc
         min_reps = 2 if self.study in ("risk-curve", "rate-study") else 1
         if self.reps < min_reps:
             raise CliError(f"{self.study} needs reps >= {min_reps}", field="reps")
@@ -126,6 +132,13 @@ def _integer(value, field):
     if isinstance(value, bool) or not isinstance(value, int):
         raise CliError(f"{field} must be an integer, got {value!r}", field=field)
     return value
+
+
+def _real(value, name):
+    """A float from a JSON number or numeric string; booleans are rejected."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _coefficient_node(node, label):
@@ -188,11 +201,11 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
     g, _ = _coefficient_node(dgp_node.get("g", {}), "dgp.g")
     try:
         dgp = DgpSpec(
-            t=float(dgp_node.get("t", 1.0)),
+            t=_real(dgp_node.get("t", 1.0), "t"),
             phi=phi,
             g=g,
-            a=float(dgp_node.get("a", 0.0)),
-            eta_sd=float(dgp_node.get("eta_sd", 0.5)),
+            a=_real(dgp_node.get("a", 0.0), "a"),
+            eta_sd=_real(dgp_node.get("eta_sd", 0.5), "eta_sd"),
         )
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc), field="dgp") from exc
@@ -200,17 +213,22 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
     est_node = raw.get("estimator", {})
     _reject_unknown_keys(
         est_node,
-        ("k_max", "n_cap", "penalty_log_exponent", "u0_constant", "allow_empty_model"),
+        ("k_max", "n_cap", "penalty_log_exponent", "allow_empty_model"),
         "estimator",
     )
     n_cap = est_node.get("n_cap")
+    allow_empty = est_node.get("allow_empty_model", True)
+    if not isinstance(allow_empty, bool):
+        raise CliError(
+            f"estimator.allow_empty_model must be a JSON boolean, got {allow_empty!r}",
+            field="estimator.allow_empty_model",
+        )
     try:
         estimator = EstimatorConfig(
             k_max=_integer(est_node.get("k_max", 10**6), "estimator.k_max"),
             n_cap=None if n_cap is None else _integer(n_cap, "estimator.n_cap"),
-            penalty_log_exponent=float(est_node.get("penalty_log_exponent", 2.0)),
-            u0_constant=float(est_node.get("u0_constant", 2.0)),
-            allow_empty_model=bool(est_node.get("allow_empty_model", True)),
+            penalty_log_exponent=_real(est_node.get("penalty_log_exponent", 2.0), "penalty_log_exponent"),
+            allow_empty_model=allow_empty,
         )
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc), field="estimator") from exc
@@ -298,67 +316,41 @@ def _run_estimate(config: ExperimentConfig, out: Path):
     }
 
 
-def _risk_curve_payload(config: ExperimentConfig, result) -> dict:
-    return {
-        "n_grid": to_plain(result.curve.n_grid),
-        "mean_loss": to_plain(result.curve.mean_loss),
-        "stderr": to_plain(result.curve.stderr),
-        "oracle_risk": to_plain(result.curve.oracle_risk),
+def _run_risk_curve(config: ExperimentConfig, out: Path):
+    """risk-curve, and rate-study: the same curve plus its slope fit."""
+    result = oracle_ratio_study(
+        config.dgp,
+        config.estimator,
+        config.n_grid,
+        config.reps,
+        config.master_seed,
+        jobs=config.jobs,
+    )
+    curve = result.curve
+    write_csv(
+        out / "risk_curve.csv",
+        ("n", "mean_loss", "stderr", "oracle_risk", "ratio"),
+        zip(map(int, curve.n_grid), curve.mean_loss, curve.stderr, curve.oracle_risk, result.ratio),
+    )
+    payload = {
+        "study": config.study,
+        "n_grid": to_plain(curve.n_grid),
+        "mean_loss": to_plain(curve.mean_loss),
+        "stderr": to_plain(curve.stderr),
+        "oracle_risk": to_plain(curve.oracle_risk),
         "ratio": to_plain(result.ratio),
         "naive_mean_loss": to_plain(result.naive_mean_loss),
         "naive_stderr": to_plain(result.naive_stderr),
         "oracle_levels": to_plain(result.oracle_levels),
-        "reps": result.curve.reps,
+        "reps": curve.reps,
         "master_seed": config.master_seed,
     }
-
-
-def _write_risk_curve_csv(out: Path, result) -> None:
-    rows = [
-        (int(n), m, s, o, r)
-        for n, m, s, o, r in zip(
-            result.curve.n_grid,
-            result.curve.mean_loss,
-            result.curve.stderr,
-            result.curve.oracle_risk,
-            result.ratio,
-        )
-    ]
-    write_csv(out / "risk_curve.csv", ("n", "mean_loss", "stderr", "oracle_risk", "ratio"), rows)
-
-
-def _run_risk_curve(config: ExperimentConfig, out: Path):
-    result = oracle_ratio_study(
-        config.dgp,
-        config.estimator,
-        config.n_grid,
-        config.reps,
-        config.master_seed,
-        jobs=config.jobs,
-    )
-    _write_risk_curve_csv(out, result)
-    return ["risk_curve.csv"], {"study": "risk-curve", **_risk_curve_payload(config, result)}
-
-
-def _run_rate_study(config: ExperimentConfig, out: Path):
-    result = oracle_ratio_study(
-        config.dgp,
-        config.estimator,
-        config.n_grid,
-        config.reps,
-        config.master_seed,
-        jobs=config.jobs,
-    )
-    fit = rate_fit(result.curve, s=float(config.phi_family.s), t=float(config.dgp.t))
-    _write_risk_curve_csv(out, result)
+    if config.study == "risk-curve":
+        return ["risk_curve.csv"], payload
+    fit = rate_fit(curve, s=float(config.phi_family.s), t=float(config.dgp.t))
     write_json(out / "rate_fit.json", to_plain(fit))
-    emit_plot_data(result.curve, out / "plot_data.csv")
-    payload = {
-        "study": "rate-study",
-        **_risk_curve_payload(config, result),
-        "rate_fit": to_plain(fit),
-    }
-    return ["risk_curve.csv", "rate_fit.json", "plot_data.csv"], payload
+    emit_plot_data(curve, out / "plot_data.csv")
+    return ["risk_curve.csv", "rate_fit.json", "plot_data.csv"], {**payload, "rate_fit": to_plain(fit)}
 
 
 def _run_coverage_study(config: ExperimentConfig, out: Path):
@@ -421,7 +413,7 @@ _DISPATCH = {
     "simulate": _run_simulate,
     "estimate": _run_estimate,
     "risk-curve": _run_risk_curve,
-    "rate-study": _run_rate_study,
+    "rate-study": _run_risk_curve,
     "coverage-study": _run_coverage_study,
     "oracle-study": _run_oracle_study,
 }

@@ -21,12 +21,11 @@ import numpy as np
 
 from . import seeds
 from .basis import CoefficientVector, FunctionFamilySpec, basis_matrix, frequency, make_test_function, synthesize
-from .serialize import _float_rows, to_plain, write_csv
+from .serialize import _float_rows, write_csv
 
 __all__ = [
     "ORACLE_DRAWS",
     "ORACLE_SEED",
-    "AssumptionReport",
     "DgpSpec",
     "IvSample",
     "apply_operator",
@@ -34,9 +33,7 @@ __all__ = [
     "generate_sample",
     "sample_noise",
     "sigma_sq_profile",
-    "sigma_sq_true",
     "true_eigenvalue",
-    "validate_assumptions",
 ]
 
 #: Fixed seed and size of the Monte Carlo oracle used for sigma_k^2.
@@ -284,67 +281,3 @@ def sigma_sq_profile(
     se.setflags(write=False)
     _SIGMA_CACHE[cache_key] = (var, se)
     return var, se
-
-
-def sigma_sq_true(
-    k: int,
-    spec: DgpSpec,
-    n_draws: int = ORACLE_DRAWS,
-    seed: int = ORACLE_SEED,
-) -> tuple[float, float]:
-    """Oracle value of Var(Y psi_k(W)) with its Monte Carlo standard error."""
-    if k < 1:
-        raise ValueError("basis index must satisfy k >= 1")
-    values, ses = sigma_sq_profile(spec, k, n_draws=n_draws, seed=seed)
-    return float(values[k - 1]), float(ses[k - 1])
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Numeric summary of the model conditions for a given spec.
-
-    sup_norm_bound is the achieved uniform bound of the basis
-    functions.  eigenvalue_ratio_* bracket lambda_k k^t over the
-    checked range (polynomial decay).  sigma_sq_* bracket the oracle
-    variances, whose guaranteed floor is eta_sd^2.
-    """
-
-    k_checked: int
-    sup_norm_bound: float
-    moment_note: str
-    eigenvalue_ratio_min: float
-    eigenvalue_ratio_max: float
-    sigma_sq_min: float
-    sigma_sq_max: float
-    sigma_sq_floor: float
-
-    def to_json_dict(self) -> dict:
-        return to_plain(self)
-
-
-def validate_assumptions(
-    spec: DgpSpec,
-    K: int,
-    n_draws: int = ORACLE_DRAWS,
-    seed: int = ORACLE_SEED,
-) -> AssumptionReport:
-    """Check boundedness, moment, decay, and variance conditions up to index K."""
-    if K < 1:
-        raise ValueError("need K >= 1")
-    ks = np.arange(1, K + 1)
-    ratio = eigenvalue_profile(K, spec.t) * ks.astype(np.float64) ** spec.t
-    sigma, _ = sigma_sq_profile(spec, K, n_draws=n_draws, seed=seed)
-    if spec.eta_sd > 0:
-        note = "Gaussian tail, Bernstein-compatible"
-    else:
-        note = "bounded response (finite support, no Gaussian noise)"
-    return AssumptionReport(
-        k_checked=int(K),
-        sup_norm_bound=math.sqrt(2.0),
-        moment_note=note,
-        eigenvalue_ratio_min=float(ratio.min()),
-        eigenvalue_ratio_max=float(ratio.max()),
-        sigma_sq_min=float(sigma.min()),
-        sigma_sq_max=float(sigma.max()),
-        sigma_sq_floor=float(spec.eta_sd**2),
-    )

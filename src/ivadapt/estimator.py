@@ -29,7 +29,6 @@ __all__ = [
     "estimate_r_coeffs",
     "estimate_resolution",
     "estimate_sigma_sq",
-    "flat_penalty_criterion",
     "naive_estimator",
     "penalized_criterion",
     "select_level",
@@ -38,6 +37,8 @@ __all__ = [
 ]
 
 _SCAN_BLOCK = 16
+#: Largest basis index the deterministic resolution bracket may reach.
+_BRACKET_CAP = 10**8
 
 
 class DegenerateSampleError(ValueError):
@@ -51,14 +52,12 @@ class EstimatorConfig:
     k_max caps the eigenvalue scan outright; n_cap overrides the
     default scan horizon min(n^4, k_max).  penalty_log_exponent is the
     power p in the penalty weight log(n)^p / n (default 2).
-    u0_constant is the constant c of the flat-penalty contrast used as
-    a comparative baseline.  allow_empty_model admits m = 0.
+    allow_empty_model admits m = 0.
     """
 
     k_max: int = 10**6
     n_cap: int | None = None
     penalty_log_exponent: float = 2.0
-    u0_constant: float = 2.0
     allow_empty_model: bool = True
 
     def __post_init__(self):
@@ -66,9 +65,8 @@ class EstimatorConfig:
             raise ValueError("k_max must be positive")
         if self.n_cap is not None and self.n_cap < 1:
             raise ValueError("n_cap must be positive when given")
-        for name in ("penalty_log_exponent", "u0_constant"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.penalty_log_exponent):
+            raise ValueError("penalty_log_exponent must be finite")
         if self.penalty_log_exponent < 0:
             raise ValueError("penalty_log_exponent must be nonnegative")
 
@@ -129,23 +127,22 @@ def select_resolution(lambda_hat, n: int, config: EstimatorConfig | None = None)
 def _resolution_scan(sample: IvSample, config: EstimatorConfig):
     """Lazy eigenvalue scan up to the threshold crossing or the cap.
 
-    Returns (resolution, lambda_hat[1..resolution], cap_reached).
+    Each block of indices is cut by select_resolution, so the scan
+    applies the rule that function states.  Returns (resolution,
+    lambda_hat[1..resolution], cap_reached).
     """
-    thr = resolution_threshold(sample.n)
     cap = config.resolution_cap(sample.n)
     collected: list[np.ndarray] = []
     k0 = 1
     while k0 <= cap:
         ks = np.arange(k0, min(k0 + _SCAN_BLOCK - 1, cap) + 1)
         lam = _mean_basis_product(sample.x, sample.w, ks)
-        hit = np.nonzero(np.abs(lam) <= thr)[0]
-        if hit.size:
-            collected.append(lam[: hit[0]])
-            resolution = k0 - 1 + int(hit[0])
-            return resolution, np.concatenate(collected), False
-        collected.append(lam)
+        kept = select_resolution(lam, sample.n, config)
+        collected.append(lam[:kept])
+        if kept < lam.size:
+            return k0 - 1 + kept, np.concatenate(collected), False
         k0 += ks.size
-    return cap, np.concatenate(collected) if collected else np.empty(0), True
+    return cap, np.concatenate(collected), True
 
 
 def estimate_resolution(sample: IvSample, config: EstimatorConfig | None = None) -> int:
@@ -160,7 +157,8 @@ def deterministic_resolution_bounds(t: float, n: int) -> tuple[int, int]:
     lower uses the inflated threshold log(n)^2 / sqrt(n) and subtracts
     one; upper uses the deflated threshold log(n)^(3/4) / sqrt(n)
     without subtracting (the two thresholds sandwich the data-driven
-    one, so lower <= M < upper with high probability).
+    one, so lower <= M < upper with high probability).  Raises
+    ValueError when a crossing lies beyond basis index 10^8.
     """
     if n < 3:
         raise ValueError("bounds need n >= 3 so that log n exceeds 1")
@@ -170,16 +168,31 @@ def deterministic_resolution_bounds(t: float, n: int) -> tuple[int, int]:
     return lower, upper
 
 
-def _first_eigenvalue_crossing(t: float, threshold: float, hard_cap: int = 10**8) -> int:
-    block = 1024
-    k0 = 1
-    while k0 <= hard_cap:
-        lam = true_eigenvalue(np.arange(k0, k0 + block), t)
-        hit = np.nonzero(lam <= threshold)[0]
-        if hit.size:
-            return k0 + int(hit[0])
-        k0 += block
-    raise RuntimeError("no eigenvalue crossing found below the hard cap")
+def _first_eigenvalue_crossing(t: float, threshold: float) -> int:
+    """Smallest basis index k with true_eigenvalue(k, t) <= threshold.
+
+    (1 + j)^(-t) <= threshold exactly when j >= threshold^(-1/t) - 1, so
+    the crossing is the cosine index 2j - 1 of the first such frequency
+    j.  That frequency is then checked against true_eigenvalue at its
+    neighbours, so rounding in the power cannot move the result.
+    """
+    if t <= 0:
+        raise ValueError("ill-posedness degree t must be positive")
+    if -math.log(threshold) / t <= math.log(_BRACKET_CAP):  # log(1 + j) at the crossing
+        j = max(1, math.ceil(threshold ** (-1.0 / t) - 1.0))
+        while True:
+            # arrays, as eigenvalue_profile passes: numpy's vectorized
+            # power can differ from its scalar power in the last ulp
+            prev, cur = true_eigenvalue(np.array([max(1, 2 * j - 3), 2 * j - 1]), t)
+            if cur > threshold:
+                j += 1
+            elif j > 1 and prev <= threshold:
+                j -= 1
+            else:
+                break
+        if 2 * j - 1 <= _BRACKET_CAP:
+            return 2 * j - 1
+    raise ValueError(f"eigenvalues at t = {t:g} stay above {threshold:.3g} up to basis index {_BRACKET_CAP}")
 
 
 def naive_estimator(r_hat, t: float, m: int) -> CoefficientVector:
@@ -201,8 +214,8 @@ def thresholded_estimator(r_hat, lambda_hat, m: int, resolution: int) -> Coeffic
 
 
 def _criterion_values(r_hat, lambda_hat, sigma_sq_hat, weight: float, upto: int) -> np.ndarray:
-    # Sequential prefix accumulation; the standalone criterion functions
-    # replay the identical operation order so values match bitwise.
+    # Sequential prefix accumulation; penalized_criterion replays the
+    # identical operation order so values match bitwise.
     values = np.empty(upto + 1)
     values[0] = 0.0
     acc_data = 0.0
@@ -224,17 +237,6 @@ def penalized_criterion(
     if m < 0:
         raise ValueError("truncation level m must be nonnegative")
     weight = math.log(n) ** config.penalty_log_exponent / n
-    return float(_criterion_values(r_hat, lambda_hat, sigma_sq_hat, weight, m)[m])
-
-
-def flat_penalty_criterion(
-    r_hat, lambda_hat, sigma_sq_hat, m: int, n: int, config: EstimatorConfig | None = None
-) -> float:
-    """Comparative baseline contrast with constant penalty weight c / n."""
-    config = config or EstimatorConfig()
-    if m < 0:
-        raise ValueError("truncation level m must be nonnegative")
-    weight = config.u0_constant / n
     return float(_criterion_values(r_hat, lambda_hat, sigma_sq_hat, weight, m)[m])
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "RiskCurve",
     "coverage_study",
     "loss",
-    "mc_risk",
     "min_penalized_risk",
     "oracle_level",
     "oracle_ratio_study",
@@ -154,8 +153,8 @@ class ReplicationBatch:
 
 
 def _mc_replication(payload):
-    spec, config, n, master_seed, label, rep, m0 = payload
-    sample = generate_sample(spec, n, seed=seeds.sequence(master_seed, label, n, rep))
+    spec, config, n, master_seed, rep, m0 = payload
+    sample = generate_sample(spec, n, seed=seeds.sequence(master_seed, "mc-risk", n, rep))
     report = adaptive_estimate(sample, config)
     adaptive = loss(report.phi_hat, spec.phi)
     if m0 <= report.resolution:
@@ -182,7 +181,6 @@ def replication_losses(
     n: int,
     reps: int,
     master_seed: int,
-    label: str = "mc-risk",
     jobs: int = 1,
     oracle_m: int | None = None,
 ) -> ReplicationBatch:
@@ -196,7 +194,7 @@ def replication_losses(
     if oracle_m is None:
         sigma, _ = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
         oracle_m = oracle_level(spec.phi, spec.t, sigma, n)
-    payloads = [(spec, config, n, master_seed, label, rep, oracle_m) for rep in range(reps)]
+    payloads = [(spec, config, n, master_seed, rep, oracle_m) for rep in range(reps)]
     rows = _map_payloads(_mc_replication, payloads, jobs)
     arr = np.asarray(rows, dtype=np.float64)
     return ReplicationBatch(
@@ -205,23 +203,6 @@ def replication_losses(
         m_selected=arr[:, 2].astype(np.int64),
         resolution=arr[:, 3].astype(np.int64),
     )
-
-
-def mc_risk(
-    spec: DgpSpec,
-    config: EstimatorConfig,
-    n: int,
-    reps: int,
-    master_seed: int,
-    jobs: int = 1,
-) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the adaptive squared loss."""
-    if reps < 2:
-        raise ValueError("need at least two replications for a standard error")
-    batch = replication_losses(spec, config, n, reps, master_seed, jobs=jobs)
-    mean = float(np.mean(batch.adaptive_loss))
-    stderr = float(np.std(batch.adaptive_loss, ddof=1) / math.sqrt(reps))
-    return mean, stderr
 
 
 @dataclass(frozen=True)
@@ -269,8 +250,9 @@ def oracle_ratio_study(
 ) -> OracleRatioResult:
     """Monte Carlo losses and the ratio mean_loss / (log^2 n inf_m R(m)) per n.
 
-    The per-(n, replication) seed streams match mc_risk exactly, so the
-    curve at each grid point reproduces a standalone mc_risk call.
+    Each grid point reduces one replication_losses batch, so its mean
+    and standard error reproduce those of a standalone call with the
+    same n, reps and master_seed.
     """
     n_grid = np.asarray(n_grid, dtype=np.int64)
     if n_grid.size == 0 or np.any(np.diff(n_grid) <= 0):

@@ -11,11 +11,9 @@ from ivadapt import (
     CoefficientVector,
     FunctionFamilySpec,
     basis_matrix,
-    eval_basis,
     frequency,
     make_test_function,
     parseval_sq_distance,
-    sobolev_seminorm_sq,
     synthesize,
 )
 
@@ -23,26 +21,27 @@ ROOT2 = math.sqrt(2.0)
 
 
 def test_eval_basis_point_values():
-    assert eval_basis(1, 0.0) == pytest.approx(ROOT2, abs=1e-14)
-    assert eval_basis(2, 0.25) == pytest.approx(ROOT2, abs=1e-14)
+    assert basis_matrix([0.0], [1])[0, 0] == pytest.approx(ROOT2, abs=1e-14)
+    assert basis_matrix([0.25], [2])[0, 0] == pytest.approx(ROOT2, abs=1e-14)
     # k=3 has frequency 2; direct high-precision reference
-    assert eval_basis(3, 0.5) == pytest.approx(ROOT2 * math.cos(2 * math.pi * 2 * 0.5), abs=1e-12)
+    expected = ROOT2 * math.cos(2 * math.pi * 2 * 0.5)
+    assert basis_matrix([0.5], [3])[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_eval_basis_domain_errors():
     with pytest.raises(ValueError):
-        eval_basis(0, 0.5)
+        basis_matrix([0.5], [0])
     with pytest.raises(ValueError):
-        eval_basis(1, -0.01)
+        basis_matrix([-0.01], [1])
     with pytest.raises(ValueError):
-        eval_basis(1, 1.01)
+        basis_matrix([1.01], [1])
     with pytest.raises(ValueError):
         basis_matrix([0.5, 1.5], [1])
 
 
 @given(st.integers(min_value=1, max_value=2048), st.floats(min_value=0.0, max_value=1.0))
 def test_eval_basis_bounded_by_sqrt2(k, x):
-    assert abs(eval_basis(k, x)) <= SUP_NORM_BOUND + 1e-9
+    assert abs(basis_matrix([x], [k])[0, 0]) <= SUP_NORM_BOUND + 1e-9
 
 
 def test_sup_norm_bound_on_dense_grid():
@@ -87,7 +86,7 @@ def test_index_convention(k):
         expected = ROOT2 * math.cos(2 * math.pi * j * x)
     else:
         expected = ROOT2 * math.sin(2 * math.pi * j * x)
-    assert eval_basis(k, x) == pytest.approx(expected, abs=1e-11)
+    assert basis_matrix([x], [k])[0, 0] == pytest.approx(expected, abs=1e-11)
 
 
 def test_orthonormality_under_quadrature():
@@ -166,14 +165,6 @@ def test_parseval_quadrature_property(fc, gc):
     assert parseval_sq_distance(f, g) == pytest.approx(quad, rel=1e-9, abs=1e-6)
 
 
-def test_sobolev_seminorm_values():
-    assert sobolev_seminorm_sq(CoefficientVector.zero(), 1.0) == 0.0
-    assert sobolev_seminorm_sq(CoefficientVector([1.0]), 2.0) == 1.0
-    assert sobolev_seminorm_sq(CoefficientVector([1.0, 0.25]), 1.0) == pytest.approx(1.25)
-    with pytest.raises(ValueError):
-        sobolev_seminorm_sq(CoefficientVector([1.0]), 0.0)
-
-
 def test_make_test_function_sobolev():
     spec = FunctionFamilySpec(kind="sobolev", s=1.0, q=2.0, amplitude=1.0, k_support=3)
     vec = make_test_function(spec)
@@ -194,6 +185,12 @@ def test_make_test_function_rejects_flat_decay():
         make_test_function(FunctionFamilySpec(kind="sobolev", s=1.0, q=1.2, k_support=3))
     with pytest.raises(ValueError):
         make_test_function(FunctionFamilySpec(kind="unknown", k_support=3))
+
+
+def sobolev_seminorm_sq(f, s):
+    """sum_k k^(2s) f_k^2, the smoothness-s seminorm of a coefficient vector."""
+    k = np.arange(1, f.support + 1, dtype=np.float64)
+    return float(np.sum(k ** (2.0 * s) * f.coeffs**2))
 
 
 def test_sobolev_family_default_exponent_is_inside_ellipsoid():

@@ -226,8 +226,31 @@ NON_FINITE_FLOATS = [
     ("coverage-study", with_dgp(a="inf"), "dgp"),
     ("estimate", with_estimator(penalty_log_exponent="nan"), "estimator"),
     ("estimate", with_estimator(penalty_log_exponent="inf"), "estimator"),
+]
+
+# the flat-penalty constant is no longer a knob: any value is an unknown key
+RETIRED_KEYS = [
+    ("estimate", with_estimator(u0_constant=2.0), "estimator"),
     ("estimate", with_estimator(u0_constant="nan"), "estimator"),
-    ("estimate", with_estimator(u0_constant="-inf"), "estimator"),
+]
+
+# a flag must be a JSON boolean, and a float field takes no boolean
+MISTYPED = [
+    ("estimate", with_estimator(allow_empty_model="false"), "estimator.allow_empty_model", "boolean"),
+    ("estimate", with_estimator(allow_empty_model=0), "estimator.allow_empty_model", "boolean"),
+    ("estimate", with_estimator(allow_empty_model=1), "estimator.allow_empty_model", "boolean"),
+    ("estimate", with_estimator(allow_empty_model=None), "estimator.allow_empty_model", "boolean"),
+    ("estimate", with_dgp(t=True), "dgp", "number"),
+    ("estimate", with_dgp(a=True), "dgp", "number"),
+    ("estimate", with_dgp(eta_sd=False), "dgp", "number"),
+    ("estimate", with_estimator(penalty_log_exponent=True), "estimator", "number"),
+]
+
+# at t = 0.05, n = 1000 the upper bracket crossing sits near frequency 10^17;
+# k_max keeps the oracle study short should that check ever be skipped
+UNBOUNDED_BRACKET = [
+    ("coverage-study", with_dgp(t=0.05), "dgp.t", "bracket"),
+    ("oracle-study", {**with_dgp(t=0.05), **with_estimator(k_max=100)}, "dgp.t", "bracket"),
 ]
 
 NON_INTEGER_COUNTS = [
@@ -255,7 +278,11 @@ NON_INTEGER_COUNTS = [
 
 @pytest.mark.parametrize(
     "study, overrides, field, reason",
-    [(*case, "finite") for case in NON_FINITE_FLOATS] + [(*case, "integer") for case in NON_INTEGER_COUNTS],
+    [(*case, "finite") for case in NON_FINITE_FLOATS]
+    + [(*case, "unknown") for case in RETIRED_KEYS]
+    + [(*case, "integer") for case in NON_INTEGER_COUNTS]
+    + MISTYPED
+    + UNBOUNDED_BRACKET,
 )
 def test_non_finite_floats_and_non_integer_counts_give_error_record(
     tmp_path, capsys, study, overrides, field, reason

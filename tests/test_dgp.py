@@ -5,6 +5,7 @@ import pytest
 
 from conftest import binned_means, cross_moment_stats
 from ivadapt import (
+    SUP_NORM_BOUND,
     CoefficientVector,
     DgpSpec,
     IvSample,
@@ -13,9 +14,7 @@ from ivadapt import (
     generate_sample,
     sample_noise,
     sigma_sq_profile,
-    sigma_sq_true,
     true_eigenvalue,
-    validate_assumptions,
 )
 from ivadapt import seeds
 
@@ -149,14 +148,14 @@ def test_error_term_is_endogenous_for_regressor():
 def test_sigma_oracle_unit_noise():
     spec = DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=1.0)
     for k in (1, 2, 3):
-        value, se = sigma_sq_true(k, spec, n_draws=200_000)
-        assert abs(value - 1.0) <= 3 * se
+        values, ses = sigma_sq_profile(spec, k, n_draws=200_000)
+        assert abs(values[k - 1] - 1.0) <= 3 * ses[k - 1]
 
 
 def test_sigma_oracle_quadratic_scaling():
     spec = DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=2.0)
-    value, se = sigma_sq_true(1, spec, n_draws=200_000)
-    assert abs(value - 4.0) <= 3 * se
+    values, ses = sigma_sq_profile(spec, 1, n_draws=200_000)
+    assert abs(values[0] - 4.0) <= 3 * ses[0]
 
 
 def test_sigma_oracle_noise_floor():
@@ -173,16 +172,15 @@ def test_sigma_oracle_is_cached_and_deterministic():
     assert np.array_equal(a[0], b[0])
 
 
-def test_validate_assumptions_report():
+def test_model_conditions_up_to_k50():
     spec = DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=1.0)
-    report = validate_assumptions(spec, K=50, n_draws=200_000)
-    assert report.sup_norm_bound == pytest.approx(math.sqrt(2.0))
+    assert SUP_NORM_BOUND == pytest.approx(math.sqrt(2.0))
     # lambda_k k^t over k <= 50 runs from 1/2 (k=1) up to 50/26
-    assert report.eigenvalue_ratio_min == pytest.approx(0.5)
-    assert report.eigenvalue_ratio_max == pytest.approx(50 / 26)
-    assert 0.9 < report.sigma_sq_min <= report.sigma_sq_max < 1.1
-    assert report.moment_note == "Gaussian tail, Bernstein-compatible"
-    assert report.sigma_sq_floor == 1.0
+    ratio = eigenvalue_profile(50, spec.t) * np.arange(1, 51, dtype=np.float64) ** spec.t
+    assert ratio.min() == pytest.approx(0.5)
+    assert ratio.max() == pytest.approx(50 / 26)
+    sigma, _ = sigma_sq_profile(spec, 50, n_draws=200_000)
+    assert 0.9 < sigma.min() <= sigma.max() < 1.1
 
 
 def test_dgp_spec_json_roundtrip():

@@ -14,11 +14,11 @@ from ivadapt import (
     adaptive_estimate,
     apply_operator,
     deterministic_resolution_bounds,
+    eigenvalue_profile,
     estimate_eigenvalues,
     estimate_r_coeffs,
     estimate_resolution,
     estimate_sigma_sq,
-    flat_penalty_criterion,
     generate_sample,
     naive_estimator,
     penalized_criterion,
@@ -186,6 +186,23 @@ def test_deterministic_bounds_frozen_values():
     assert upper == first_crossing(hi_thr) == 35
 
 
+@pytest.mark.parametrize("t", [0.25, 0.3, 0.5, 1.0, 1.5, 2.0, 5.0])
+@pytest.mark.parametrize("n", [3, 10, 100, 1000, 4096, 10**4, 2**15])
+def test_deterministic_bounds_match_an_eigenvalue_scan(t, n):
+    # first k with lambda_k <= threshold, from one array of eigenvalues
+    def first_crossing(thr):
+        K = 1024
+        while True:
+            below = np.nonzero(eigenvalue_profile(K, t) <= thr)[0]
+            if below.size:
+                return int(below[0]) + 1
+            K *= 4
+
+    lower, upper = deterministic_resolution_bounds(t, n)
+    assert lower == first_crossing(math.log(n) ** 2 / math.sqrt(n)) - 1
+    assert upper == first_crossing(math.log(n) ** 0.75 / math.sqrt(n))
+
+
 def test_deterministic_bounds_monotone_and_ordered():
     previous = (0, 0)
     for n in (100, 1000, 10_000):
@@ -199,6 +216,9 @@ def test_deterministic_bounds_monotone_and_ordered():
             assert 0 <= lower <= upper
     with pytest.raises(ValueError):
         deterministic_resolution_bounds(1.0, 2)
+    # t = 0.05, n = 1000: the upper crossing sits near frequency 10^17
+    with pytest.raises(ValueError, match="basis index"):
+        deterministic_resolution_bounds(0.05, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -235,26 +255,6 @@ def test_penalized_criterion_values():
     got = penalized_criterion([0.3], [0.5], [1.0], 1, 100, config)
     expected = -4.0 * 0.09 + (math.log(100) ** 2 / 100) * 4.0
     assert got == pytest.approx(expected, abs=1e-12)
-
-
-def test_flat_penalty_criterion_values():
-    config = EstimatorConfig(u0_constant=2.0)
-    assert flat_penalty_criterion([0.3], [0.5], [1.0], 0, 100, config) == 0.0
-    got = flat_penalty_criterion([0.3], [0.5], [1.0], 1, 100, config)
-    assert got == pytest.approx(-0.36 + (2 / 100) * 4.0, abs=1e-12)
-
-
-def test_flat_penalty_with_log_sq_constant_equals_penalized():
-    rng = np.random.default_rng(8)
-    r = rng.standard_normal(6)
-    lam = rng.random(6) + 0.5
-    sig = rng.random(6) + 0.2
-    n = 100
-    config = EstimatorConfig(u0_constant=math.log(n) ** 2.0)
-    for m in range(7):
-        assert flat_penalty_criterion(r, lam, sig, m, n, config) == penalized_criterion(
-            r, lam, sig, m, n, config
-        )
 
 
 def test_criterion_telescoping_increment():

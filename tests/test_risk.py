@@ -18,7 +18,6 @@ from ivadapt import (
     coverage_study,
     deterministic_resolution_bounds,
     loss,
-    mc_risk,
     min_penalized_risk,
     oracle_level,
     oracle_ratio_study,
@@ -148,13 +147,19 @@ def test_mc_risk_pure_noise():
     assert np.mean(batch.m_selected == 0) >= 0.9
 
 
+def mc_risk(batch):
+    """Monte Carlo mean and standard error of the adaptive squared loss."""
+    losses = batch.adaptive_loss
+    return float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(losses.size))
+
+
 def test_mc_risk_deterministic():
     spec = DgpSpec.default()
     config = EstimatorConfig()
-    a = mc_risk(spec, config, 2048, 10, master_seed=32)
-    b = mc_risk(spec, config, 2048, 10, master_seed=32)
+    a = mc_risk(replication_losses(spec, config, 2048, 10, master_seed=32))
+    b = mc_risk(replication_losses(spec, config, 2048, 10, master_seed=32))
     assert a == b
-    c = mc_risk(spec, config, 2048, 10, master_seed=33)
+    c = mc_risk(replication_losses(spec, config, 2048, 10, master_seed=33))
     assert a != c
 
 
@@ -171,11 +176,9 @@ def test_mc_risk_matches_parallel_execution():
 def test_mc_risk_stderr_scales_with_replications():
     spec = DgpSpec.default()
     config = EstimatorConfig()
-    _, se_100 = mc_risk(spec, config, 2048, 100, master_seed=35)
-    _, se_400 = mc_risk(spec, config, 2048, 400, master_seed=35)
+    _, se_100 = mc_risk(replication_losses(spec, config, 2048, 100, master_seed=35))
+    _, se_400 = mc_risk(replication_losses(spec, config, 2048, 400, master_seed=35))
     assert se_400 < 0.6 * se_100
-    with pytest.raises(ValueError):
-        mc_risk(spec, config, 2048, 1, master_seed=35)
 
 
 def test_oracle_ratio_study_structure():
@@ -187,8 +190,8 @@ def test_oracle_ratio_study_structure():
     assert np.all(result.ratio > 0)
     assert np.all(np.isfinite(result.ratio))
     assert result.curve.reps == 10
-    # pointwise agreement with a standalone mc_risk call (same streams)
-    mean, stderr = mc_risk(spec, config, 512, 10, master_seed=36)
+    # pointwise agreement with a standalone replication batch (same streams)
+    mean, stderr = mc_risk(replication_losses(spec, config, 512, 10, master_seed=36))
     assert result.curve.mean_loss[1] == mean
     assert result.curve.stderr[1] == stderr
     with pytest.raises(ValueError):
