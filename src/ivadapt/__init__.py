@@ -9,119 +9,10 @@ oracle-ratio, rate, and bracketing studies.
 
 __version__ = "0.1.0"
 
-from .basis import (
-    SUP_NORM_BOUND,
-    CoefficientVector,
-    FunctionFamilySpec,
-    basis_matrix,
-    frequency,
-    make_test_function,
-    parseval_sq_distance,
-    synthesize,
-)
-from .dgp import (
-    ORACLE_DRAWS,
-    ORACLE_SEED,
-    DgpSpec,
-    IvSample,
-    apply_operator,
-    eigenvalue_profile,
-    generate_sample,
-    sample_noise,
-    sigma_sq_profile,
-    true_eigenvalue,
-)
-from .estimator import (
-    DegenerateSampleError,
-    EstimateReport,
-    EstimatorConfig,
-    adaptive_estimate,
-    deterministic_resolution_bounds,
-    estimate_eigenvalues,
-    estimate_r_coeffs,
-    estimate_resolution,
-    estimate_sigma_sq,
-    naive_estimator,
-    penalized_criterion,
-    select_level,
-    select_resolution,
-    thresholded_estimator,
-)
-from .risk import (
-    ORACLE_SCAN_BUFFER,
-    CoverageResult,
-    DegenerateFitError,
-    OracleRatioResult,
-    OracleSummary,
-    RateFit,
-    ReplicationBatch,
-    RiskCurve,
-    coverage_study,
-    loss,
-    min_penalized_risk,
-    oracle_level,
-    oracle_ratio_study,
-    oracle_summary,
-    rate_fit,
-    replication_losses,
-    restricted_oracle_level,
-    risk_naive,
-    risk_penalized,
-    truncation_remainder,
-)
+from . import basis, dgp, estimator, risk
+from .basis import *  # noqa: F401,F403
+from .dgp import *  # noqa: F401,F403
+from .estimator import *  # noqa: F401,F403
+from .risk import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "SUP_NORM_BOUND",
-    "ORACLE_DRAWS",
-    "ORACLE_SEED",
-    "ORACLE_SCAN_BUFFER",
-    "CoefficientVector",
-    "CoverageResult",
-    "DegenerateFitError",
-    "DegenerateSampleError",
-    "DgpSpec",
-    "EstimateReport",
-    "EstimatorConfig",
-    "FunctionFamilySpec",
-    "IvSample",
-    "OracleRatioResult",
-    "OracleSummary",
-    "RateFit",
-    "ReplicationBatch",
-    "RiskCurve",
-    "adaptive_estimate",
-    "apply_operator",
-    "basis_matrix",
-    "coverage_study",
-    "deterministic_resolution_bounds",
-    "eigenvalue_profile",
-    "estimate_eigenvalues",
-    "estimate_r_coeffs",
-    "estimate_resolution",
-    "estimate_sigma_sq",
-    "frequency",
-    "generate_sample",
-    "loss",
-    "make_test_function",
-    "min_penalized_risk",
-    "naive_estimator",
-    "oracle_level",
-    "oracle_ratio_study",
-    "oracle_summary",
-    "parseval_sq_distance",
-    "penalized_criterion",
-    "rate_fit",
-    "replication_losses",
-    "restricted_oracle_level",
-    "risk_naive",
-    "risk_penalized",
-    "sample_noise",
-    "select_level",
-    "select_resolution",
-    "sigma_sq_profile",
-    "synthesize",
-    "thresholded_estimator",
-    "true_eigenvalue",
-    "truncation_remainder",
-]
+__all__ = ["__version__", *basis.__all__, *dgp.__all__, *estimator.__all__, *risk.__all__]

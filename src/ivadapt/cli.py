@@ -10,12 +10,12 @@ config and seed is byte-identical regardless of the parallelism degree
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +24,7 @@ from . import __version__, seeds
 from .basis import CoefficientVector, FunctionFamilySpec, make_test_function
 from .dgp import DgpSpec, generate_sample
 from .estimator import EstimatorConfig, adaptive_estimate, deterministic_resolution_bounds
-from .risk import (
-    RiskCurve,
-    _lsq_line,
-    coverage_study,
-    oracle_ratio_study,
-    oracle_summary,
-    rate_fit,
-)
+from .risk import CoverageResult, RateFit, RiskCurve, coverage_study, oracle_ratio_study, oracle_summary, rate_fit
 from .serialize import to_plain, write_csv, write_json
 
 __all__ = ["STUDIES", "CliError", "ExperimentConfig", "emit_plot_data", "load_config", "main", "run"]
@@ -54,7 +47,7 @@ class CliError(Exception):
         self.context = context
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed experiment description driving one CLI run."""
 
@@ -125,12 +118,12 @@ def _reject_unknown_keys(node, allowed, label):
         raise CliError(f"unknown {label} keys: {', '.join(unknown)}", field=label)
 
 
-def _integer(value, field):
+def _integer(value, field, name=None):
     """An int from a JSON number; booleans, strings and fractions are rejected."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise CliError(f"{field} must be an integer, got {value!r}", field=field)
+        raise CliError(f"{name or field} must be an integer, got {value!r}", field=field)
     return value
 
 
@@ -150,14 +143,16 @@ def _coefficient_node(node, label):
     try:
         if "coeffs" in node:
             return CoefficientVector(np.asarray(node["coeffs"], dtype=np.float64)), None
+        given = {
+            name: _real(node[name], name)
+            for name in ("s", "q", "gamma", "t_exp")
+            if node.get(name) is not None
+        }
         family = FunctionFamilySpec(
             kind=str(node["family"]),
-            k_support=int(node.get("k_support", 50)),
-            amplitude=float(node.get("amplitude", 1.0)),
-            s=node.get("s"),
-            q=node.get("q"),
-            gamma=node.get("gamma"),
-            t_exp=node.get("t_exp"),
+            k_support=_integer(node.get("k_support", 50), label, "k_support"),
+            amplitude=_real(node.get("amplitude", 1.0), "amplitude"),
+            **given,
         )
         return make_test_function(family), family
     except (TypeError, ValueError) as exc:
@@ -213,10 +208,9 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
     est_node = raw.get("estimator", {})
     _reject_unknown_keys(
         est_node,
-        ("k_max", "n_cap", "penalty_log_exponent", "allow_empty_model"),
+        ("k_max", "penalty_log_exponent", "allow_empty_model"),
         "estimator",
     )
-    n_cap = est_node.get("n_cap")
     allow_empty = est_node.get("allow_empty_model", True)
     if not isinstance(allow_empty, bool):
         raise CliError(
@@ -226,17 +220,11 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
     try:
         estimator = EstimatorConfig(
             k_max=_integer(est_node.get("k_max", 10**6), "estimator.k_max"),
-            n_cap=None if n_cap is None else _integer(n_cap, "estimator.n_cap"),
             penalty_log_exponent=_real(est_node.get("penalty_log_exponent", 2.0), "penalty_log_exponent"),
             allow_empty_model=allow_empty,
         )
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc), field="estimator") from exc
-    if estimator.n_cap is not None and estimator.n_cap > estimator.k_max:
-        adjustments.append(
-            f"resolution cap n_cap={estimator.n_cap} exceeds k_max={estimator.k_max}; "
-            "the scan horizon is k_max"
-        )
 
     output_dir = out if out is not None else raw.get("output_dir")
     if output_dir is None:
@@ -275,19 +263,23 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
     return config, adjustments
 
 
-def emit_plot_data(curve: RiskCurve, path) -> None:
-    """Two-block CSV for plotting: log-log risk points plus fit endpoints."""
-    if curve.n_grid.size == 0:
-        raise ValueError("cannot emit plot data for an empty risk curve")
-    if curve.n_grid.size < 2:
-        raise ValueError("plot data needs at least two grid points")
-    x = np.log(curve.n_grid.astype(np.float64))
-    y = np.log(curve.mean_loss)
-    slope, intercept = _lsq_line(x, y)
-    rows = [("data", xi, yi) for xi, yi in zip(x, y)]
-    for xe in (float(x[0]), float(x[-1])):
-        rows.append(("fit", xe, slope * xe + intercept))
-    write_csv(path, ("block", "log_n", "log_loss"), rows)
+def emit_plot_data(curve: RiskCurve, fit: RateFit, path) -> None:
+    """Two-block CSV for plotting: log-log risk points plus the ends of the raw-n fit line."""
+    x = np.log(curve.n_grid.astype(np.float64)).tolist()
+    ends = [x[0], x[-1]]
+    write_csv(
+        path,
+        {
+            "block": ["data"] * len(x) + ["fit"] * 2,
+            "log_n": x + ends,
+            "log_loss": np.log(curve.mean_loss).tolist() + [fit.raw_slope * xe + fit.raw_intercept for xe in ends],
+        },
+    )
+
+
+def _columns(records, names) -> dict:
+    """One CSV column per attribute name, in record order."""
+    return {name: [getattr(r, name) for r in records] for name in names}
 
 
 def _run_simulate(config: ExperimentConfig, out: Path):
@@ -329,8 +321,13 @@ def _run_risk_curve(config: ExperimentConfig, out: Path):
     curve = result.curve
     write_csv(
         out / "risk_curve.csv",
-        ("n", "mean_loss", "stderr", "oracle_risk", "ratio"),
-        zip(map(int, curve.n_grid), curve.mean_loss, curve.stderr, curve.oracle_risk, result.ratio),
+        {
+            "n": curve.n_grid,
+            "mean_loss": curve.mean_loss,
+            "stderr": curve.stderr,
+            "oracle_risk": curve.oracle_risk,
+            "ratio": result.ratio,
+        },
     )
     payload = {
         "study": config.study,
@@ -349,7 +346,7 @@ def _run_risk_curve(config: ExperimentConfig, out: Path):
         return ["risk_curve.csv"], payload
     fit = rate_fit(curve, s=float(config.phi_family.s), t=float(config.dgp.t))
     write_json(out / "rate_fit.json", to_plain(fit))
-    emit_plot_data(curve, out / "plot_data.csv")
+    emit_plot_data(curve, fit, out / "plot_data.csv")
     return ["risk_curve.csv", "rate_fit.json", "plot_data.csv"], {**payload, "rate_fit": to_plain(fit)}
 
 
@@ -360,15 +357,8 @@ def _run_coverage_study(config: ExperimentConfig, out: Path):
         )
         for n in config.n_grid
     ]
-    rows = [
-        (r.n, r.reps, r.hits, r.fraction, r.ci_low, r.ci_high, r.lower_bound, r.upper_bound)
-        for r in results
-    ]
-    write_csv(
-        out / "coverage.csv",
-        ("n", "reps", "hits", "fraction", "ci_low", "ci_high", "lower_bound", "upper_bound"),
-        rows,
-    )
+    fields = [f.name for f in dataclasses.fields(CoverageResult)]
+    write_csv(out / "coverage.csv", _columns(results, fields))
     return ["coverage.csv"], {"study": "coverage-study", "results": to_plain(results)}
 
 
@@ -377,35 +367,13 @@ def _run_oracle_study(config: ExperimentConfig, out: Path):
         oracle_summary(config.dgp, config.estimator, int(n), config.master_seed)
         for n in config.n_grid
     ]
-    rows = [
-        (
-            s.n,
-            s.oracle_m,
-            s.restricted_oracle_m,
-            s.resolution,
-            s.lower_bound,
-            s.upper_bound,
-            s.remainder,
-            float(np.min(s.risk_values)),
-            float(np.min(s.penalized_risk_values)),
-        )
-        for s in summaries
-    ]
-    write_csv(
-        out / "oracle_summary.csv",
-        (
-            "n",
-            "oracle_m",
-            "restricted_oracle_m",
-            "resolution",
-            "lower_bound",
-            "upper_bound",
-            "remainder",
-            "min_risk",
-            "min_penalized_risk",
-        ),
-        rows,
+    columns = _columns(
+        summaries,
+        ("n", "oracle_m", "restricted_oracle_m", "resolution", "lower_bound", "upper_bound", "remainder"),
     )
+    columns["min_risk"] = [np.min(s.risk_values) for s in summaries]
+    columns["min_penalized_risk"] = [np.min(s.penalized_risk_values) for s in summaries]
+    write_csv(out / "oracle_summary.csv", columns)
     return ["oracle_summary.csv"], {"study": "oracle-study", "results": to_plain(summaries)}
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import seeds
 from .basis import CoefficientVector, FunctionFamilySpec, basis_matrix, frequency, make_test_function, synthesize
-from .serialize import _float_rows, write_csv
+from .serialize import write_csv
 
 __all__ = [
     "ORACLE_DRAWS",
@@ -48,9 +48,9 @@ def true_eigenvalue(k, t):
     """Operator eigenvalue (1 + j(k))^(-t) at basis index k (scalar or array)."""
     if t <= 0:
         raise ValueError("ill-posedness degree t must be positive")
-    j = np.asarray(frequency(k), dtype=np.float64)
+    j = np.atleast_1d(np.asarray(frequency(k), dtype=np.float64))
     out = (1.0 + j) ** (-float(t))
-    return float(out) if np.ndim(k) == 0 else out
+    return float(out[0]) if np.ndim(k) == 0 else out
 
 
 def eigenvalue_profile(K: int, t: float) -> np.ndarray:
@@ -177,7 +177,7 @@ class IvSample:
         return IvSample(y=float(c) * self.y, x=self.x, w=self.w)
 
     def to_csv(self, path) -> None:
-        write_csv(path, ("y", "x", "w"), _float_rows(self.y, self.x, self.w))
+        write_csv(path, {"y": self.y, "x": self.x, "w": self.w})
 
     @classmethod
     def from_csv(cls, path) -> "IvSample":

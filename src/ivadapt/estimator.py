@@ -49,30 +49,26 @@ class DegenerateSampleError(ValueError):
 class EstimatorConfig:
     """Tuning knobs of the adaptive estimator.
 
-    k_max caps the eigenvalue scan outright; n_cap overrides the
-    default scan horizon min(n^4, k_max).  penalty_log_exponent is the
-    power p in the penalty weight log(n)^p / n (default 2).
+    k_max caps the eigenvalue scan: the horizon is min(n^4, k_max).
+    penalty_log_exponent is the power p in the penalty weight
+    log(n)^p / n (default 2).
     allow_empty_model admits m = 0.
     """
 
     k_max: int = 10**6
-    n_cap: int | None = None
     penalty_log_exponent: float = 2.0
     allow_empty_model: bool = True
 
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError("k_max must be positive")
-        if self.n_cap is not None and self.n_cap < 1:
-            raise ValueError("n_cap must be positive when given")
         if not math.isfinite(self.penalty_log_exponent):
             raise ValueError("penalty_log_exponent must be finite")
         if self.penalty_log_exponent < 0:
             raise ValueError("penalty_log_exponent must be nonnegative")
 
     def resolution_cap(self, n: int) -> int:
-        horizon = int(n) ** 4 if self.n_cap is None else int(self.n_cap)
-        return min(horizon, self.k_max)
+        return min(int(n) ** 4, self.k_max)
 
 
 def _mean_basis_product(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -181,8 +177,6 @@ def _first_eigenvalue_crossing(t: float, threshold: float) -> int:
     if -math.log(threshold) / t <= math.log(_BRACKET_CAP):  # log(1 + j) at the crossing
         j = max(1, math.ceil(threshold ** (-1.0 / t) - 1.0))
         while True:
-            # arrays, as eigenvalue_profile passes: numpy's vectorized
-            # power can differ from its scalar power in the last ulp
             prev, cur = true_eigenvalue(np.array([max(1, 2 * j - 3), 2 * j - 1]), t)
             if cur > threshold:
                 j += 1
@@ -214,19 +208,9 @@ def thresholded_estimator(r_hat, lambda_hat, m: int, resolution: int) -> Coeffic
 
 
 def _criterion_values(r_hat, lambda_hat, sigma_sq_hat, weight: float, upto: int) -> np.ndarray:
-    # Sequential prefix accumulation; penalized_criterion replays the
-    # identical operation order so values match bitwise.
-    values = np.empty(upto + 1)
-    values[0] = 0.0
-    acc_data = 0.0
-    acc_pen = 0.0
-    for k in range(upto):
-        lam = float(lambda_hat[k])
-        inv_sq = 1.0 / (lam * lam)
-        acc_data += float(r_hat[k]) * float(r_hat[k]) * inv_sq
-        acc_pen += float(sigma_sq_hat[k]) * inv_sq
-        values[k + 1] = -acc_data + weight * acc_pen
-    return values
+    r, lam, sig = (np.asarray(a, dtype=np.float64)[:upto] for a in (r_hat, lambda_hat, sigma_sq_hat))
+    inv_sq = 1.0 / (lam * lam)
+    return np.concatenate(([0.0], -np.cumsum(r * r * inv_sq) + weight * np.cumsum(sig * inv_sq)))
 
 
 def penalized_criterion(
@@ -293,7 +277,8 @@ class EstimateReport:
         }
 
     def write_phi_csv(self, path) -> None:
-        write_csv(path, ("k", "coefficient"), enumerate(self.phi_hat.coeffs, start=1))
+        coeffs = self.phi_hat.coeffs
+        write_csv(path, {"k": np.arange(1, coeffs.size + 1), "coefficient": coeffs})
 
 
 def adaptive_estimate(sample: IvSample, config: EstimatorConfig | None = None) -> EstimateReport:

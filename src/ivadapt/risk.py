@@ -37,7 +37,6 @@ __all__ = [
     "ReplicationBatch",
     "RiskCurve",
     "coverage_study",
-    "loss",
     "min_penalized_risk",
     "oracle_level",
     "oracle_ratio_study",
@@ -58,11 +57,6 @@ ORACLE_SCAN_BUFFER = 50
 
 class DegenerateFitError(ValueError):
     """Raised when a rate fit is requested on an unusable grid."""
-
-
-def loss(phi_a: CoefficientVector, phi_b: CoefficientVector) -> float:
-    """Squared L2 distance between two coefficient vectors."""
-    return parseval_sq_distance(phi_a, phi_b)
 
 
 def _risk(phi: CoefficientVector, t: float, sigma_sq, n: int, m: int, penalized: bool) -> float:
@@ -156,13 +150,13 @@ def _mc_replication(payload):
     spec, config, n, master_seed, rep, m0 = payload
     sample = generate_sample(spec, n, seed=seeds.sequence(master_seed, "mc-risk", n, rep))
     report = adaptive_estimate(sample, config)
-    adaptive = loss(report.phi_hat, spec.phi)
+    adaptive = parseval_sq_distance(report.phi_hat, spec.phi)
     if m0 <= report.resolution:
         r_for_naive = report.r_hat[:m0]
     else:
         r_for_naive = estimate_r_coeffs(sample, m0)
     naive = naive_estimator(r_for_naive, spec.t, m0)
-    return adaptive, loss(naive, spec.phi), report.m_selected, report.resolution
+    return adaptive, parseval_sq_distance(naive, spec.phi), report.m_selected, report.resolution
 
 
 def _map_payloads(fn, payloads, jobs):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["to_plain", "dumps", "write_json", "write_csv", "format_value"]
+__all__ = ["to_plain", "dumps", "write_json", "write_csv"]
 
 
 def to_plain(obj):
@@ -43,26 +43,16 @@ def write_json(path, payload) -> None:
     Path(path).write_bytes((dumps(payload) + "\n").encode("utf-8"))
 
 
-def format_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def write_csv(path, columns) -> None:
+    """Write equal-length named columns, formatting one column at a time.
 
-
-def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += (",".join(map(format_value, row)) for row in rows)
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def _float_rows(*columns):
-    """Rows of already formatted cells from equal-length float columns.
-
-    Same text as format_value gives each float, but formatted column by
-    column from Python floats rather than one numpy scalar at a time.
+    Float columns are written as repr of their Python floats (shortest
+    round trip), int and string columns with str.  Columns of unequal
+    length raise ValueError before anything is written.
     """
-    return zip(*(map(repr, np.asarray(c, dtype=np.float64).tolist()) for c in columns))
+    cells = []
+    for values in columns.values():
+        values = np.asarray(values)
+        cells.append(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ivadapt import RiskCurve
+from ivadapt import RiskCurve, rate_fit
 from ivadapt.cli import CliError, emit_plot_data, load_config, main
 
 BASE_CONFIG = {
@@ -270,9 +270,32 @@ NON_INTEGER_COUNTS = [
     ("simulate", {"jobs": True}, "jobs"),
     ("estimate", with_estimator(k_max=2.5), "estimator.k_max"),
     ("estimate", with_estimator(k_max="100"), "estimator.k_max"),
-    ("estimate", with_estimator(n_cap=2.5), "estimator.n_cap"),
-    ("estimate", with_estimator(n_cap=True), "estimator.n_cap"),
-    ("estimate", with_estimator(n_cap="5"), "estimator.n_cap"),
+]
+
+# k_max is the only scan horizon: the separate cap is an unknown key
+RETIRED_SCAN_CAP = [
+    ("estimate", with_estimator(n_cap=2.5), "estimator"),
+    ("estimate", with_estimator(n_cap=True), "estimator"),
+    ("estimate", with_estimator(n_cap="5"), "estimator"),
+]
+
+
+def with_phi(**fields):
+    return with_dgp(phi={**BASE_CONFIG["dgp"]["phi"], **fields})
+
+
+SUPERSMOOTH = {"family": "supersmooth", "gamma": 0.5, "t_exp": 1.0, "k_support": 20}
+
+# function-family fields are read as the same integers and numbers as
+# every other config field
+MISTYPED_FAMILY = [
+    ("estimate", with_phi(k_support=True), "dgp.phi", "integer"),
+    ("estimate", with_phi(k_support=7.9), "dgp.phi", "integer"),
+    ("estimate", with_phi(amplitude=True), "dgp.phi", "number"),
+    ("estimate", with_phi(s=True), "dgp.phi", "number"),
+    ("estimate", with_phi(s=0.25, q=True), "dgp.phi", "number"),
+    ("estimate", with_dgp(g={**SUPERSMOOTH, "gamma": True}), "dgp.g", "number"),
+    ("estimate", with_dgp(g={**SUPERSMOOTH, "t_exp": True}), "dgp.g", "number"),
 ]
 
 
@@ -281,8 +304,10 @@ NON_INTEGER_COUNTS = [
     [(*case, "finite") for case in NON_FINITE_FLOATS]
     + [(*case, "unknown") for case in RETIRED_KEYS]
     + [(*case, "integer") for case in NON_INTEGER_COUNTS]
+    + [(*case, "unknown") for case in RETIRED_SCAN_CAP]
     + MISTYPED
-    + UNBOUNDED_BRACKET,
+    + UNBOUNDED_BRACKET
+    + MISTYPED_FAMILY,
 )
 def test_non_finite_floats_and_non_integer_counts_give_error_record(
     tmp_path, capsys, study, overrides, field, reason
@@ -297,23 +322,32 @@ def test_non_finite_floats_and_non_integer_counts_give_error_record(
     assert not out.exists()
 
 
+def test_family_fields_are_read_as_floats(tmp_path):
+    # a numeric string is read as its float, as dgp.t is
+    cfg = write_config(tmp_path, **with_phi(s=1, q="3", amplitude=2))
+    config, _ = load_config(cfg, out=str(tmp_path / "out"))
+    family = config.phi_family
+    assert (family.s, family.q, family.amplitude) == (1.0, 3.0, 2.0)
+    assert all(type(v) is float for v in (family.s, family.q, family.amplitude))
+    assert config.to_json_dict()["phi_family"]["q"] == 3.0
+
+
 def test_integral_floats_are_taken_as_ints(tmp_path):
     as_ints = tmp_path / "ints"
     as_ints.mkdir()
     as_floats = tmp_path / "floats"
     as_floats.mkdir()
     cfg_a = write_config(
-        as_ints, n_grid=[10], reps=1, master_seed=99, jobs=1, **with_estimator(k_max=10**4, n_cap=50)
+        as_ints, n_grid=[10], reps=1, master_seed=99, jobs=1, **with_estimator(k_max=10**4)
     )
     cfg_b = write_config(
         as_floats, n_grid=[1e1], reps=1.0, master_seed=99.0, jobs=1.0,
-        **with_estimator(k_max=1e4, n_cap=5e1),
+        **with_estimator(k_max=1e4),
     )
     config, _ = load_config(cfg_b, out=str(tmp_path / "b"))
     assert config.n_grid == (10,) and type(config.n_grid[0]) is int
     assert type(config.reps) is int and type(config.master_seed) is int and type(config.jobs) is int
     assert config.estimator.k_max == 10**4 and type(config.estimator.k_max) is int
-    assert config.estimator.n_cap == 50 and type(config.estimator.n_cap) is int
     assert main(["simulate", "--config", str(cfg_a), "--out", str(tmp_path / "a")]) == 0
     assert main(["simulate", "--config", str(cfg_b), "--out", str(tmp_path / "b")]) == 0
     assert hash_outputs(tmp_path / "a") == hash_outputs(tmp_path / "b")
@@ -364,7 +398,7 @@ def test_emit_plot_data_contract(tmp_path):
         reps=3,
     )
     path = tmp_path / "plot.csv"
-    emit_plot_data(curve, path)
+    emit_plot_data(curve, rate_fit(curve, 1.0, 1.0), path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + 4 + 2
     # exact power law: fit endpoints coincide with the data rows
@@ -373,16 +407,3 @@ def test_emit_plot_data_contract(tmp_path):
         _, xs, ys = line.split(",")
         assert data[float(xs)] == pytest.approx(float(ys), abs=1e-9)
 
-
-def test_emit_plot_data_rejects_empty_curve(tmp_path):
-    empty = RiskCurve(
-        n_grid=np.empty(0, dtype=int),
-        mean_loss=np.empty(0),
-        stderr=np.empty(0),
-        oracle_risk=np.empty(0),
-        reps=0,
-    )
-    path = tmp_path / "plot.csv"
-    with pytest.raises(ValueError):
-        emit_plot_data(empty, path)
-    assert not path.exists()

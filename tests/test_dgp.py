@@ -21,6 +21,16 @@ from ivadapt import seeds
 NOISE_DRAWS = 400_000
 
 
+def test_scalar_true_eigenvalue_equals_profile_entry():
+    K = 2000
+    ks = [1, 2, 3, 7, 100, 101, 1999, 2000]
+    for t in (0.05, 0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 2.5, 3.7, 5.0):
+        profile = eigenvalue_profile(K, t)
+        for k in ks:
+            assert true_eigenvalue(k, t) == profile[k - 1], (k, t)
+    assert true_eigenvalue(1, 0.3) == eigenvalue_profile(1, 0.3)[0]
+
+
 def test_true_eigenvalue_values():
     assert true_eigenvalue(1, 1.0) == 0.5
     assert true_eigenvalue(2, 1.0) == 0.5  # same frequency as k=1

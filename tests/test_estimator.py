@@ -29,6 +29,7 @@ from ivadapt import (
 )
 from ivadapt import seeds
 from ivadapt.dgp import _chunks, _response_moments
+from ivadapt.estimator import _criterion_values
 
 ROOT2 = math.sqrt(2.0)
 
@@ -161,7 +162,7 @@ def test_select_resolution_threshold_crossing():
     # threshold log(100)/10 ~ 0.4605; first crossing at k=3
     assert select_resolution([0.9, 0.5, 0.01], 100) == 2
     assert select_resolution([0.1, 0.9, 0.9], 100) == 0
-    assert select_resolution([0.9, 0.9, 0.9, 0.9, 0.9], 100, EstimatorConfig(n_cap=5)) == 5
+    assert select_resolution([0.9, 0.9, 0.9, 0.9, 0.9], 100, EstimatorConfig(k_max=5)) == 5
 
 
 def test_select_resolution_requires_n_at_least_3():
@@ -271,6 +272,41 @@ def test_criterion_telescoping_increment():
         )
         expected = -r[m - 1] ** 2 / lam[m - 1] ** 2 + weight * sig[m - 1] / lam[m - 1] ** 2
         assert delta == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def _criterion_loop(r_hat, lambda_hat, sigma_sq_hat, weight, upto):
+    # the contrast as one sequential prefix loop: the reference the
+    # cumulative sums must match bitwise
+    values = np.empty(upto + 1)
+    values[0] = 0.0
+    acc_data = 0.0
+    acc_pen = 0.0
+    for k in range(upto):
+        lam = float(lambda_hat[k])
+        inv_sq = 1.0 / (lam * lam)
+        acc_data += float(r_hat[k]) * float(r_hat[k]) * inv_sq
+        acc_pen += float(sigma_sq_hat[k]) * inv_sq
+        values[k + 1] = -acc_data + weight * acc_pen
+    return values
+
+
+def test_criterion_cumsums_match_sequential_loop_bitwise():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        m = int(rng.integers(0, 300))
+        r = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 1)
+        lam = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-3, 0, m)
+        sig = rng.random(m) * 10.0 ** rng.uniform(-2, 2)
+        weight = 10.0 ** rng.uniform(-4, 0)
+        got = _criterion_values(r, lam, sig, weight, m)
+        want = _criterion_loop(r, lam, sig, weight, m)
+        assert got.tobytes() == want.tobytes()
+    spec = DgpSpec.default()
+    report = adaptive_estimate(generate_sample(spec, 4096, seed=12))
+    n = report.n
+    weight = math.log(n) ** 2 / n
+    want = _criterion_loop(report.r_hat, report.lambda_hat, report.sigma_sq_hat, weight, report.resolution)
+    assert report.criterion.tobytes() == want.tobytes()
 
 
 def test_select_level():
@@ -417,9 +453,7 @@ def test_estimator_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(k_max=0)
     with pytest.raises(ValueError):
-        EstimatorConfig(n_cap=0)
-    with pytest.raises(ValueError):
         EstimatorConfig(penalty_log_exponent=-1.0)
-    assert EstimatorConfig(n_cap=7).resolution_cap(10**9) == 7
+    assert EstimatorConfig(k_max=7).resolution_cap(10**9) == 7
     assert EstimatorConfig().resolution_cap(10) == 10**4
     assert EstimatorConfig().resolution_cap(10**3) == 10**6

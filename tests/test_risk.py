@@ -17,11 +17,11 @@ from ivadapt import (
     RiskCurve,
     coverage_study,
     deterministic_resolution_bounds,
-    loss,
     min_penalized_risk,
     oracle_level,
     oracle_ratio_study,
     oracle_summary,
+    parseval_sq_distance,
     rate_fit,
     replication_losses,
     restricted_oracle_level,
@@ -137,7 +137,7 @@ def test_truncation_remainder_positive_case():
 def test_loss_is_parseval_distance():
     a = CoefficientVector([1.0, 2.0])
     b = CoefficientVector([1.0])
-    assert loss(a, b) == 4.0
+    assert parseval_sq_distance(a, b) == 4.0
 
 
 def test_mc_risk_pure_noise():
@@ -240,6 +240,8 @@ def test_rate_fit_rejects_degenerate_grids():
             reps=2,
         )
 
+    with pytest.raises(DegenerateFitError):
+        rate_fit(curve_for([]), s=1.0, t=1.0)
     with pytest.raises(DegenerateFitError):
         rate_fit(curve_for([100, 200, 400]), s=1.0, t=1.0)
     with pytest.raises(DegenerateFitError):

@@ -1,0 +1,37 @@
+import math
+
+import numpy as np
+import pytest
+
+from ivadapt.serialize import write_csv
+
+FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2]
+
+
+def test_write_csv_formats_ints_strings_and_round_trip_floats(tmp_path):
+    ints = np.arange(-2, 4)
+    names = ["a", "b", "c", "d", "e", "f"]
+    path = tmp_path / "table.csv"
+    write_csv(path, {"k": ints, "name": names, "value": np.array(FLOATS), "listed": FLOATS})
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines[0] == "k,name,value,listed"
+    assert lines[-1] == ""
+    for line, k, name, v in zip(lines[1:-1], ints.tolist(), names, FLOATS, strict=True):
+        assert line == f"{str(k)},{str(name)},{repr(v)},{repr(v)}"
+    assert lines[1:-1][3].endswith(",-0.0,-0.0")
+    assert lines[1:-1][5].endswith(",0.30000000000000004,0.30000000000000004")
+
+
+def test_write_csv_header_only_for_empty_columns(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv(path, {"k": np.arange(1, 1), "coefficient": np.empty(0)})
+    assert path.read_bytes() == b"k,coefficient\n"
+
+
+def test_write_csv_rejects_unequal_columns(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, {"a": [1, 2, 3], "b": [0.5, 1.5]})
+    with pytest.raises(ValueError):
+        write_csv(path, {"a": [1.0], "b": ["x", "y"]})
+    assert not path.exists()
