@@ -131,7 +131,10 @@ def _real(value, name):
     """A float from a JSON number or numeric string; booleans are rejected."""
     if isinstance(value, bool):
         raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is out of range: {value!r}") from exc
 
 
 def _coefficient_node(node, label):
@@ -142,7 +145,10 @@ def _coefficient_node(node, label):
         raise CliError(f"{label} must provide 'coeffs' or 'family'", field=label)
     try:
         if "coeffs" in node:
-            return CoefficientVector(np.asarray(node["coeffs"], dtype=np.float64)), None
+            coeffs = node["coeffs"]
+            if not isinstance(coeffs, list) or not all(type(c) in (int, float) for c in coeffs):
+                raise TypeError(f"{label}.coeffs must be a list of numbers, got {coeffs!r}")
+            return CoefficientVector(np.asarray(coeffs, dtype=np.float64)), None
         given = {
             name: _real(node[name], name)
             for name in ("s", "q", "gamma", "t_exp")
@@ -155,7 +161,7 @@ def _coefficient_node(node, label):
             **given,
         )
         return make_test_function(family), family
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(str(exc), field=label) from exc
 
 

@@ -9,6 +9,8 @@ giving polynomial decay of degree t in the basis index.
 The error U = a (g(X) - (Tg)(W)) + eta satisfies E[U | W] = 0
 identically while E[U | X] != 0 whenever a != 0 and g != 0, so the
 regressor is endogenous and W is a valid instrument by construction.
+The response Y = phi(X) + U is synthesized as h(X) - a (Tg)(W) + eta Z
+with h = phi + a g and Z standard normal, so X is synthesized once.
 """
 
 from __future__ import annotations
@@ -197,9 +199,9 @@ def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
     eps = sample_noise(spec.t, n, rng)
     z = rng.standard_normal(n)
     x = (w + eps) % 1.0
-    u = spec.a * (synthesize(spec.g, x) - synthesize(apply_operator(spec.g, spec.t), w))
-    u = u + spec.eta_sd * z
-    y = synthesize(spec.phi, x) + u
+    size = max(spec.phi.support, spec.g.support)
+    h = CoefficientVector(spec.phi.padded(size) + spec.a * spec.g.padded(size))
+    y = synthesize(h, x) - spec.a * synthesize(apply_operator(spec.g, spec.t), w) + spec.eta_sd * z
     return IvSample(y=y, x=x, w=w)
 
 
@@ -215,14 +217,14 @@ def _chunks(n: int, width: int) -> list[slice]:
     return [slice(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
 
 
-def _response_moments(sample: IvSample, K: int, order: int = 2) -> tuple:
-    """Moments of Z_k = Y psi_k(W), k = 1..K, accumulated over row blocks.
+def _response_moments(sample: IvSample, K: int) -> tuple:
+    """Mean, centred second and centred fourth moment of Z_k = Y psi_k(W), k = 1..K.
 
-    Pass 1 gives the mean of Z_k.  For order 2 or 4, pass 2 adds the
-    mean centred square, and for order 4 also the mean centred fourth
-    power.  Both passes work on the (K, rows) transpose of the basis
-    block, so every reduction runs along contiguous memory.  A sample
-    of one block builds its basis once for both passes.
+    Two passes over row blocks: the first gives the mean of Z_k, the
+    second the mean centred square and fourth power.  Both work on the
+    (K, rows) transpose of the basis block, so every reduction runs
+    along contiguous memory.  A sample of one block builds its basis
+    once for both passes.
     """
     n = sample.n
     ks = np.arange(1, K + 1)
@@ -236,8 +238,6 @@ def _response_moments(sample: IvSample, K: int, order: int = 2) -> tuple:
     for sl in chunks:
         total += basis_t(sl) @ sample.y[sl]
     mean = total / n
-    if order == 1:
-        return (mean,)
     centre = mean[:, None]
     acc2 = np.zeros(K)
     acc4 = np.zeros(K)
@@ -246,11 +246,8 @@ def _response_moments(sample: IvSample, K: int, order: int = 2) -> tuple:
         dev -= centre
         dev *= dev
         acc2 += np.sum(dev, axis=1)
-        if order == 4:
-            dev *= dev
-            acc4 += np.sum(dev, axis=1)
-    if order == 2:
-        return mean, acc2 / n
+        dev *= dev
+        acc4 += np.sum(dev, axis=1)
     return mean, acc2 / n, acc4 / n
 
 
@@ -275,7 +272,7 @@ def sigma_sq_profile(
     if hit is not None:
         return hit
     sample = generate_sample(spec, n_draws, seed=seeds.sequence(seed, "sigma-oracle"))
-    _, var, mu4 = _response_moments(sample, K, order=4)
+    _, var, mu4 = _response_moments(sample, K)
     se = np.sqrt(np.maximum(mu4 - var**2, 0.0) / n_draws)
     var.setflags(write=False)
     se.setflags(write=False)

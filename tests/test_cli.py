@@ -298,6 +298,20 @@ MISTYPED_FAMILY = [
     ("estimate", with_dgp(g={**SUPERSMOOTH, "t_exp": True}), "dgp.g", "number"),
 ]
 
+# raw coefficients must be a JSON list of numbers: no booleans, no strings
+MISTYPED_COEFFS = [
+    ("estimate", with_dgp(g={"coeffs": True}), "dgp.g", "list of numbers"),
+    ("estimate", with_dgp(g={"coeffs": [True, False]}), "dgp.g", "list of numbers"),
+    ("estimate", with_dgp(g={"coeffs": "3"}), "dgp.g", "list of numbers"),
+    ("estimate", with_dgp(g={"coeffs": 3}), "dgp.g", "list of numbers"),
+    ("estimate", with_dgp(phi={"coeffs": [1.0, "0.5"]}), "dgp.phi", "list of numbers"),
+    ("estimate", with_dgp(phi={"coeffs": [1.0, None]}), "dgp.phi", "list of numbers"),
+    ("estimate", with_dgp(phi={"coeffs": [[1.0]]}), "dgp.phi", "list of numbers"),
+    ("estimate", with_dgp(phi={"coeffs": [10**400]}), "dgp.phi", "float"),
+    ("estimate", with_phi(s=10**400), "dgp.phi", "range"),
+    ("estimate", with_dgp(t=10**400), "dgp", "range"),
+]
+
 
 @pytest.mark.parametrize(
     "study, overrides, field, reason",
@@ -307,7 +321,8 @@ MISTYPED_FAMILY = [
     + [(*case, "unknown") for case in RETIRED_SCAN_CAP]
     + MISTYPED
     + UNBOUNDED_BRACKET
-    + MISTYPED_FAMILY,
+    + MISTYPED_FAMILY
+    + MISTYPED_COEFFS,
 )
 def test_non_finite_floats_and_non_integer_counts_give_error_record(
     tmp_path, capsys, study, overrides, field, reason

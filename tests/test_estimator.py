@@ -29,7 +29,7 @@ from ivadapt import (
 )
 from ivadapt import seeds
 from ivadapt.dgp import _chunks, _response_moments
-from ivadapt.estimator import _criterion_values
+from ivadapt.estimator import _SCAN_BLOCK, _criterion_values
 
 ROOT2 = math.sqrt(2.0)
 
@@ -147,11 +147,46 @@ def test_response_moments_straddle_row_blocks(K):
     # relative to the mean size of each moment's summands: a mean near
     # zero cancels, so rtol alone would demand more than rounding gives
     scale = (np.abs(z).mean(axis=0), reference[1], reference[2])
-    for order, count in ((1, 1), (2, 2), (4, 3)):
-        got = _response_moments(sample, K, order=order)
-        assert len(got) == count
-        for value, ref, size in zip(got, reference, scale):
-            assert np.all(np.abs(value - ref) <= 1e-12 * size)
+    got = _response_moments(sample, K)
+    assert len(got) == 3
+    for value, ref, size in zip(got, reference, scale):
+        assert np.all(np.abs(value - ref) <= 1e-12 * size)
+
+
+@pytest.mark.parametrize("K", [1, 16, 100])
+def test_block_moments_straddle_row_blocks(K):
+    # r_hat and sigma_sq_hat come from the scan's blocks, whose row
+    # blocks are sized for _SCAN_BLOCK columns whatever K is
+    rows = _chunks(1 << 21, _SCAN_BLOCK)[0].stop
+    n = rows + rows // 2 + 1
+    assert len(_chunks(n, _SCAN_BLOCK)) == 2
+    sample = generate_sample(DgpSpec.default(), n, seed=31)
+    r_hat = estimate_r_coeffs(sample, K)
+    sigma_sq_hat = estimate_sigma_sq(sample, K)
+    assert r_hat.shape == sigma_sq_hat.shape == (K,)
+    for k in range(1, K + 1):
+        trig = np.cos if k % 2 else np.sin
+        z = sample.y * ROOT2 * trig(2 * np.pi * ((k + 1) // 2) * sample.w)
+        mean = z.mean()
+        var = ((z - mean) ** 2).mean()
+        # the same tolerances as the order-4 moments above
+        assert abs(r_hat[k - 1] - mean) <= 1e-12 * np.abs(z).mean()
+        assert abs(sigma_sq_hat[k - 1] - var) <= 1e-12 * var
+
+
+@pytest.mark.parametrize("n, k_max", [(200, 10**6), (5000, 10**6), (70_000, 19)])
+def test_standalone_estimates_equal_the_scan_bitwise(n, k_max):
+    config = EstimatorConfig(k_max=k_max)
+    sample = generate_sample(DgpSpec.default(), n, seed=n)
+    report = adaptive_estimate(sample, config)
+    if k_max == 19:
+        # the cap cuts the scan's second block short, over two row blocks
+        assert report.cap_reached and report.resolution == 19
+        assert len(_chunks(n, _SCAN_BLOCK)) == 2
+    K = report.resolution
+    assert estimate_sigma_sq(sample, K).tobytes() == report.sigma_sq_hat.tobytes()
+    assert estimate_r_coeffs(sample, K).tobytes() == report.r_hat.tobytes()
+    assert estimate_eigenvalues(sample, K).tobytes() == report.lambda_hat.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import ivadapt
 import ivadapt.cli  # noqa: F401  (the tracer rebinds names in the CLI module too)
-from ivadapt import DgpSpec, estimator, generate_sample
+from ivadapt import DgpSpec, dgp, estimator, generate_sample
 from ivadapt.dgp import _chunks
 
 IVBENCH = Path(__file__).resolve().parents[1] / "ivbench"
@@ -44,3 +44,23 @@ def test_scan_requests_two_n_cells_per_scanned_index(monkeypatch, n):
     block = estimator._SCAN_BLOCK
     # every block up to and including the one holding the crossing
     assert sum(cells) == 2 * n * block * (resolution // block + 1)
+
+
+@pytest.mark.parametrize("n", [200, 5000, _chunks(1 << 21, estimator._SCAN_BLOCK)[0].stop + 1])
+def test_estimate_requests_only_the_scan_cells(monkeypatch, n):
+    # the moments come from the scan's blocks: no second pass builds psi_k(W)
+    cells = []
+    for module in (estimator, dgp):
+        basis_matrix = module.basis_matrix
+
+        def counting(x, ks, basis_matrix=basis_matrix):
+            out = basis_matrix(x, ks)
+            cells.append(out.size)
+            return out
+
+        monkeypatch.setattr(module, "basis_matrix", counting)
+    sample = generate_sample(DgpSpec.default(), n, seed=n)
+    report = estimator.adaptive_estimate(sample)
+    block = estimator._SCAN_BLOCK
+    assert not report.cap_reached
+    assert sum(cells) == 2 * n * block * (report.resolution // block + 1)
