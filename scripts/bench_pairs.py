@@ -13,12 +13,14 @@ in that checkout, one at a time.  The script only calls the benchmark:
 it keeps the last stdout line of each run (the JSON result) and the
 run record above it.
 
-The output file (by default in the --change checkout, named after its
-commit) holds every run, and per workload and end-to-end metric each
-side's median and quartiles (``statistics.quantiles``, exclusive
-method) and how many pairs the change won, judged by the metric's
-``better`` in BENCHMARK.json.  The header gives machine, nproc, both
-commits and the numpy version the runs reported.
+The output file, written at the root of the --change checkout and
+named after its commit, holds every run, and per workload and
+end-to-end metric each side's median and quartiles over its correct
+runs (``statistics.quantiles``, exclusive method), how many of all
+pairs the change won, judged by the metric's ``better`` in
+BENCHMARK.json, and how many runs failed on each side.  The header
+gives machine, nproc, both commits and the numpy version the runs
+reported.
 """
 
 from __future__ import annotations
@@ -72,41 +74,55 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     return {"exit": proc.returncode, "record": records[0] if records else None, "result": result}
 
 
+def correct(run: dict) -> bool:
+    return run["exit"] == 0 and bool(run["result"] and run["result"].get("correct"))
+
+
 def metric_value(run: dict, name: str):
-    result = run["result"]
-    if not result or not result.get("correct"):
+    if not correct(run):
         return None
-    entry = result.get("metrics", {}).get(name)
+    entry = run["result"].get("metrics", {}).get(name)
     return None if entry is None else entry["value"]
 
 
-def spread(values: list[float]) -> dict:
+def spread(values: list[float]) -> dict | None:
+    if not values:
+        return None
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": len(values)}
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per metric: both sides' spread and the change's wins over the pairs."""
+    """Per metric: each side's spread over its correct runs and the change's wins over all pairs.
+
+    A pair is a win only when both sides are correct and the change is
+    better, so a failed or incorrect run on either side counts against
+    the change.  ``failed`` counts each side's runs that exited nonzero
+    or were not correct.
+    """
+    failed = {side: sum(not correct(r) for r in runs if r["side"] == side) for side in ("base", "change")}
     out = {}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
         pairs = {}
         for run in runs:
             pairs.setdefault(run["pair"], {})[run["side"]] = metric_value(run, name)
-        complete = [p for p in pairs.values() if p.get("base") is not None and p.get("change") is not None]
-        if not complete:
-            continue
-        wins = sum((p["change"] < p["base"]) if lower else (p["change"] > p["base"]) for p in complete)
-        base = spread([p["base"] for p in complete])
-        change = spread([p["change"] for p in complete])
+        values = {side: [p[side] for p in pairs.values() if p.get(side) is not None] for side in ("base", "change")}
+        wins = sum(
+            p.get("base") is not None and p.get("change") is not None
+            and ((p["change"] < p["base"]) if lower else (p["change"] > p["base"]))
+            for p in pairs.values()
+        )
+        base, change = spread(values["base"]), spread(values["change"])
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
             "base": base,
             "change": change,
-            "median_gap": change["median"] - base["median"],
+            "median_gap": change["median"] - base["median"] if base and change else None,
             "wins": wins,
-            "pairs": len(complete),
+            "pairs": len(pairs),
+            "failed": failed,
         }
     return out
 
@@ -118,7 +134,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, action="append", help="repeat for several workloads")
     parser.add_argument("--seeds", required=True, type=seed_list, help='one seed per pair: "40-49" or "3,8,11"')
     parser.add_argument("--seconds", type=int, default=25)
-    parser.add_argument("--out", type=Path, default=None, help="directory for the file (default: --change)")
     args = parser.parse_args(argv)
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     end_to_end = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
@@ -148,12 +163,13 @@ def main(argv=None) -> int:
         "workloads": workloads,
     }
     name = f"BENCH_{(change_commit or 'uncommitted')[:7]}.json"
-    path = (args.out or sides["change"]) / name
+    path = sides["change"] / name
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     for workload, entry in workloads.items():
         for metric, stats in entry["metrics"].items():
-            print(f"{workload:14s} {metric:12s} base {stats['base']['median']:.4g} "
-                  f"change {stats['change']['median']:.4g} wins {stats['wins']}/{stats['pairs']}")
+            medians = [f"{stats[side]['median']:.4g}" if stats[side] else "-" for side in ("base", "change")]
+            print(f"{workload:14s} {metric:12s} base {medians[0]} change {medians[1]} "
+                  f"wins {stats['wins']}/{stats['pairs']} failed {stats['failed']}")
     print(path)
     return 0
 

@@ -47,12 +47,9 @@ def basis_matrix(x, ks) -> np.ndarray:
     """Evaluate basis functions on a grid: out[i, m] = e_{ks[m]}(x[i]).
 
     One cos/sin table row per distinct frequency, in increasing order.
-    Only cos(2 pi x) and sin(2 pi x) are evaluated directly.  A
-    frequency one above its predecessor comes from the angle-addition
-    step; any other (a block start) is that one-step rotation raised to
-    its power by repeated squaring.  Cost is O(n x (distinct
-    frequencies + log of each block start)), and the recurrence drifts
-    by about frequency x eps.
+    A frequency one above its predecessor comes from the angle-addition
+    step; any other is evaluated directly.  Cost is O(n x distinct
+    frequencies), and the recurrence drifts by about run length x eps.
 
     The result is the transpose of a C-ordered (len(ks), n) table, so it
     is F-ordered: each column is contiguous, and reducing over points
@@ -69,26 +66,24 @@ def basis_matrix(x, ks) -> np.ndarray:
     j = (ks + 1) // 2
     freqs = sorted(set(j.tolist()))
     tab = np.empty((len(freqs), 2, x.size))  # cos and sin row per frequency
-    if freqs:
-        ang = _TWO_PI * x
-        c1, s1 = np.cos(ang), np.sin(ang)
-        tmp, held = ang, np.empty(x.size)  # ang is not needed any more
+    c1 = s1 = None
     for row, f in enumerate(freqs):
         c, s = tab[row]
         if row and f == freqs[row - 1] + 1:
-            _rotate(*tab[row - 1], c1, s1, c, s, tmp)
+            if c1 is None:
+                ang = _TWO_PI * x
+                c1, s1 = np.cos(ang), np.sin(ang)
+            cp, sp = tab[row - 1]
+            np.multiply(cp, c1, out=c)
+            c -= sp * s1
+            np.multiply(sp, c1, out=s)
+            s += cp * s1
         else:
-            c[:] = c1
-            s[:] = s1
-            for bit in bin(f)[3:]:
-                np.multiply(c, s, out=tmp)  # (c + i s)^2 = c^2 - s^2 + 2 i c s
-                np.multiply(c, c, out=c)
-                np.multiply(s, s, out=s)
-                c -= s
-                np.add(tmp, tmp, out=s)
-                if bit == "1":
-                    np.copyto(held, c)
-                    _rotate(held, s, c1, s1, c, s, tmp)
+            ang = _TWO_PI * (x * f)
+            np.cos(ang, out=c)
+            np.sin(ang, out=s)
+            if f == 1:
+                c1, s1 = c, s
     rows = tab.reshape(2 * len(freqs), x.size)
     cols = 2 * np.searchsorted(freqs, j) + (ks % 2 == 0)
     if np.array_equal(cols, np.arange(cols.size)):
@@ -97,19 +92,6 @@ def basis_matrix(x, ks) -> np.ndarray:
         out = rows[cols]
     out *= _SQRT2
     return out.T
-
-
-def _rotate(cp, sp, c1, s1, c, s, tmp) -> None:
-    """(c, s) = (cp, sp) turned by the angle with cosine c1 and sine s1.
-
-    s may alias sp, but c must not alias cp or sp.
-    """
-    np.multiply(cp, c1, out=c)
-    np.multiply(sp, s1, out=tmp)
-    c -= tmp
-    np.multiply(sp, c1, out=s)
-    np.multiply(cp, s1, out=tmp)
-    s += tmp
 
 
 @dataclass(frozen=True, eq=False)

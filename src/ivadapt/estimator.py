@@ -99,23 +99,26 @@ def _estimates(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return sums[0] / n, r_hat, np.maximum(sums[2] / n - r_hat * r_hat, 0.0)
 
 
-def _estimates_upto(sample: IvSample, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_estimates for k = 1..K from the scan's blocks 1..ceil(K / _SCAN_BLOCK)."""
+def _sums_upto(sample: IvSample, K: int, moments: bool) -> np.ndarray:
+    """_block_sums for k = 1..K over the scan's blocks, the last one cut at K."""
     if K < 0:
         raise ValueError("K must be nonnegative")
-    blocks = [np.zeros((3, 0))]
-    blocks += [_block_sums(sample, np.arange(k0, k0 + _SCAN_BLOCK), True) for k0 in range(1, K + 1, _SCAN_BLOCK)]
-    return _estimates(np.concatenate(blocks, axis=1)[:, :K], sample.n)
+    blocks = [np.zeros((3 if moments else 1, 0))]
+    blocks += [
+        _block_sums(sample, np.arange(k0, min(k0 + _SCAN_BLOCK, K + 1)), moments)
+        for k0 in range(1, K + 1, _SCAN_BLOCK)
+    ]
+    return np.concatenate(blocks, axis=1)
 
 
 def estimate_r_coeffs(sample: IvSample, K: int) -> np.ndarray:
     """Empirical response coefficients (1/n) sum_i Y_i psi_k(W_i), k = 1..K."""
-    return _estimates_upto(sample, K)[1]
+    return _estimates(_sums_upto(sample, K, True), sample.n)[1]
 
 
 def estimate_eigenvalues(sample: IvSample, K: int) -> np.ndarray:
     """Empirical eigenvalues (1/n) sum_i psi_k(W_i) phi_k(X_i), k = 1..K."""
-    return _estimates_upto(sample, K)[0]
+    return _sums_upto(sample, K, False)[0] / sample.n
 
 
 def estimate_sigma_sq(sample: IvSample, K: int) -> np.ndarray:
@@ -125,7 +128,7 @@ def estimate_sigma_sq(sample: IvSample, K: int) -> np.ndarray:
     (clipped at 0), from the same sums as adaptive_estimate; it is
     within about 1e-15 relative of the centred two-pass form.
     """
-    return _estimates_upto(sample, K)[2]
+    return _estimates(_sums_upto(sample, K, True), sample.n)[2]
 
 
 def resolution_threshold(n: int) -> float:

@@ -46,9 +46,8 @@ def test_scan_requests_two_n_cells_per_scanned_index(monkeypatch, n):
     assert sum(cells) == 2 * n * block * (resolution // block + 1)
 
 
-@pytest.mark.parametrize("n", [200, 5000, _chunks(1 << 21, estimator._SCAN_BLOCK)[0].stop + 1])
-def test_estimate_requests_only_the_scan_cells(monkeypatch, n):
-    # the moments come from the scan's blocks: no second pass builds psi_k(W)
+def _count_cells(monkeypatch):
+    """Sizes of every basis_matrix result the estimator and dgp modules request."""
     cells = []
     for module in (estimator, dgp):
         basis_matrix = module.basis_matrix
@@ -59,8 +58,25 @@ def test_estimate_requests_only_the_scan_cells(monkeypatch, n):
             return out
 
         monkeypatch.setattr(module, "basis_matrix", counting)
+    return cells
+
+
+@pytest.mark.parametrize("n", [200, 5000, _chunks(1 << 21, estimator._SCAN_BLOCK)[0].stop + 1])
+def test_estimate_requests_only_the_scan_cells(monkeypatch, n):
+    # the moments come from the scan's blocks: no second pass builds psi_k(W)
+    cells = _count_cells(monkeypatch)
     sample = generate_sample(DgpSpec.default(), n, seed=n)
     report = estimator.adaptive_estimate(sample)
     block = estimator._SCAN_BLOCK
     assert not report.cap_reached
     assert sum(cells) == 2 * n * block * (report.resolution // block + 1)
+
+
+@pytest.mark.parametrize("K", [0, 1, 16, 19])
+@pytest.mark.parametrize("name", ["estimate_eigenvalues", "estimate_r_coeffs", "estimate_sigma_sq"])
+def test_standalone_estimates_request_only_k_columns(monkeypatch, name, K):
+    # the last block is cut at K, so psi(X) and psi(W) have K columns in all
+    sample = generate_sample(DgpSpec.default(), 300, seed=K)
+    cells = _count_cells(monkeypatch)
+    assert getattr(estimator, name)(sample, K).shape == (K,)
+    assert sum(cells) == 2 * sample.n * K
