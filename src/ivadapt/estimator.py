@@ -71,20 +71,20 @@ class EstimatorConfig:
         return min(int(n) ** 4, self.k_max)
 
 
-def _block_sums(sample: IvSample, ks: np.ndarray, moments: bool) -> np.ndarray:
-    """Sums over the sample for the basis indices ks, one row each.
+def _block_sums(sample: IvSample, ks: np.ndarray, eigen: bool, moments: bool) -> np.ndarray:
+    """Sums over the sample for the basis indices ks: three rows, one column per index.
 
-    Row 0 sums psi_k(X) psi_k(W); with moments, rows 1 and 2 sum
-    Y psi_k(W) and (Y psi_k(W))^2.  Each row block builds psi(X) and
-    psi(W) once.  Row blocks are sized for _SCAN_BLOCK columns whatever
-    len(ks) is, so an index gets the same sums in a short block as in a
-    full one.
+    With eigen, row 0 sums psi_k(X) psi_k(W); with moments, rows 1 and 2
+    sum Y psi_k(W) and (Y psi_k(W))^2.  Rows not asked for stay 0.  Each
+    row block builds psi(W) once, and psi(X) only with eigen.  Row
+    blocks are sized for _SCAN_BLOCK columns whatever len(ks) is, so an
+    index gets the same sums in a short block as in a full one.
     """
-    sums = np.zeros((3 if moments else 1, ks.size))
+    sums = np.zeros((3, ks.size))
     for sl in _chunks(sample.n, _SCAN_BLOCK):
-        bx = basis_matrix(sample.x[sl], ks).T
         bw = basis_matrix(sample.w[sl], ks).T
-        sums[0] += np.einsum("ij,ij->i", bx, bw)
+        if eigen:
+            sums[0] += np.einsum("ij,ij->i", basis_matrix(sample.x[sl], ks).T, bw)
         if moments:
             bw *= sample.y[sl]
             sums[1] += bw.sum(axis=1)
@@ -99,26 +99,26 @@ def _estimates(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return sums[0] / n, r_hat, np.maximum(sums[2] / n - r_hat * r_hat, 0.0)
 
 
-def _sums_upto(sample: IvSample, K: int, moments: bool) -> np.ndarray:
-    """_block_sums for k = 1..K over the scan's blocks, the last one cut at K."""
+def _estimates_upto(sample: IvSample, K: int, eigen: bool, moments: bool):
+    """_estimates for k = 1..K over the scan's blocks, the last one cut at K."""
     if K < 0:
         raise ValueError("K must be nonnegative")
-    blocks = [np.zeros((3 if moments else 1, 0))]
+    blocks = [np.zeros((3, 0))]
     blocks += [
-        _block_sums(sample, np.arange(k0, min(k0 + _SCAN_BLOCK, K + 1)), moments)
+        _block_sums(sample, np.arange(k0, min(k0 + _SCAN_BLOCK, K + 1)), eigen, moments)
         for k0 in range(1, K + 1, _SCAN_BLOCK)
     ]
-    return np.concatenate(blocks, axis=1)
+    return _estimates(np.concatenate(blocks, axis=1), sample.n)
 
 
 def estimate_r_coeffs(sample: IvSample, K: int) -> np.ndarray:
     """Empirical response coefficients (1/n) sum_i Y_i psi_k(W_i), k = 1..K."""
-    return _estimates(_sums_upto(sample, K, True), sample.n)[1]
+    return _estimates_upto(sample, K, eigen=False, moments=True)[1]
 
 
 def estimate_eigenvalues(sample: IvSample, K: int) -> np.ndarray:
     """Empirical eigenvalues (1/n) sum_i psi_k(W_i) phi_k(X_i), k = 1..K."""
-    return _sums_upto(sample, K, False)[0] / sample.n
+    return _estimates_upto(sample, K, eigen=True, moments=False)[0]
 
 
 def estimate_sigma_sq(sample: IvSample, K: int) -> np.ndarray:
@@ -128,7 +128,7 @@ def estimate_sigma_sq(sample: IvSample, K: int) -> np.ndarray:
     (clipped at 0), from the same sums as adaptive_estimate; it is
     within about 1e-15 relative of the centred two-pass form.
     """
-    return _estimates(_sums_upto(sample, K, True), sample.n)[2]
+    return _estimates_upto(sample, K, eigen=False, moments=True)[2]
 
 
 def resolution_threshold(n: int) -> float:
@@ -164,7 +164,7 @@ def _resolution_scan(sample: IvSample, config: EstimatorConfig, moments: bool):
     k0 = 1
     while k0 <= cap:
         ks = np.arange(k0, min(k0 + _SCAN_BLOCK - 1, cap) + 1)
-        sums = _block_sums(sample, ks, moments)
+        sums = _block_sums(sample, ks, eigen=True, moments=moments)
         kept = select_resolution(sums[0] / sample.n, sample.n, config)
         collected.append(sums[:, :kept])
         if kept < ks.size:
