@@ -47,9 +47,13 @@ def basis_matrix(x, ks) -> np.ndarray:
     """Evaluate basis functions on a grid: out[i, m] = e_{ks[m]}(x[i]).
 
     One cos/sin table row per distinct frequency, in increasing order.
-    A frequency one above its predecessor comes from the angle-addition
-    step; any other is evaluated directly.  Cost is O(n x distinct
-    frequencies), and the recurrence drifts by about run length x eps.
+    Only cos(2 pi x) and sin(2 pi x) are evaluated directly.  A
+    frequency one above its predecessor comes from the angle-addition
+    step; any other (a block start) is that one-step rotation raised to
+    its power by complex binary powering.  Cost is O(n x (distinct
+    frequencies + log2 of each block start)), and values drift by about
+    frequency x eps, as direct cos/sin of 2 pi f x does through the
+    rounding of its argument.
 
     The result is the transpose of a C-ordered (len(ks), n) table, so it
     is F-ordered: each column is contiguous, and reducing over points
@@ -70,20 +74,23 @@ def basis_matrix(x, ks) -> np.ndarray:
     for row, f in enumerate(freqs):
         c, s = tab[row]
         if row and f == freqs[row - 1] + 1:
-            if c1 is None:
-                ang = _TWO_PI * x
-                c1, s1 = np.cos(ang), np.sin(ang)
             cp, sp = tab[row - 1]
             np.multiply(cp, c1, out=c)
             c -= sp * s1
             np.multiply(sp, c1, out=s)
             s += cp * s1
-        else:
-            ang = _TWO_PI * (x * f)
+        elif f == 1:
+            ang = _TWO_PI * x
             np.cos(ang, out=c)
             np.sin(ang, out=s)
-            if f == 1:
-                c1, s1 = c, s
+            c1, s1 = c, s
+        else:
+            if c1 is None:
+                ang = _TWO_PI * x
+                c1, s1 = np.cos(ang), np.sin(ang)
+            z = _rotation_power(c1, s1, f)
+            c[:] = z.real
+            s[:] = z.imag
     rows = tab.reshape(2 * len(freqs), x.size)
     cols = 2 * np.searchsorted(freqs, j) + (ks % 2 == 0)
     if np.array_equal(cols, np.arange(cols.size)):
@@ -92,6 +99,23 @@ def basis_matrix(x, ks) -> np.ndarray:
         out = rows[cols]
     out *= _SQRT2
     return out.T
+
+
+def _rotation_power(c1, s1, f: int) -> np.ndarray:
+    """(c1 + i s1)^f by left-to-right binary powering, for f >= 1.
+
+    About log2(f) in-place complex products per point, so a block start
+    costs no trig evaluation; the result drifts by about f x eps.
+    """
+    z = np.empty(c1.size, dtype=np.complex128)
+    z.real = c1
+    z.imag = s1
+    out = z.copy()
+    for bit in bin(f)[3:]:
+        out *= out
+        if bit == "1":
+            out *= z
+    return out
 
 
 @dataclass(frozen=True, eq=False)
