@@ -68,6 +68,19 @@ def test_basis_matrix_any_index_set_matches_direct(ks):
     assert np.allclose(got, _direct_basis(x, ks), rtol=0.0, atol=1e-11)
 
 
+def test_basis_matrix_deep_block_start_within_argument_rounding():
+    # a block start near the default k_max is reached by about 19
+    # complex squarings; its error stays at the frequency x eps level
+    # that rounding the argument 2 pi f x gives direct cos/sin
+    ks = np.arange(2**20 + 1, 2**20 + 17)
+    x = np.random.default_rng(5).random(2000)
+    arg = 2 * np.longdouble("3.14159265358979323846264338327950288") * np.fmod(
+        np.multiply.outer(x.astype(np.longdouble), (ks + 1) // 2), 1
+    )
+    ref = (np.sqrt(np.longdouble(2)) * np.where(ks % 2 == 1, np.cos(arg), np.sin(arg))).astype(np.float64)
+    assert np.abs(basis_matrix(x, ks) - ref).max() <= 2e-9
+
+
 def test_basis_matrix_prefix_columns_are_bitwise_stable():
     x = np.random.default_rng(4).random(501)
     full = basis_matrix(x, np.arange(1, 81))
