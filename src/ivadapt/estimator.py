@@ -99,7 +99,9 @@ def _estimates(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return sums[0] / n, r_hat, np.maximum(sums[2] / n - r_hat * r_hat, 0.0)
 
 
-def _estimates_upto(sample: IvSample, K: int, eigen: bool, moments: bool):
+def _estimates_upto(
+    sample: IvSample, K: int, eigen: bool, moments: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_estimates for k = 1..K over the scan's blocks, the last one cut at K."""
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -160,7 +162,7 @@ def _resolution_scan(sample: IvSample, config: EstimatorConfig, moments: bool):
     _block_sums rows for k = 1..resolution, cap_reached).
     """
     cap = config.resolution_cap(sample.n)
-    collected = []
+    collected: list[np.ndarray] = []
     k0 = 1
     while k0 <= cap:
         ks = np.arange(k0, min(k0 + _SCAN_BLOCK - 1, cap) + 1)
