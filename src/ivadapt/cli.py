@@ -71,6 +71,9 @@ class ExperimentConfig:
         min_n = 1 if self.study == "simulate" else 3
         if self.n_grid[0] < min_n:
             raise CliError(f"{self.study} needs every n >= {min_n}", field="n_grid")
+        max_n = np.iinfo(np.intp).max // 8  # the longest float64 array numpy can describe
+        if self.n_grid[-1] > max_n:
+            raise CliError(f"every n must be at most {max_n}", field="n_grid")
         if self.study == "rate-study":
             if len(self.n_grid) < 4 or self.n_grid[-1] / self.n_grid[0] < 10.0:
                 raise CliError("rate-study needs at least 4 n_grid points spanning a decade", field="n_grid")
@@ -451,8 +454,8 @@ def main(argv=None) -> int:
         record = {"error": str(exc), **exc.context}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
         return 2
-    except OSError as exc:
-        record = {"error": str(exc), "path": getattr(exc, "filename", None)}
+    except (OSError, MemoryError) as exc:
+        record = {"error": str(exc) or type(exc).__name__, "path": getattr(exc, "filename", None)}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
         return 1
     return 0

@@ -11,6 +11,8 @@ identically while E[U | X] != 0 whenever a != 0 and g != 0, so the
 regressor is endogenous and W is a valid instrument by construction.
 The response Y = phi(X) + U is synthesized as h(X) - a (Tg)(W) + eta Z
 with h = phi + a g and Z standard normal, so X is synthesized once.
+The sigma_k^2 oracle is the estimator's estimate_sigma_sq over one
+fixed-seed sample of 10^6 draws.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import seeds
-from .basis import CoefficientVector, FunctionFamilySpec, basis_matrix, frequency, make_test_function, synthesize
+from .basis import CoefficientVector, FunctionFamilySpec, frequency, make_test_function, synthesize
+from .basis import basis_matrix  # noqa: F401  (unused here, but the benchmark's tracer rebinds dgp.basis_matrix)
 from .serialize import write_csv
 
 __all__ = [
-    "ORACLE_DRAWS",
-    "ORACLE_SEED",
     "DgpSpec",
     "IvSample",
     "apply_operator",
@@ -39,11 +40,10 @@ __all__ = [
 ]
 
 #: Fixed seed and size of the Monte Carlo oracle used for sigma_k^2.
-ORACLE_SEED = 741_003
-ORACLE_DRAWS = 10**6
+_ORACLE_SEED = 741_003
+_ORACLE_DRAWS = 10**6
 
 _TWO_PI = 2.0 * math.pi
-_BLOCK_CELLS = 1 << 20
 
 
 def true_eigenvalue(k, t):
@@ -205,76 +205,26 @@ def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
     return IvSample(y=y, x=x, w=w)
 
 
-def _chunks(n: int, width: int) -> list[slice]:
-    """Row blocks covering 0..n-1, each of at most _BLOCK_CELLS cells.
-
-    A block holds max(1, _BLOCK_CELLS // width) rows, so a basis block
-    of ``width`` columns stays near 8 MiB whatever n and K are: large
-    enough that a replication-sized sample (n <= 2^15, K <= 32) is one
-    block, small enough that the 10^6 x 100 oracle never materializes.
-    """
-    rows = max(1, _BLOCK_CELLS // max(1, width))
-    return [slice(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
-
-
-def _response_moments(sample: IvSample, K: int) -> tuple:
-    """Mean, centred second and centred fourth moment of Z_k = Y psi_k(W), k = 1..K.
-
-    Two passes over row blocks: the first gives the mean of Z_k, the
-    second the mean centred square and fourth power.  Both work on the
-    (K, rows) transpose of the basis block, so every reduction runs
-    along contiguous memory.  A sample of one block builds its basis
-    once for both passes.
-    """
-    n = sample.n
-    ks = np.arange(1, K + 1)
-    chunks = _chunks(n, K)
-    whole = basis_matrix(sample.w, ks).T if len(chunks) == 1 else None
-
-    def basis_t(sl):
-        return whole if whole is not None else basis_matrix(sample.w[sl], ks).T
-
-    total = np.zeros(K)
-    for sl in chunks:
-        total += basis_t(sl) @ sample.y[sl]
-    mean = total / n
-    centre = mean[:, None]
-    acc2 = np.zeros(K)
-    acc4 = np.zeros(K)
-    for sl in chunks:
-        dev = basis_t(sl) * sample.y[sl]
-        dev -= centre
-        dev *= dev
-        acc2 += np.sum(dev, axis=1)
-        dev *= dev
-        acc4 += np.sum(dev, axis=1)
-    return mean, acc2 / n, acc4 / n
-
-
 _SIGMA_CACHE: dict = {}
 
 
-def sigma_sq_profile(
-    spec: DgpSpec,
-    K: int,
-    n_draws: int = ORACLE_DRAWS,
-    seed: int = ORACLE_SEED,
-) -> tuple[np.ndarray, np.ndarray]:
+def sigma_sq_profile(spec: DgpSpec, K: int, n_draws: int = _ORACLE_DRAWS) -> np.ndarray:
     """Monte Carlo oracle for sigma_k^2 = Var(Y psi_k(W)), k = 1..K.
 
-    Returns (values, standard errors), cached per (spec, K, n_draws,
-    seed) so oracle risks are reproducible constants for a given spec.
+    The estimator's estimate_sigma_sq over a fixed-seed sample of n_draws
+    observations; read-only and cached per (spec, K, n_draws), so oracle
+    risks are reproducible constants for a given spec.
     """
+    from .estimator import estimate_sigma_sq  # estimator imports this module
+
     if K < 1:
         raise ValueError("need K >= 1")
-    cache_key = (spec.key(), int(K), int(n_draws), int(seed))
+    cache_key = (spec.key(), int(K), int(n_draws))
     hit = _SIGMA_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    sample = generate_sample(spec, n_draws, seed=seeds.sequence(seed, "sigma-oracle"))
-    _, var, mu4 = _response_moments(sample, K)
-    se = np.sqrt(np.maximum(mu4 - var**2, 0.0) / n_draws)
-    var.setflags(write=False)
-    se.setflags(write=False)
-    _SIGMA_CACHE[cache_key] = (var, se)
-    return var, se
+    sample = generate_sample(spec, n_draws, seed=seeds.sequence(_ORACLE_SEED, "sigma-oracle"))
+    values = estimate_sigma_sq(sample, K)
+    values.setflags(write=False)
+    _SIGMA_CACHE[cache_key] = values
+    return values

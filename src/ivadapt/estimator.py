@@ -6,6 +6,11 @@ variances sigma_sq_hat; truncates the eigenvalue sequence at the first
 index where the estimate drops below log(n) / sqrt(n); minimizes a
 penalized contrast over truncation levels m; and inverts the retained
 coefficients to produce the adaptive estimate.
+
+Every sum over the sample is taken in blocks of _SCAN_BLOCK basis
+indices (_blocks) and, within a block, of _SCAN_ROWS rows (_chunks), so
+a basis block stays near 8 MiB whatever n and K are.  The sigma_k^2
+oracle in dgp runs estimate_sigma_sq over its fixed-seed sample.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import CoefficientVector, basis_matrix
-from .dgp import IvSample, _chunks, eigenvalue_profile, true_eigenvalue
+from .dgp import IvSample, eigenvalue_profile, true_eigenvalue
 from .serialize import to_plain, write_csv
 
 __all__ = [
@@ -37,6 +42,8 @@ __all__ = [
 ]
 
 _SCAN_BLOCK = 16
+#: Rows per row block: a 2^20-cell basis block of _SCAN_BLOCK columns.
+_SCAN_ROWS = (1 << 20) // _SCAN_BLOCK
 #: Largest basis index the deterministic resolution bracket may reach.
 _BRACKET_CAP = 10**8
 
@@ -71,17 +78,22 @@ class EstimatorConfig:
         return min(int(n) ** 4, self.k_max)
 
 
+def _chunks(n: int) -> list[slice]:
+    """Row blocks of _SCAN_ROWS rows covering 0..n-1 (one block for n <= 2^16)."""
+    return [slice(i0, min(i0 + _SCAN_ROWS, n)) for i0 in range(0, n, _SCAN_ROWS)]
+
+
 def _block_sums(sample: IvSample, ks: np.ndarray, eigen: bool, moments: bool) -> np.ndarray:
     """Sums over the sample for the basis indices ks: three rows, one column per index.
 
     With eigen, row 0 sums psi_k(X) psi_k(W); with moments, rows 1 and 2
     sum Y psi_k(W) and (Y psi_k(W))^2.  Rows not asked for stay 0.  Each
     row block builds psi(W) once, and psi(X) only with eigen.  Row
-    blocks are sized for _SCAN_BLOCK columns whatever len(ks) is, so an
-    index gets the same sums in a short block as in a full one.
+    blocks do not depend on len(ks), so an index gets the same sums in a
+    short block as in a full one.
     """
     sums = np.zeros((3, ks.size))
-    for sl in _chunks(sample.n, _SCAN_BLOCK):
+    for sl in _chunks(sample.n):
         bw = basis_matrix(sample.w[sl], ks).T
         if eigen:
             sums[0] += np.einsum("ij,ij->i", basis_matrix(sample.x[sl], ks).T, bw)
@@ -99,17 +111,19 @@ def _estimates(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return sums[0] / n, r_hat, np.maximum(sums[2] / n - r_hat * r_hat, 0.0)
 
 
+def _blocks(sample: IvSample, cap: int, eigen: bool, moments: bool):
+    """_block_sums for k = 1..cap, _SCAN_BLOCK indices at a time, the last block cut at cap."""
+    for k0 in range(1, cap + 1, _SCAN_BLOCK):
+        yield _block_sums(sample, np.arange(k0, min(k0 + _SCAN_BLOCK, cap + 1)), eigen, moments)
+
+
 def _estimates_upto(
     sample: IvSample, K: int, eigen: bool, moments: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_estimates for k = 1..K over the scan's blocks, the last one cut at K."""
+    """_estimates for k = 1..K over the scan's blocks."""
     if K < 0:
         raise ValueError("K must be nonnegative")
-    blocks = [np.zeros((3, 0))]
-    blocks += [
-        _block_sums(sample, np.arange(k0, min(k0 + _SCAN_BLOCK, K + 1)), eigen, moments)
-        for k0 in range(1, K + 1, _SCAN_BLOCK)
-    ]
+    blocks = [np.zeros((3, 0)), *_blocks(sample, K, eigen, moments)]
     return _estimates(np.concatenate(blocks, axis=1), sample.n)
 
 
@@ -163,16 +177,13 @@ def _resolution_scan(sample: IvSample, config: EstimatorConfig, moments: bool):
     """
     cap = config.resolution_cap(sample.n)
     collected: list[np.ndarray] = []
-    k0 = 1
-    while k0 <= cap:
-        ks = np.arange(k0, min(k0 + _SCAN_BLOCK - 1, cap) + 1)
-        sums = _block_sums(sample, ks, eigen=True, moments=moments)
+    for sums in _blocks(sample, cap, eigen=True, moments=moments):
         kept = select_resolution(sums[0] / sample.n, sample.n, config)
         collected.append(sums[:, :kept])
-        if kept < ks.size:
-            return k0 - 1 + kept, np.concatenate(collected, axis=1), False
-        k0 += ks.size
-    return cap, np.concatenate(collected, axis=1), True
+        if kept < sums.shape[1]:
+            break
+    sums = np.concatenate(collected, axis=1)
+    return sums.shape[1], sums, sums.shape[1] == cap
 
 
 def estimate_resolution(sample: IvSample, config: EstimatorConfig | None = None) -> int:

@@ -11,6 +11,7 @@ and the bracketing frequency of the random resolution bound.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,12 +161,14 @@ def _mc_replication(payload):
 
 
 def _map_payloads(fn, payloads, jobs):
-    if jobs is None or jobs <= 1:
+    # the pool forks all its workers at its first task, so jobs is clamped first
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(p) for p in payloads]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(payloads) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(payloads) // (workers * 4))
         return list(pool.map(fn, payloads, chunksize=chunk))
 
 
@@ -186,7 +189,7 @@ def replication_losses(
     if reps < 1:
         raise ValueError("need at least one replication")
     if oracle_m is None:
-        sigma, _ = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
+        sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
         oracle_m = oracle_level(spec.phi, spec.t, sigma, n)
     payloads = [(spec, config, n, master_seed, rep, oracle_m) for rep in range(reps)]
     rows = _map_payloads(_mc_replication, payloads, jobs)
@@ -253,7 +256,7 @@ def oracle_ratio_study(
         raise ValueError("n_grid must be nonempty and strictly increasing")
     if reps < 2:
         raise ValueError("need at least two replications for standard errors")
-    sigma, _ = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
+    sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
     means, stderrs, oracle_risks, ratios = [], [], [], []
     naive_means, naive_stderrs, levels = [], [], []
     for n in n_grid:
@@ -424,7 +427,7 @@ def oracle_summary(
     master_seed: int,
 ) -> OracleSummary:
     """Risk profiles plus a realized resolution bound from one derived sample."""
-    sigma, _ = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
+    sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
     risk_values = _risk_scan(spec.phi, spec.t, sigma, n, risk_naive)
     penalized_values = _risk_scan(spec.phi, spec.t, sigma, n, risk_penalized)
     m0 = int(np.argmin(risk_values))

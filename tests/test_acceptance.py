@@ -55,7 +55,7 @@ def default_spec():
 
 @pytest.fixture(scope="module")
 def sigma_default(default_spec):
-    values, _ = sigma_sq_profile(default_spec, default_spec.phi.support + ORACLE_SCAN_BUFFER)
+    values = sigma_sq_profile(default_spec, default_spec.phi.support + ORACLE_SCAN_BUFFER)
     return values
 
 

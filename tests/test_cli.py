@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from ivadapt import RiskCurve, rate_fit
-from ivadapt.cli import CliError, emit_plot_data, load_config, main
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ivadapt import RiskCurve, cli, rate_fit
+from ivadapt.cli import STUDIES, CliError, emit_plot_data, load_config, main
 
 BASE_CONFIG = {
     "study": "simulate",
@@ -313,6 +316,15 @@ MISTYPED_COEFFS = [
 ]
 
 
+# 8 n bytes must fit numpy's array size (intp): above it numpy raises
+# ValueError before any allocation, so the bound is checked at load
+N_TOO_LARGE = [
+    (study, {"n_grid": [n]}, "n_grid", "at most")
+    for study in ("simulate", "estimate")
+    for n in (10**300, 2**62, 2**60)
+]
+
+
 @pytest.mark.parametrize(
     "study, overrides, field, reason",
     [(*case, "finite") for case in NON_FINITE_FLOATS]
@@ -322,7 +334,8 @@ MISTYPED_COEFFS = [
     + MISTYPED
     + UNBOUNDED_BRACKET
     + MISTYPED_FAMILY
-    + MISTYPED_COEFFS,
+    + MISTYPED_COEFFS
+    + N_TOO_LARGE,
 )
 def test_non_finite_floats_and_non_integer_counts_give_error_record(
     tmp_path, capsys, study, overrides, field, reason
@@ -376,6 +389,54 @@ def test_unwritable_output_dir(tmp_path, capsys):
     assert code == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert "error" in record
+
+
+def test_out_of_memory_gives_error_record(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "generate_sample", no_memory)
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "MemoryError"
+
+
+# one arm of counts that are valid up to past the n bound, so that many
+# draws get through every field to the study checks
+VALID_COUNTS = st.integers(min_value=1, max_value=2**64)
+JSON_COUNTS = st.one_of(
+    VALID_COUNTS,
+    st.integers(min_value=-(2**80), max_value=10**400),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 2.5, -0.5, 1e300, True, False, None, "10", ""]),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=2),
+)
+N_GRIDS = st.one_of(
+    st.lists(VALID_COUNTS, min_size=1, max_size=5, unique=True).map(sorted),
+    st.lists(JSON_COUNTS, min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    study=st.sampled_from(STUDIES),
+    n_grid=N_GRIDS,
+    reps=JSON_COUNTS,
+    master_seed=JSON_COUNTS,
+    jobs=JSON_COUNTS,
+    k_max=JSON_COUNTS,
+)
+def test_load_config_gives_a_config_or_a_cli_error(tmp_path, study, n_grid, reps, master_seed, jobs, k_max):
+    # k_support is left out: a large value allocates its coefficients at load
+    cfg = write_config(
+        tmp_path, n_grid=n_grid, reps=reps, master_seed=master_seed, jobs=jobs, **with_estimator(k_max=k_max)
+    )
+    try:
+        config, _ = load_config(cfg, study=study, out=str(tmp_path / "out"))
+    except CliError:
+        return
+    assert max(config.n_grid) * 8 <= np.iinfo(np.intp).max
 
 
 def test_seed_override_changes_outputs(tmp_path):

@@ -11,12 +11,13 @@ from ivadapt import (
     IvSample,
     apply_operator,
     eigenvalue_profile,
+    estimate_sigma_sq,
     generate_sample,
     sample_noise,
     sigma_sq_profile,
     true_eigenvalue,
 )
-from ivadapt import seeds
+from ivadapt import dgp, estimator, seeds
 
 NOISE_DRAWS = 400_000
 
@@ -155,22 +156,27 @@ def test_error_term_is_endogenous_for_regressor():
     assert abs(corr) > 0.05
 
 
+def _oracle_se(eta_sd, n_draws):
+    # for Y = eta Z, Var((Y psi_k)^2) = eta^4 (3 E psi_k^4 - 1) = 3.5 eta^4
+    return eta_sd**2 * math.sqrt(3.5 / n_draws)
+
+
 def test_sigma_oracle_unit_noise():
     spec = DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=1.0)
     for k in (1, 2, 3):
-        values, ses = sigma_sq_profile(spec, k, n_draws=200_000)
-        assert abs(values[k - 1] - 1.0) <= 3 * ses[k - 1]
+        values = sigma_sq_profile(spec, k, n_draws=200_000)
+        assert abs(values[k - 1] - 1.0) <= 3 * _oracle_se(1.0, 200_000)
 
 
 def test_sigma_oracle_quadratic_scaling():
     spec = DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=2.0)
-    values, ses = sigma_sq_profile(spec, 1, n_draws=200_000)
-    assert abs(values[0] - 4.0) <= 3 * ses[0]
+    values = sigma_sq_profile(spec, 1, n_draws=200_000)
+    assert abs(values[0] - 4.0) <= 3 * _oracle_se(2.0, 200_000)
 
 
 def test_sigma_oracle_noise_floor():
     spec = DgpSpec.default()
-    values, _ = sigma_sq_profile(spec, 10, n_draws=200_000)
+    values = sigma_sq_profile(spec, 10, n_draws=200_000)
     assert np.all(values >= spec.eta_sd**2 * (1 - 0.05))
 
 
@@ -178,8 +184,17 @@ def test_sigma_oracle_is_cached_and_deterministic():
     spec = DgpSpec.default()
     a = sigma_sq_profile(spec, 5, n_draws=100_000)
     b = sigma_sq_profile(spec, 5, n_draws=100_000)
-    assert a[0] is b[0]
-    assert np.array_equal(a[0], b[0])
+    assert a is b
+    assert not a.flags.writeable
+
+
+def test_sigma_oracle_is_the_estimators_sigma_sq_bitwise():
+    # 70,000 draws span two row blocks, and K = 19 cuts the second index block
+    spec = DgpSpec.default()
+    assert len(estimator._chunks(70_000)) == 2
+    sample = generate_sample(spec, 70_000, seed=seeds.sequence(dgp._ORACLE_SEED, "sigma-oracle"))
+    oracle = sigma_sq_profile(spec, 19, n_draws=70_000)
+    assert oracle.tobytes() == estimate_sigma_sq(sample, 19).tobytes()
 
 
 def test_model_conditions_up_to_k50():
@@ -189,7 +204,7 @@ def test_model_conditions_up_to_k50():
     ratio = eigenvalue_profile(50, spec.t) * np.arange(1, 51, dtype=np.float64) ** spec.t
     assert ratio.min() == pytest.approx(0.5)
     assert ratio.max() == pytest.approx(50 / 26)
-    sigma, _ = sigma_sq_profile(spec, 50, n_draws=200_000)
+    sigma = sigma_sq_profile(spec, 50, n_draws=200_000)
     assert 0.9 < sigma.min() <= sigma.max() < 1.1
 
 

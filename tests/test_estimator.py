@@ -28,8 +28,7 @@ from ivadapt import (
     true_eigenvalue,
 )
 from ivadapt import seeds
-from ivadapt.dgp import _chunks, _response_moments
-from ivadapt.estimator import _SCAN_BLOCK, _criterion_values
+from ivadapt.estimator import _chunks, _criterion_values
 
 ROOT2 = math.sqrt(2.0)
 
@@ -133,33 +132,12 @@ def test_response_moments_across_the_chunk_boundary():
 
 
 @pytest.mark.parametrize("K", [1, 16, 100])
-def test_response_moments_straddle_row_blocks(K):
-    rows = _chunks(1 << 21, K)[0].stop
-    n = rows + rows // 2 + 1
-    assert len(_chunks(n, K)) == 2
-    sample = generate_sample(DgpSpec.default(), n, seed=31)
-    k = np.arange(1, K + 1)
-    arg = 2 * np.pi * np.multiply.outer(sample.w, (k + 1) // 2)
-    z = sample.y[:, None] * ROOT2 * np.where(k % 2 == 1, np.cos(arg), np.sin(arg))
-    mean = z.mean(axis=0)
-    dev = z - mean
-    reference = (mean, (dev**2).mean(axis=0), (dev**4).mean(axis=0))
-    # relative to the mean size of each moment's summands: a mean near
-    # zero cancels, so rtol alone would demand more than rounding gives
-    scale = (np.abs(z).mean(axis=0), reference[1], reference[2])
-    got = _response_moments(sample, K)
-    assert len(got) == 3
-    for value, ref, size in zip(got, reference, scale):
-        assert np.all(np.abs(value - ref) <= 1e-12 * size)
-
-
-@pytest.mark.parametrize("K", [1, 16, 100])
 def test_block_moments_straddle_row_blocks(K):
     # r_hat and sigma_sq_hat come from the scan's blocks, whose row
-    # blocks are sized for _SCAN_BLOCK columns whatever K is
-    rows = _chunks(1 << 21, _SCAN_BLOCK)[0].stop
+    # blocks do not depend on K
+    rows = _chunks(1 << 21)[0].stop
     n = rows + rows // 2 + 1
-    assert len(_chunks(n, _SCAN_BLOCK)) == 2
+    assert len(_chunks(n)) == 2
     sample = generate_sample(DgpSpec.default(), n, seed=31)
     r_hat = estimate_r_coeffs(sample, K)
     sigma_sq_hat = estimate_sigma_sq(sample, K)
@@ -169,7 +147,8 @@ def test_block_moments_straddle_row_blocks(K):
         z = sample.y * ROOT2 * trig(2 * np.pi * ((k + 1) // 2) * sample.w)
         mean = z.mean()
         var = ((z - mean) ** 2).mean()
-        # the same tolerances as the order-4 moments above
+        # relative to the mean size of the summands: a mean near zero
+        # cancels, so rtol alone would demand more than rounding gives
         assert abs(r_hat[k - 1] - mean) <= 1e-12 * np.abs(z).mean()
         assert abs(sigma_sq_hat[k - 1] - var) <= 1e-12 * var
 
@@ -182,7 +161,7 @@ def test_standalone_estimates_equal_the_scan_bitwise(n, k_max):
     if k_max == 19:
         # the cap cuts the scan's second block short, over two row blocks
         assert report.cap_reached and report.resolution == 19
-        assert len(_chunks(n, _SCAN_BLOCK)) == 2
+        assert len(_chunks(n)) == 2
     K = report.resolution
     assert estimate_sigma_sq(sample, K).tobytes() == report.sigma_sq_hat.tobytes()
     assert estimate_r_coeffs(sample, K).tobytes() == report.r_hat.tobytes()

@@ -30,7 +30,7 @@ from ivadapt import (
     truncation_remainder,
     true_eigenvalue,
 )
-from ivadapt.risk import _clopper_pearson
+from ivadapt.risk import _clopper_pearson, _map_payloads
 
 ONES = np.ones(600)
 
@@ -171,6 +171,43 @@ def test_mc_risk_matches_parallel_execution():
     assert np.array_equal(seq.adaptive_loss, par.adaptive_loss)
     assert np.array_equal(seq.naive_loss, par.naive_loss)
     assert np.array_equal(seq.m_selected, par.m_selected)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        self.chunksize = chunksize
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, payloads, cores, workers",
+    [(100_000, 5, 8, 5), (3, 10, 8, 3), (100_000, 10, 4, 4), (4, 1, 8, None), (100_000, 10, None, None)],
+)
+def test_map_payloads_clamps_workers(monkeypatch, jobs, payloads, cores, workers):
+    # never starts a real pool: jobs this large would fork that many processes
+    import concurrent.futures
+
+    _RecordingPool.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert _map_payloads(abs, list(range(-payloads, 0)), jobs) == list(range(payloads, 0, -1))
+    assert [pool.max_workers for pool in _RecordingPool.made] == ([] if workers is None else [workers])
+    if workers is not None:
+        assert _RecordingPool.made[0].chunksize == max(1, payloads // (workers * 4))
 
 
 def test_mc_risk_stderr_scales_with_replications():

@@ -13,7 +13,6 @@ import pytest
 import ivadapt
 import ivadapt.cli  # noqa: F401  (the tracer rebinds names in the CLI module too)
 from ivadapt import DgpSpec, dgp, estimator, generate_sample
-from ivadapt.dgp import _chunks
 
 IVBENCH = Path(__file__).resolve().parents[1] / "ivbench"
 
@@ -28,7 +27,7 @@ def test_every_traced_name_exists(monkeypatch):
     assert missing == []
 
 
-@pytest.mark.parametrize("n", [200, 5000, _chunks(1 << 21, estimator._SCAN_BLOCK)[0].stop + 1])
+@pytest.mark.parametrize("n", [200, 5000, estimator._chunks(1 << 21)[0].stop + 1])
 def test_scan_requests_two_n_cells_per_scanned_index(monkeypatch, n):
     cells = []
     basis_matrix = estimator.basis_matrix
@@ -61,7 +60,7 @@ def _count_cells(monkeypatch):
     return cells
 
 
-@pytest.mark.parametrize("n", [200, 5000, _chunks(1 << 21, estimator._SCAN_BLOCK)[0].stop + 1])
+@pytest.mark.parametrize("n", [200, 5000, estimator._chunks(1 << 21)[0].stop + 1])
 def test_estimate_requests_only_the_scan_cells(monkeypatch, n):
     # the moments come from the scan's blocks: no second pass builds psi_k(W)
     cells = _count_cells(monkeypatch)
