@@ -14,18 +14,8 @@ from pathlib import Path
 from ivadapt.cli import main as cli_main
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="results/coverage_study", help="output directory")
-    parser.add_argument("--reps", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=20240906)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument(
-        "--n", type=int, nargs="+", default=[10**3, 10**4], help="sample sizes to test"
-    )
-    args = parser.parse_args()
-
-    config = {
+def build_config(args) -> dict:
+    return {
         "study": "coverage-study",
         "dgp": {
             "t": 1.0,
@@ -39,10 +29,23 @@ def main() -> int:
         "master_seed": args.seed,
         "jobs": args.jobs,
     }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="results/coverage_study", help="output directory")
+    parser.add_argument("--reps", type=int, default=500)
+    parser.add_argument("--seed", type=int, default=20240906)
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument(
+        "--n", type=int, nargs="+", default=[10**3, 10**4], help="sample sizes to test"
+    )
+    args = parser.parse_args()
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "config.json"
-    cfg_path.write_text(json.dumps(config, indent=2))
+    cfg_path.write_text(json.dumps(build_config(args), indent=2))
     code = cli_main(["coverage-study", "--config", str(cfg_path), "--out", str(out)])
     if code != 0:
         return code

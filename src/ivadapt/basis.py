@@ -10,14 +10,12 @@ has mean zero on [0, 1] and the index k is in bijection with
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SUP_NORM_BOUND",
     "CoefficientVector",
     "FunctionFamilySpec",
     "basis_matrix",
@@ -26,9 +24,6 @@ __all__ = [
     "parseval_sq_distance",
     "synthesize",
 ]
-
-#: Uniform bound achieved by every basis function: sup |e_k| = sqrt(2).
-SUP_NORM_BOUND = math.sqrt(2.0)
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
@@ -145,23 +140,11 @@ class CoefficientVector:
         """Largest stored index (coefficients beyond it are zero)."""
         return int(self.coeffs.size)
 
-    def coeff(self, k: int) -> float:
-        """Coefficient at 1-based index k, zero beyond the support."""
-        if k < 1:
-            raise ValueError("basis index must satisfy k >= 1")
-        return float(self.coeffs[k - 1]) if k <= self.support else 0.0
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.coeffs**2))
-
     def padded(self, size: int) -> np.ndarray:
         """Writable copy of the coefficients, zero-padded to >= size."""
         out = np.zeros(max(int(size), self.support))
         out[: self.support] = self.coeffs
         return out
-
-    def scaled(self, c: float) -> "CoefficientVector":
-        return CoefficientVector(float(c) * self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientVector):
@@ -169,23 +152,6 @@ class CoefficientVector:
         return self.coeffs.shape == other.coeffs.shape and bool(
             np.all(self.coeffs == other.coeffs)
         )
-
-    def __hash__(self):
-        return hash((self.coeffs.size, self.coeffs.tobytes()))
-
-    def to_json_dict(self) -> dict:
-        return {"coeffs": [float(c) for c in self.coeffs]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "CoefficientVector":
-        return cls(np.asarray(payload["coeffs"], dtype=np.float64))
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoefficientVector":
-        return cls.from_json_dict(json.loads(text))
 
 
 def synthesize(f: CoefficientVector, x):

@@ -82,6 +82,12 @@ class ExperimentConfig:
                     "rate-study needs dgp.phi given as a sobolev family so the smoothness s is known",
                     field="dgp.phi",
                 )
+        phi_zero = not np.any(self.dgp.phi.coeffs)
+        if phi_zero and self.study in ("risk-curve", "rate-study"):
+            raise CliError(f"{self.study} needs a nonzero phi: its oracle risk is 0 at m = 0", field="dgp.phi")
+        carrier_zero = self.dgp.a == 0 or not np.any(self.dgp.g.coeffs)
+        if self.study == "oracle-study" and phi_zero and self.dgp.eta_sd == 0 and carrier_zero:
+            raise CliError("oracle-study needs a response that is not identically zero", field="dgp")
         if self.study in ("coverage-study", "oracle-study"):
             for n in self.n_grid:
                 try:
@@ -97,19 +103,11 @@ class ExperimentConfig:
     def to_json_dict(self, run_params: bool = True) -> dict:
         """Config echo; run_params=False drops the fields (output_dir,
         jobs) that may vary between byte-identical runs."""
-        payload = {
-            "study": self.study,
-            "dgp": self.dgp.to_json_dict(),
-            "estimator": to_plain(self.estimator),
-            "n_grid": list(self.n_grid),
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-        }
-        if run_params:
-            payload["output_dir"] = self.output_dir
-            payload["jobs"] = self.jobs
-        if self.phi_family is not None:
-            payload["phi_family"] = to_plain(self.phi_family)
+        payload = to_plain(self)
+        if not run_params:
+            del payload["output_dir"], payload["jobs"]
+        if self.phi_family is None:
+            del payload["phi_family"]
         return payload
 
 

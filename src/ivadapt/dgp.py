@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .serialize import write_csv
 __all__ = [
     "DgpSpec",
     "IvSample",
-    "apply_operator",
     "eigenvalue_profile",
     "generate_sample",
     "sample_noise",
@@ -82,11 +80,6 @@ def sample_noise(t: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return (theta / _TWO_PI) % 1.0
 
 
-def apply_operator(f: CoefficientVector, t: float) -> CoefficientVector:
-    """Coefficient-wise image under the operator: (Tf)[k] = lambda_k f[k]."""
-    return CoefficientVector(eigenvalue_profile(f.support, t) * f.coeffs)
-
-
 @dataclass(frozen=True)
 class DgpSpec:
     """Full description of the simulated joint law of (Y, X, W).
@@ -129,25 +122,6 @@ class DgpSpec:
             self.g.coeffs.tobytes(),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": float(self.t),
-            "a": float(self.a),
-            "eta_sd": float(self.eta_sd),
-            "phi": self.phi.to_json_dict(),
-            "g": self.g.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "DgpSpec":
-        return cls(
-            t=float(payload["t"]),
-            a=float(payload["a"]),
-            eta_sd=float(payload["eta_sd"]),
-            phi=CoefficientVector.from_json_dict(payload["phi"]),
-            g=CoefficientVector.from_json_dict(payload["g"]),
-        )
-
 
 @dataclass(frozen=True)
 class IvSample:
@@ -181,14 +155,6 @@ class IvSample:
     def to_csv(self, path) -> None:
         write_csv(path, {"y": self.y, "x": self.x, "w": self.w})
 
-    @classmethod
-    def from_csv(cls, path) -> "IvSample":
-        text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-        if not text or text[0] != "y,x,w":
-            raise ValueError("sample CSV must start with header 'y,x,w'")
-        data = np.array([[float(c) for c in line.split(",")] for line in text[1:]])
-        return cls(y=data[:, 0], x=data[:, 1], w=data[:, 2])
-
 
 def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
     """Exact draw of n observation triples; deterministic given the seed."""
@@ -201,7 +167,8 @@ def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
     x = (w + eps) % 1.0
     size = max(spec.phi.support, spec.g.support)
     h = CoefficientVector(spec.phi.padded(size) + spec.a * spec.g.padded(size))
-    y = synthesize(h, x) - spec.a * synthesize(apply_operator(spec.g, spec.t), w) + spec.eta_sd * z
+    tg = CoefficientVector(eigenvalue_profile(spec.g.support, spec.t) * spec.g.coeffs)
+    y = synthesize(h, x) - spec.a * synthesize(tg, w) + spec.eta_sd * z
     return IvSample(y=y, x=x, w=w)
 
 

@@ -265,6 +265,8 @@ def penalized_criterion(
     config = config or EstimatorConfig()
     if m < 0:
         raise ValueError("truncation level m must be nonnegative")
+    if m > min(np.size(a) for a in (r_hat, lambda_hat, sigma_sq_hat)):
+        raise ValueError("truncation level m exceeds the available coefficients")
     weight = math.log(n) ** config.penalty_log_exponent / n
     return float(_criterion_values(r_hat, lambda_hat, sigma_sq_hat, weight, m)[m])
 
@@ -307,19 +309,7 @@ class EstimateReport:
         return self.m_selected == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "resolution": self.resolution,
-            "r_hat": to_plain(self.r_hat),
-            "lambda_hat": to_plain(self.lambda_hat),
-            "sigma_sq_hat": to_plain(self.sigma_sq_hat),
-            "criterion": to_plain(self.criterion),
-            "m_selected": self.m_selected,
-            "phi_hat": self.phi_hat.to_json_dict(),
-            "empty_model": self.empty_model,
-            "cap_reached": self.cap_reached,
-            "config": to_plain(self.config),
-        }
+        return {**to_plain(self), "empty_model": self.empty_model}
 
     def write_phi_csv(self, path) -> None:
         coeffs = self.phi_hat.coeffs

@@ -316,6 +316,18 @@ MISTYPED_COEFFS = [
 ]
 
 
+# a zero phi makes the oracle risk 0 at m = 0, which the ratio divides
+# by; with no noise and no endogeneity the whole risk curve is 0
+ZERO_PHI = {"coeffs": [0.0]}
+ZERO_RESPONSE = [
+    ("risk-curve", with_dgp(phi=ZERO_PHI), "dgp.phi", "nonzero phi"),
+    ("risk-curve", with_dgp(phi=ZERO_PHI, eta_sd=0.0, a=0.0), "dgp.phi", "nonzero phi"),
+    ("rate-study", {**with_phi(amplitude=0), "n_grid": [100, 300, 1000, 3000]}, "dgp.phi", "nonzero phi"),
+    ("oracle-study", with_dgp(phi=ZERO_PHI, eta_sd=0.0, a=0.0), "dgp", "identically zero"),
+    ("oracle-study", with_dgp(phi=ZERO_PHI, eta_sd=0.0, g={"coeffs": [0.0, 0.0]}), "dgp", "identically zero"),
+]
+
+
 # 8 n bytes must fit numpy's array size (intp): above it numpy raises
 # ValueError before any allocation, so the bound is checked at load
 N_TOO_LARGE = [
@@ -335,7 +347,8 @@ N_TOO_LARGE = [
     + UNBOUNDED_BRACKET
     + MISTYPED_FAMILY
     + MISTYPED_COEFFS
-    + N_TOO_LARGE,
+    + N_TOO_LARGE
+    + ZERO_RESPONSE,
 )
 def test_non_finite_floats_and_non_integer_counts_give_error_record(
     tmp_path, capsys, study, overrides, field, reason
@@ -348,6 +361,55 @@ def test_non_finite_floats_and_non_integer_counts_give_error_record(
     record = json.loads(lines[0])
     assert record["field"] == field and reason in record["error"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "study, dgp",
+    [
+        ("oracle-study", {"phi": ZERO_PHI}),
+        ("oracle-study", {"phi": ZERO_PHI, "eta_sd": 0.0}),
+        ("coverage-study", {"phi": ZERO_PHI, "eta_sd": 0.0, "a": 0.0}),
+        ("estimate", {"phi": ZERO_PHI, "eta_sd": 0.0, "a": 0.0}),
+    ],
+)
+def test_zero_phi_is_accepted_where_no_risk_is_divided_by(tmp_path, study, dgp):
+    cfg = write_config(tmp_path, n_grid=[1000], **with_dgp(**dgp))
+    config, _ = load_config(cfg, study=study, out=str(tmp_path / "out"))
+    assert not config.dgp.phi.coeffs.any()
+
+
+CONFIG_KEYS = {"study", "dgp", "estimator", "n_grid", "reps", "master_seed"}
+
+
+@pytest.mark.parametrize("phi, extra", [(None, {"phi_family"}), ({"coeffs": [0.5, 0.2]}, set())])
+def test_config_echo_key_sets(tmp_path, phi, extra):
+    dgp = {} if phi is None else with_dgp(phi=phi)
+    cfg = write_config(tmp_path, n_grid=[64], **dgp)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    echo = json.loads((out / "results.json").read_text())["config"]
+    assert set(echo) == CONFIG_KEYS | extra
+    assert set(echo["dgp"]) == {"t", "a", "eta_sd", "phi", "g"}
+    assert set(echo["dgp"]["phi"]) == set(echo["dgp"]["g"]) == {"coeffs"}
+    assert set(echo["estimator"]) == {"k_max", "penalty_log_exponent", "allow_empty_model"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["config"]) == CONFIG_KEYS | extra | {"output_dir", "jobs"}
+    if extra:
+        assert set(echo["phi_family"]) == {"kind", "k_support", "amplitude", "s", "q", "gamma", "t_exp"}
+
+
+def test_estimate_report_key_set(tmp_path):
+    cfg = write_config(tmp_path, n_grid=[512])
+    out = tmp_path / "run"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "estimate_report.json").read_text())
+    assert set(report) == {
+        "n", "resolution", "r_hat", "lambda_hat", "sigma_sq_hat", "criterion", "m_selected",
+        "phi_hat", "empty_model", "cap_reached", "config",
+    }
+    assert set(report["phi_hat"]) == {"coeffs"}
+    assert report["empty_model"] == (report["m_selected"] == 0)
+    assert set(report["config"]) == {"k_max", "penalty_log_exponent", "allow_empty_model"}
 
 
 def test_family_fields_are_read_as_floats(tmp_path):

@@ -5,11 +5,9 @@ import pytest
 
 from conftest import binned_means, cross_moment_stats
 from ivadapt import (
-    SUP_NORM_BOUND,
     CoefficientVector,
     DgpSpec,
     IvSample,
-    apply_operator,
     eigenvalue_profile,
     estimate_sigma_sq,
     generate_sample,
@@ -84,15 +82,6 @@ def test_noise_higher_frequency_moments():
         c = np.cos(2 * np.pi * j * eps)
         se = c.std(ddof=1) / math.sqrt(NOISE_DRAWS)
         assert abs(c.mean() - (1.0 + j) ** -1.5) <= 4 * se
-
-
-def test_apply_operator():
-    assert apply_operator(CoefficientVector.zero(), 1.0) == CoefficientVector.zero()
-    out = apply_operator(CoefficientVector([1.0, 0.0, 0.0]), 1.0)
-    assert np.allclose(out.coeffs, [0.5, 0.0, 0.0])
-    f = CoefficientVector([0.7, -0.3, 0.2])
-    near_identity = apply_operator(f, 1e-9)
-    assert np.allclose(near_identity.coeffs, f.coeffs, atol=1e-6)
 
 
 def test_generate_sample_degenerate_is_exactly_zero():
@@ -199,19 +188,12 @@ def test_sigma_oracle_is_the_estimators_sigma_sq_bitwise():
 
 def test_model_conditions_up_to_k50():
     spec = DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=1.0)
-    assert SUP_NORM_BOUND == pytest.approx(math.sqrt(2.0))
     # lambda_k k^t over k <= 50 runs from 1/2 (k=1) up to 50/26
     ratio = eigenvalue_profile(50, spec.t) * np.arange(1, 51, dtype=np.float64) ** spec.t
     assert ratio.min() == pytest.approx(0.5)
     assert ratio.max() == pytest.approx(50 / 26)
     sigma = sigma_sq_profile(spec, 50, n_draws=200_000)
     assert 0.9 < sigma.min() <= sigma.max() < 1.1
-
-
-def test_dgp_spec_json_roundtrip():
-    spec = DgpSpec.default()
-    again = DgpSpec.from_json_dict(spec.to_json_dict())
-    assert again == spec
 
 
 def test_dgp_spec_validation():
@@ -229,7 +211,6 @@ def test_iv_sample_validation_and_csv_roundtrip(tmp_path):
     sample = generate_sample(DgpSpec.default(), 64, seed=3)
     path = tmp_path / "sample.csv"
     sample.to_csv(path)
-    again = IvSample.from_csv(path)
-    assert np.array_equal(sample.y, again.y)
-    assert np.array_equal(sample.x, again.x)
-    assert np.array_equal(sample.w, again.w)
+    assert path.read_text().startswith("y,x,w\n")
+    again = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(again, np.column_stack([sample.y, sample.x, sample.w]))

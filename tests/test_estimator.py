@@ -12,7 +12,6 @@ from ivadapt import (
     EstimatorConfig,
     IvSample,
     adaptive_estimate,
-    apply_operator,
     deterministic_resolution_bounds,
     eigenvalue_profile,
     estimate_eigenvalues,
@@ -270,6 +269,10 @@ def test_penalized_criterion_values():
     got = penalized_criterion([0.3], [0.5], [1.0], 1, 100, config)
     expected = -4.0 * 0.09 + (math.log(100) ** 2 / 100) * 4.0
     assert got == pytest.approx(expected, abs=1e-12)
+    with pytest.raises(ValueError, match="exceeds the available coefficients"):
+        penalized_criterion([1.0, 2.0], [1.0, 1.0], [1.0, 1.0], 5, 100)
+    with pytest.raises(ValueError, match="exceeds the available coefficients"):
+        penalized_criterion([1.0, 2.0], [1.0, 1.0], [1.0], 2, 100)
 
 
 def test_criterion_telescoping_increment():
@@ -445,7 +448,7 @@ def test_r_coeffs_unbiased_across_replications():
     )
     reps, n = 10_000, 200
     sample = generate_sample(spec, reps * n, seed=18)
-    targets = apply_operator(spec.phi, spec.t).coeffs
+    targets = eigenvalue_profile(spec.phi.support, spec.t) * spec.phi.coeffs
     for k in (1, 2, 3):
         j = (k + 1) // 2
         trig = np.cos if k % 2 else np.sin

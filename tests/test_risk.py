@@ -57,7 +57,7 @@ def test_risk_naive_telescoping():
     for m in range(1, 15):
         delta = risk_naive(phi, 1.0, sig, n, m) - risk_naive(phi, 1.0, sig, n, m - 1)
         lam = true_eigenvalue(m, 1.0)
-        expected = -phi.coeff(m) ** 2 + sig[m - 1] / lam**2 / n
+        expected = -phi.padded(m)[m - 1] ** 2 + sig[m - 1] / lam**2 / n
         assert delta == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
@@ -129,7 +129,7 @@ def test_truncation_remainder_positive_case():
     expected = 0.0
     for k in range(max(lower, 1), m0 + 1):
         lam = true_eigenvalue(k, 1.0)
-        expected += phi.coeff(k) ** 2 + 1.0 / lam**2 / n
+        expected += phi.padded(k)[k - 1] ** 2 + 1.0 / lam**2 / n
     assert got == pytest.approx(expected, rel=1e-12)
     assert got > 0
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ivadapt.serialize import write_csv
+from ivadapt import CoefficientVector, DgpSpec
+from ivadapt.serialize import to_plain, write_csv
 
 FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2]
 
@@ -35,3 +36,23 @@ def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(path, {"a": [1.0], "b": ["x", "y"]})
     assert not path.exists()
+
+
+def test_to_plain_encodes_a_dgp_spec_as_plain_floats():
+    spec = DgpSpec(
+        t=1.5,
+        phi=CoefficientVector(np.array([0.25, -0.0, 3.0])),
+        g=CoefficientVector([np.float64(1.0)]),
+        a=0.5,
+        eta_sd=0.0,
+    )
+    plain = to_plain(spec)
+    assert plain == {
+        "t": 1.5,
+        "a": 0.5,
+        "eta_sd": 0.0,
+        "phi": {"coeffs": [0.25, -0.0, 3.0]},
+        "g": {"coeffs": [1.0]},
+    }
+    assert all(type(v) is float for v in plain["phi"]["coeffs"] + plain["g"]["coeffs"])
+    assert math.copysign(1.0, plain["phi"]["coeffs"][1]) == -1.0

@@ -1,0 +1,71 @@
+"""The configs the repo ships load, and the public names stay as listed."""
+
+import argparse
+import importlib.util
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+import ivadapt
+from ivadapt.cli import load_config
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def readme_config():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", text, flags=re.DOTALL)
+    assert len(blocks) == 1
+    return json.loads(blocks[0])
+
+
+def shipped_configs():
+    # each script's documented defaults
+    rate = argparse.Namespace(reps=200, seed=20240901, jobs=1, min_exp=9, max_exp=15)
+    coverage = argparse.Namespace(reps=500, seed=20240906, jobs=1, n=[10**3, 10**4])
+    return {
+        "README": readme_config(),
+        "run_rate_study": load_script("run_rate_study").build_config(rate),
+        "run_coverage_study": load_script("run_coverage_study").build_config(coverage),
+    }
+
+
+@pytest.mark.parametrize("name", ["README", "run_rate_study", "run_coverage_study"])
+def test_shipped_configs_load(tmp_path, name):
+    raw = shipped_configs()[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    config, _ = load_config(path, out=str(tmp_path / "out"), jobs=1)
+    assert config.study == raw["study"]
+    assert list(config.n_grid) == raw["n_grid"]
+    assert config.reps == raw["reps"]
+
+
+PUBLIC_NAMES = [
+    "CoefficientVector", "CoverageResult", "DegenerateFitError", "DegenerateSampleError",
+    "DgpSpec", "EstimateReport", "EstimatorConfig", "FunctionFamilySpec", "IvSample",
+    "ORACLE_SCAN_BUFFER", "OracleRatioResult", "OracleSummary", "RateFit", "ReplicationBatch",
+    "RiskCurve", "__version__", "adaptive_estimate", "basis_matrix", "coverage_study",
+    "deterministic_resolution_bounds", "eigenvalue_profile", "estimate_eigenvalues",
+    "estimate_r_coeffs", "estimate_resolution", "estimate_sigma_sq", "frequency",
+    "generate_sample", "make_test_function", "min_penalized_risk", "naive_estimator",
+    "oracle_level", "oracle_ratio_study", "oracle_summary", "parseval_sq_distance",
+    "penalized_criterion", "rate_fit", "replication_losses", "restricted_oracle_level",
+    "risk_naive", "risk_penalized", "sample_noise", "select_level", "select_resolution",
+    "sigma_sq_profile", "synthesize", "thresholded_estimator", "true_eigenvalue",
+    "truncation_remainder",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 48
+    assert sorted(ivadapt.__all__) == PUBLIC_NAMES
