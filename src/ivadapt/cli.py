@@ -29,16 +29,6 @@ from .serialize import to_plain, write_csv, write_json
 
 __all__ = ["STUDIES", "CliError", "ExperimentConfig", "emit_plot_data", "load_config", "main", "run"]
 
-STUDIES = (
-    "simulate",
-    "estimate",
-    "risk-curve",
-    "rate-study",
-    "coverage-study",
-    "oracle-study",
-)
-
-
 class CliError(Exception):
     """Configuration or dispatch failure with a machine-readable payload."""
 
@@ -111,59 +101,92 @@ class ExperimentConfig:
         return payload
 
 
-def _reject_unknown_keys(node, allowed, label):
-    if not isinstance(node, dict):
-        raise CliError(f"{label} must be an object", field=label)
-    unknown = sorted(set(node) - set(allowed))
-    if unknown:
-        raise CliError(f"unknown {label} keys: {', '.join(unknown)}", field=label)
+# A field's kind is int, float (a finite number), bool or str, a one-kind
+# tuple for a JSON list of that kind, or a nested table for a nested object.
+_KIND_NAMES = {
+    int: "an integer",
+    float: "a number",
+    bool: "a JSON boolean",
+    str: "a string",
+    (int,): "a list of integers",
+    (float,): "a list of numbers",
+}
+_FUNCTION = {
+    "coeffs": (float,),
+    "family": str,
+    **dict.fromkeys(("s", "q", "gamma", "t_exp", "amplitude"), float),
+    "k_support": int,
+}
+_SCHEMA = {
+    "study": str,
+    "dgp": {"t": float, "a": float, "eta_sd": float, "phi": _FUNCTION, "g": _FUNCTION},
+    "estimator": {"k_max": int, "penalty_log_exponent": float, "allow_empty_model": bool},
+    "n_grid": (int,),
+    "reps": int,
+    "master_seed": int,
+    "output_dir": str,
+    "jobs": int,
+}
 
 
-def _integer(value, field, name=None):
-    """An int from a JSON number; booleans, strings and fractions are rejected."""
-    if isinstance(value, float) and value.is_integer():
+def _value(kind, value):
+    """A JSON value read as kind; TypeError if it is of another JSON kind.
+
+    An integral float such as 1e4 is taken as an int.  ValueError for a
+    number no float field takes: NaN, an infinity, or beyond float range.
+    """
+    if isinstance(kind, tuple):
+        if type(value) is not list:
+            raise TypeError
+        return [_value(kind[0], v) for v in value]
+    if kind is int and type(value) is float and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CliError(f"{name or field} must be an integer, got {value!r}", field=field)
+    if kind is float and type(value) in (int, float):
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError("must be finite and within float range")
+        return float(value)
+    if type(value) is not kind:
+        raise TypeError
     return value
 
 
-def _real(value, name):
-    """A float from a JSON number or numeric string; booleans are rejected."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ValueError(f"{name} is out of range: {value!r}") from exc
+def _read(node, schema, label):
+    """The keys a JSON object gives, read by their kinds; a type error names the dotted field."""
+    if not isinstance(node, dict):
+        raise CliError(f"{label} must be an object", field=label)
+    unknown = sorted(set(node) - set(schema))
+    if unknown:
+        raise CliError(f"unknown {label} keys: {', '.join(unknown)}", field=label)
+    fields = {}
+    for key, value in node.items():
+        field = key if label == "config" else f"{label}.{key}"
+        kind = schema[key]
+        try:
+            fields[key] = _read(value, kind, field) if isinstance(kind, dict) else _value(kind, value)
+        except TypeError:
+            raise CliError(f"{field} must be {_KIND_NAMES[kind]}, got {value!r}", field=field) from None
+        except ValueError as exc:
+            raise CliError(f"{field} {exc}, got {value!r}", field=field) from None
+    return fields
 
 
-def _coefficient_node(node, label):
-    _reject_unknown_keys(
-        node, ("coeffs", "family", "s", "q", "gamma", "t_exp", "amplitude", "k_support"), label
-    )
-    if "coeffs" not in node and "family" not in node:
-        raise CliError(f"{label} must provide 'coeffs' or 'family'", field=label)
+def _build(make, label, **fields):
+    """make(**fields); a range error names label, the object that owns the rule."""
     try:
-        if "coeffs" in node:
-            coeffs = node["coeffs"]
-            if not isinstance(coeffs, list) or not all(type(c) in (int, float) for c in coeffs):
-                raise TypeError(f"{label}.coeffs must be a list of numbers, got {coeffs!r}")
-            return CoefficientVector(np.asarray(coeffs, dtype=np.float64)), None
-        given = {
-            name: _real(node[name], name)
-            for name in ("s", "q", "gamma", "t_exp")
-            if node.get(name) is not None
-        }
-        family = FunctionFamilySpec(
-            kind=str(node["family"]),
-            k_support=_integer(node.get("k_support", 50), label, "k_support"),
-            amplitude=_real(node.get("amplitude", 1.0), "amplitude"),
-            **given,
-        )
-        return make_test_function(family), family
-    except (TypeError, ValueError, OverflowError) as exc:
+        return make(**fields)
+    except ValueError as exc:
         raise CliError(str(exc), field=label) from exc
+
+
+def _function(fields, label):
+    """(coefficients, family or None) of dgp.phi or dgp.g."""
+    if set(fields) == {"coeffs"}:
+        return CoefficientVector(fields["coeffs"]), None
+    if "family" not in fields or "coeffs" in fields:
+        raise CliError(f"{label} takes exactly one of coeffs and family (with its parameters)", field=label)
+    params = {"k_support": 50, **fields}
+    family = FunctionFamilySpec(kind=params.pop("family"), **params)
+    return _build(make_test_function, label, spec=family), family
 
 
 def load_config(path, study=None, seed=None, out=None, jobs=None):
@@ -177,96 +200,42 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise CliError(f"config file not found: {path}", field="config") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer longer than int() reads
         raise CliError(f"config file is not valid JSON: {exc}", field="config") from exc
-    if not isinstance(raw, dict):
-        raise CliError("config must be a JSON object", field="config")
+    fields = _read(raw, _SCHEMA, "config")
+    if study is not None and fields.get("study", study) != study:
+        adjustments.append(f"study overridden by subcommand: {fields['study']!r} -> {study!r}")
+    if seed is not None and fields.get("master_seed", seed) != seed:
+        adjustments.append(f"master_seed overridden: {fields['master_seed']} -> {seed}")
+    overrides = {"study": study, "master_seed": seed, "output_dir": out, "jobs": jobs}
+    fields.update((key, value) for key, value in overrides.items() if value is not None)
+    if "jobs" not in fields:
+        fields["jobs"] = os.cpu_count() or 1
+        adjustments.append(f"jobs defaulted to available cores: {fields['jobs']}")
+    for key, message in (
+        ("study", "config must name a study (or use a subcommand)"),
+        ("dgp", "config must provide a 'dgp' object"),
+        ("output_dir", "an output directory is required (config output_dir or --out)"),
+        ("master_seed", "a master seed is required (config master_seed or --seed)"),
+    ):
+        if key not in fields:
+            raise CliError(message, field=key)
 
-    cfg_study = raw.get("study")
-    if study is not None:
-        if cfg_study is not None and cfg_study != study:
-            adjustments.append(f"study overridden by subcommand: {cfg_study!r} -> {study!r}")
-        cfg_study = study
-    if cfg_study is None:
-        raise CliError("config must name a study (or use a subcommand)", field="study")
-
-    _reject_unknown_keys(
-        raw,
-        ("study", "dgp", "estimator", "n_grid", "reps", "master_seed", "output_dir", "jobs"),
-        "config",
+    dgp_fields = fields["dgp"]
+    phi, phi_family = _function(dgp_fields.pop("phi", {}), "dgp.phi")
+    g, _ = _function(dgp_fields.pop("g", {}), "dgp.g")
+    config = ExperimentConfig(
+        study=fields["study"],
+        # DgpSpec holds no defaults; EstimatorConfig holds its own
+        dgp=_build(DgpSpec, "dgp", phi=phi, g=g, **{"t": 1.0, "a": 0.0, "eta_sd": 0.5, **dgp_fields}),
+        estimator=_build(EstimatorConfig, "estimator", **fields.get("estimator", {})),
+        n_grid=tuple(fields.get("n_grid", ())),
+        reps=fields.get("reps", 1),
+        master_seed=fields["master_seed"],
+        output_dir=str(fields["output_dir"]),
+        jobs=fields["jobs"],
+        phi_family=phi_family,
     )
-    dgp_node = raw.get("dgp")
-    if not isinstance(dgp_node, dict):
-        raise CliError("config must provide a 'dgp' object", field="dgp")
-    _reject_unknown_keys(dgp_node, ("t", "a", "eta_sd", "phi", "g"), "dgp")
-    phi, phi_family = _coefficient_node(dgp_node.get("phi", {}), "dgp.phi")
-    g, _ = _coefficient_node(dgp_node.get("g", {}), "dgp.g")
-    try:
-        dgp = DgpSpec(
-            t=_real(dgp_node.get("t", 1.0), "t"),
-            phi=phi,
-            g=g,
-            a=_real(dgp_node.get("a", 0.0), "a"),
-            eta_sd=_real(dgp_node.get("eta_sd", 0.5), "eta_sd"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc), field="dgp") from exc
-
-    est_node = raw.get("estimator", {})
-    _reject_unknown_keys(
-        est_node,
-        ("k_max", "penalty_log_exponent", "allow_empty_model"),
-        "estimator",
-    )
-    allow_empty = est_node.get("allow_empty_model", True)
-    if not isinstance(allow_empty, bool):
-        raise CliError(
-            f"estimator.allow_empty_model must be a JSON boolean, got {allow_empty!r}",
-            field="estimator.allow_empty_model",
-        )
-    try:
-        estimator = EstimatorConfig(
-            k_max=_integer(est_node.get("k_max", 10**6), "estimator.k_max"),
-            penalty_log_exponent=_real(est_node.get("penalty_log_exponent", 2.0), "penalty_log_exponent"),
-            allow_empty_model=allow_empty,
-        )
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc), field="estimator") from exc
-
-    output_dir = out if out is not None else raw.get("output_dir")
-    if output_dir is None:
-        raise CliError("an output directory is required (config output_dir or --out)", field="output_dir")
-
-    job_count = jobs if jobs is not None else raw.get("jobs")
-    if job_count is None:
-        job_count = os.cpu_count() or 1
-        adjustments.append(f"jobs defaulted to available cores: {job_count}")
-    job_count = _integer(job_count, "jobs")
-
-    master_seed = seed if seed is not None else raw.get("master_seed")
-    if master_seed is None:
-        raise CliError("a master seed is required (config master_seed or --seed)", field="master_seed")
-    master_seed = _integer(master_seed, "master_seed")
-    if seed is not None and raw.get("master_seed") not in (None, seed):
-        adjustments.append(f"master_seed overridden: {raw.get('master_seed')} -> {seed}")
-
-    n_grid = raw.get("n_grid", [])
-    if not isinstance(n_grid, list):
-        raise CliError("n_grid must be a list of integers", field="n_grid")
-    try:
-        config = ExperimentConfig(
-            study=cfg_study,
-            dgp=dgp,
-            estimator=estimator,
-            n_grid=tuple(_integer(v, "n_grid") for v in n_grid),
-            reps=_integer(raw.get("reps", 1), "reps"),
-            master_seed=master_seed,
-            output_dir=str(output_dir),
-            jobs=job_count,
-            phi_family=phi_family,
-        )
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid config value: {exc}", field="config") from exc
     return config, adjustments
 
 
@@ -392,6 +361,7 @@ _DISPATCH = {
     "coverage-study": _run_coverage_study,
     "oracle-study": _run_oracle_study,
 }
+STUDIES = tuple(_DISPATCH)
 
 
 def _sha256(path: Path) -> str:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -192,9 +193,9 @@ def test_study_preconditions_give_error_record(tmp_path, capsys, study, override
     [
         ({"estimator": [1]}, "estimator"),
         ({"estimator": ["k_max"]}, "estimator"),
-        ({"dgp": {"phi": {"coeffs": "abc"}}}, "dgp.phi"),
-        ({"dgp": {"phi": {"family": "sobolev", "s": "abc"}}}, "dgp.phi"),
-        ({"dgp": {"phi": {"coeffs": [1.0]}, "g": {"coeffs": [1.0]}, "t": [1]}}, "dgp"),
+        ({"dgp": {"phi": {"coeffs": "abc"}}}, "dgp.phi.coeffs"),
+        ({"dgp": {"phi": {"family": "sobolev", "s": "abc"}}}, "dgp.phi.s"),
+        ({"dgp": {"phi": {"coeffs": [1.0]}, "g": {"coeffs": [1.0]}, "t": [1]}}, "dgp.t"),
     ],
 )
 def test_malformed_config_fields_give_error_record(tmp_path, capsys, overrides, field):
@@ -216,19 +217,28 @@ def with_estimator(**fields):
     return {"estimator": {**BASE_CONFIG["estimator"], **fields}}
 
 
+def with_phi(**fields):
+    return with_dgp(phi={**BASE_CONFIG["dgp"]["phi"], **fields})
+
+
+NAN, INF = float("nan"), float("inf")
+
+# JSON NaN and Infinity are numbers that no field takes
 NON_FINITE_FLOATS = [
-    ("estimate", with_dgp(t="nan"), "dgp"),
-    ("estimate", with_dgp(t="inf"), "dgp"),
-    ("estimate", with_dgp(t="-inf"), "dgp"),
-    ("estimate", with_dgp(eta_sd="nan"), "dgp"),
-    ("estimate", with_dgp(a="inf"), "dgp"),
-    ("estimate", with_dgp(a="-inf"), "dgp"),
-    ("coverage-study", with_dgp(t="nan"), "dgp"),
-    ("coverage-study", with_dgp(t="inf"), "dgp"),
-    ("coverage-study", with_dgp(eta_sd="nan"), "dgp"),
-    ("coverage-study", with_dgp(a="inf"), "dgp"),
-    ("estimate", with_estimator(penalty_log_exponent="nan"), "estimator"),
-    ("estimate", with_estimator(penalty_log_exponent="inf"), "estimator"),
+    ("estimate", with_dgp(t=NAN), "dgp.t"),
+    ("estimate", with_dgp(t=INF), "dgp.t"),
+    ("estimate", with_dgp(t=-INF), "dgp.t"),
+    ("estimate", with_dgp(eta_sd=NAN), "dgp.eta_sd"),
+    ("estimate", with_dgp(a=INF), "dgp.a"),
+    ("estimate", with_dgp(a=-INF), "dgp.a"),
+    ("coverage-study", with_dgp(t=NAN), "dgp.t"),
+    ("coverage-study", with_dgp(t=INF), "dgp.t"),
+    ("coverage-study", with_dgp(eta_sd=NAN), "dgp.eta_sd"),
+    ("coverage-study", with_dgp(a=INF), "dgp.a"),
+    ("estimate", with_estimator(penalty_log_exponent=NAN), "estimator.penalty_log_exponent"),
+    ("estimate", with_estimator(penalty_log_exponent=INF), "estimator.penalty_log_exponent"),
+    ("estimate", with_phi(amplitude=NAN), "dgp.phi.amplitude"),
+    ("estimate", with_dgp(g={"coeffs": [1.0, INF]}), "dgp.g.coeffs"),
 ]
 
 # the flat-penalty constant is no longer a knob: any value is an unknown key
@@ -237,16 +247,26 @@ RETIRED_KEYS = [
     ("estimate", with_estimator(u0_constant="nan"), "estimator"),
 ]
 
-# a flag must be a JSON boolean, and a float field takes no boolean
+# a flag must be a JSON boolean, a float field takes a JSON number only
+# (no boolean, numeric string or null), and a path is a JSON string
 MISTYPED = [
     ("estimate", with_estimator(allow_empty_model="false"), "estimator.allow_empty_model", "boolean"),
     ("estimate", with_estimator(allow_empty_model=0), "estimator.allow_empty_model", "boolean"),
     ("estimate", with_estimator(allow_empty_model=1), "estimator.allow_empty_model", "boolean"),
     ("estimate", with_estimator(allow_empty_model=None), "estimator.allow_empty_model", "boolean"),
-    ("estimate", with_dgp(t=True), "dgp", "number"),
-    ("estimate", with_dgp(a=True), "dgp", "number"),
-    ("estimate", with_dgp(eta_sd=False), "dgp", "number"),
-    ("estimate", with_estimator(penalty_log_exponent=True), "estimator", "number"),
+    ("estimate", with_dgp(t=True), "dgp.t", "number"),
+    ("estimate", with_dgp(a=True), "dgp.a", "number"),
+    ("estimate", with_dgp(eta_sd=False), "dgp.eta_sd", "number"),
+    ("estimate", with_estimator(penalty_log_exponent=True), "estimator.penalty_log_exponent", "number"),
+    ("estimate", with_dgp(t="0.5"), "dgp.t", "number"),
+    ("estimate", with_dgp(t="nan"), "dgp.t", "number"),
+    ("estimate", with_dgp(a="inf"), "dgp.a", "number"),
+    ("estimate", with_dgp(t=None), "dgp.t", "number"),
+    ("estimate", with_estimator(penalty_log_exponent="2"), "estimator.penalty_log_exponent", "number"),
+    ("estimate", with_estimator(k_max=None), "estimator.k_max", "integer"),
+    ("estimate", {"output_dir": ["x", 1]}, "output_dir", "string"),
+    ("estimate", {"output_dir": None}, "output_dir", "string"),
+    ("estimate", {"study": 3}, "study", "string"),
 ]
 
 # at t = 0.05, n = 1000 the upper bracket crossing sits near frequency 10^17;
@@ -283,36 +303,51 @@ RETIRED_SCAN_CAP = [
 ]
 
 
-def with_phi(**fields):
-    return with_dgp(phi={**BASE_CONFIG["dgp"]["phi"], **fields})
-
-
 SUPERSMOOTH = {"family": "supersmooth", "gamma": 0.5, "t_exp": 1.0, "k_support": 20}
 
 # function-family fields are read as the same integers and numbers as
 # every other config field
 MISTYPED_FAMILY = [
-    ("estimate", with_phi(k_support=True), "dgp.phi", "integer"),
-    ("estimate", with_phi(k_support=7.9), "dgp.phi", "integer"),
-    ("estimate", with_phi(amplitude=True), "dgp.phi", "number"),
-    ("estimate", with_phi(s=True), "dgp.phi", "number"),
-    ("estimate", with_phi(s=0.25, q=True), "dgp.phi", "number"),
-    ("estimate", with_dgp(g={**SUPERSMOOTH, "gamma": True}), "dgp.g", "number"),
-    ("estimate", with_dgp(g={**SUPERSMOOTH, "t_exp": True}), "dgp.g", "number"),
+    ("estimate", with_phi(k_support=True), "dgp.phi.k_support", "integer"),
+    ("estimate", with_phi(k_support=7.9), "dgp.phi.k_support", "integer"),
+    ("estimate", with_phi(amplitude=True), "dgp.phi.amplitude", "number"),
+    ("estimate", with_phi(s=True), "dgp.phi.s", "number"),
+    ("estimate", with_phi(s=0.25, q=True), "dgp.phi.q", "number"),
+    ("estimate", with_dgp(g={**SUPERSMOOTH, "gamma": True}), "dgp.g.gamma", "number"),
+    ("estimate", with_dgp(g={**SUPERSMOOTH, "t_exp": True}), "dgp.g.t_exp", "number"),
+    ("estimate", with_phi(q="3"), "dgp.phi.q", "number"),
+    ("estimate", with_phi(s=None), "dgp.phi.s", "number"),
+    ("estimate", with_phi(family=["sobolev"]), "dgp.phi.family", "string"),
+]
+
+# dgp.phi and dgp.g take raw coeffs alone or a family with its parameters
+COEFFS_OR_FAMILY = [
+    ("estimate", with_dgp(phi={"coeffs": [1.0], "family": "sobolev", "s": -3}), "dgp.phi", "exactly one"),
+    ("estimate", with_dgp(g={"coeffs": [1.0], "s": 1.0}), "dgp.g", "exactly one"),
+    ("estimate", with_dgp(g={"s": 1.0}), "dgp.g", "exactly one"),
+    ("estimate", with_dgp(g={}), "dgp.g", "exactly one"),
+]
+
+# a range rule is checked by the object that owns it, and its error names that object
+OUT_OF_RANGE = [
+    ("estimate", with_dgp(t=-1.0), "dgp", "positive"),
+    ("estimate", with_estimator(penalty_log_exponent=-1), "estimator", "nonnegative"),
+    ("estimate", with_phi(s=-3), "dgp.phi", "s > 0"),
+    ("estimate", with_phi(family="holder"), "dgp.phi", "unknown function family"),
 ]
 
 # raw coefficients must be a JSON list of numbers: no booleans, no strings
 MISTYPED_COEFFS = [
-    ("estimate", with_dgp(g={"coeffs": True}), "dgp.g", "list of numbers"),
-    ("estimate", with_dgp(g={"coeffs": [True, False]}), "dgp.g", "list of numbers"),
-    ("estimate", with_dgp(g={"coeffs": "3"}), "dgp.g", "list of numbers"),
-    ("estimate", with_dgp(g={"coeffs": 3}), "dgp.g", "list of numbers"),
-    ("estimate", with_dgp(phi={"coeffs": [1.0, "0.5"]}), "dgp.phi", "list of numbers"),
-    ("estimate", with_dgp(phi={"coeffs": [1.0, None]}), "dgp.phi", "list of numbers"),
-    ("estimate", with_dgp(phi={"coeffs": [[1.0]]}), "dgp.phi", "list of numbers"),
-    ("estimate", with_dgp(phi={"coeffs": [10**400]}), "dgp.phi", "float"),
-    ("estimate", with_phi(s=10**400), "dgp.phi", "range"),
-    ("estimate", with_dgp(t=10**400), "dgp", "range"),
+    ("estimate", with_dgp(g={"coeffs": True}), "dgp.g.coeffs", "list of numbers"),
+    ("estimate", with_dgp(g={"coeffs": [True, False]}), "dgp.g.coeffs", "list of numbers"),
+    ("estimate", with_dgp(g={"coeffs": "3"}), "dgp.g.coeffs", "list of numbers"),
+    ("estimate", with_dgp(g={"coeffs": 3}), "dgp.g.coeffs", "list of numbers"),
+    ("estimate", with_dgp(phi={"coeffs": [1.0, "0.5"]}), "dgp.phi.coeffs", "list of numbers"),
+    ("estimate", with_dgp(phi={"coeffs": [1.0, None]}), "dgp.phi.coeffs", "list of numbers"),
+    ("estimate", with_dgp(phi={"coeffs": [[1.0]]}), "dgp.phi.coeffs", "list of numbers"),
+    ("estimate", with_dgp(phi={"coeffs": [10**400]}), "dgp.phi.coeffs", "float"),
+    ("estimate", with_phi(s=10**400), "dgp.phi.s", "range"),
+    ("estimate", with_dgp(t=10**400), "dgp.t", "range"),
 ]
 
 
@@ -346,6 +381,8 @@ N_TOO_LARGE = [
     + MISTYPED
     + UNBOUNDED_BRACKET
     + MISTYPED_FAMILY
+    + COEFFS_OR_FAMILY
+    + OUT_OF_RANGE
     + MISTYPED_COEFFS
     + N_TOO_LARGE
     + ZERO_RESPONSE,
@@ -413,8 +450,8 @@ def test_estimate_report_key_set(tmp_path):
 
 
 def test_family_fields_are_read_as_floats(tmp_path):
-    # a numeric string is read as its float, as dgp.t is
-    cfg = write_config(tmp_path, **with_phi(s=1, q="3", amplitude=2))
+    # a JSON integer in a float field is read as its float, as in dgp.t
+    cfg = write_config(tmp_path, **with_phi(s=1, q=3, amplitude=2))
     config, _ = load_config(cfg, out=str(tmp_path / "out"))
     family = config.phi_family
     assert (family.s, family.q, family.amplitude) == (1.0, 3.0, 2.0)
@@ -480,6 +517,16 @@ N_GRIDS = st.one_of(
 )
 
 
+# one arm of numbers every float field takes, so that many draws load
+JSON_VALUES = st.one_of(
+    st.floats(min_value=0.1, max_value=4.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-3, max_value=10**400),
+    st.sampled_from([10**400, -(10**400), True, False, None, "0.5", "nan", ""]),
+    st.lists(st.floats(min_value=0.0, max_value=2.0), max_size=2),
+)
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     study=st.sampled_from(STUDIES),
@@ -488,17 +535,31 @@ N_GRIDS = st.one_of(
     master_seed=JSON_COUNTS,
     jobs=JSON_COUNTS,
     k_max=JSON_COUNTS,
+    dgp=st.fixed_dictionaries({"t": JSON_VALUES, "a": JSON_VALUES, "eta_sd": JSON_VALUES}),
+    family=st.fixed_dictionaries({"s": JSON_VALUES, "q": JSON_VALUES, "amplitude": JSON_VALUES}),
+    penalty_log_exponent=JSON_VALUES,
+    allow_empty_model=st.one_of(st.booleans(), JSON_VALUES),
+    output_dir=st.one_of(st.text(max_size=8), JSON_VALUES),
 )
-def test_load_config_gives_a_config_or_a_cli_error(tmp_path, study, n_grid, reps, master_seed, jobs, k_max):
+def test_load_config_gives_a_config_or_a_cli_error(
+    tmp_path, study, n_grid, reps, master_seed, jobs, k_max, dgp, family, penalty_log_exponent,
+    allow_empty_model, output_dir,
+):
     # k_support is left out: a large value allocates its coefficients at load
+    estimator = {"k_max": k_max, "penalty_log_exponent": penalty_log_exponent, "allow_empty_model": allow_empty_model}
     cfg = write_config(
-        tmp_path, n_grid=n_grid, reps=reps, master_seed=master_seed, jobs=jobs, **with_estimator(k_max=k_max)
+        tmp_path, n_grid=n_grid, reps=reps, master_seed=master_seed, jobs=jobs, output_dir=output_dir,
+        dgp={**with_phi(**family)["dgp"], **dgp}, estimator=estimator,
     )
     try:
         config, _ = load_config(cfg, study=study, out=str(tmp_path / "out"))
     except CliError:
         return
     assert max(config.n_grid) * 8 <= np.iinfo(np.intp).max
+    spec = config.phi_family
+    floats = (config.dgp.t, config.dgp.a, config.dgp.eta_sd, config.estimator.penalty_log_exponent)
+    assert all(type(v) is float and math.isfinite(v) for v in floats + (spec.s, spec.q, spec.amplitude))
+    assert type(config.estimator.allow_empty_model) is bool
 
 
 def test_seed_override_changes_outputs(tmp_path):
@@ -518,6 +579,9 @@ def test_load_config_validation(tmp_path):
         load_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    with pytest.raises(CliError):
+        load_config(bad)
+    bad.write_text('{"reps": ' + "1" * 5000 + "}")  # past the interpreter's int digit limit
     with pytest.raises(CliError):
         load_config(bad)
     no_dgp = tmp_path / "no_dgp.json"

@@ -1,7 +1,5 @@
 """The configs the repo ships load, and the public names stay as listed."""
 
-import argparse
-import importlib.util
 import json
 import re
 from pathlib import Path
@@ -14,13 +12,6 @@ from ivadapt.cli import load_config
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def readme_config():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```json\n(.*?)```", text, flags=re.DOTALL)
@@ -28,22 +19,24 @@ def readme_config():
     return json.loads(blocks[0])
 
 
-def shipped_configs():
-    # each script's documented defaults
-    rate = argparse.Namespace(reps=200, seed=20240901, jobs=1, min_exp=9, max_exp=15)
-    coverage = argparse.Namespace(reps=500, seed=20240906, jobs=1, n=[10**3, 10**4])
-    return {
-        "README": readme_config(),
-        "run_rate_study": load_script("run_rate_study").build_config(rate),
-        "run_coverage_study": load_script("run_coverage_study").build_config(coverage),
-    }
+EXAMPLES = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "examples").glob("*.json"))
 
 
-@pytest.mark.parametrize("name", ["README", "run_rate_study", "run_coverage_study"])
+def test_readme_runs_every_example():
+    assert EXAMPLES
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    for name in EXAMPLES:
+        study = json.loads((ROOT / name).read_text(encoding="utf-8"))["study"]
+        assert f"ivadapt {study} --config {name} --out " in text
+
+
+@pytest.mark.parametrize("name", ["README", *EXAMPLES])
 def test_shipped_configs_load(tmp_path, name):
-    raw = shipped_configs()[name]
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw))
+    path = ROOT / name
+    if name == "README":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(readme_config()))
+    raw = json.loads(path.read_text(encoding="utf-8"))
     config, _ = load_config(path, out=str(tmp_path / "out"), jobs=1)
     assert config.study == raw["study"]
     assert list(config.n_grid) == raw["n_grid"]
