@@ -27,6 +27,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
+#: Rows per row block: 8,192 rows of a 16-column float64 table are 1 MiB.
+_BLOCK_ROWS = 1 << 13
 
 
 def frequency(k):
@@ -41,14 +43,14 @@ def frequency(k):
 def basis_matrix(x, ks) -> np.ndarray:
     """Evaluate basis functions on a grid: out[i, m] = e_{ks[m]}(x[i]).
 
-    One cos/sin table row per distinct frequency, in increasing order.
-    Only cos(2 pi x) and sin(2 pi x) are evaluated directly.  A
-    frequency one above its predecessor comes from the angle-addition
-    step; any other (a block start) is that one-step rotation raised to
-    its power by complex binary powering.  Cost is O(n x (distinct
-    frequencies + log2 of each block start)), and values drift by about
-    frequency x eps, as direct cos/sin of 2 pi f x does through the
-    rounding of its argument.
+    One cos/sin table row per distinct frequency, in increasing order,
+    read off z = sqrt(2) zeta^f with zeta = exp(2 pi i x), the only trig
+    evaluated.  The first frequency of each run of consecutive ones
+    seeds z = sqrt(2) zeta^f by complex binary powering; each next
+    frequency is one in-place complex step z *= zeta.  Cost is
+    O(n x (distinct frequencies + log2 of each run start)), and values
+    drift by about frequency x eps, as direct cos/sin of 2 pi f x does
+    through the rounding of its argument.
 
     The result is the transpose of a C-ordered (len(ks), n) table, so it
     is F-ordered: each column is contiguous, and reducing over points
@@ -60,57 +62,57 @@ def basis_matrix(x, ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=np.int64)
     if ks.size and ks.min() < 1:
         raise ValueError("basis index must satisfy k >= 1")
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails too
         raise ValueError("evaluation points must lie in [0, 1]")
     j = (ks + 1) // 2
     freqs = sorted(set(j.tolist()))
     tab = np.empty((len(freqs), 2, x.size))  # cos and sin row per frequency
-    c1 = s1 = None
+    zeta = _cis(x) if freqs else None
     for row, f in enumerate(freqs):
-        c, s = tab[row]
         if row and f == freqs[row - 1] + 1:
-            cp, sp = tab[row - 1]
-            np.multiply(cp, c1, out=c)
-            c -= sp * s1
-            np.multiply(sp, c1, out=s)
-            s += cp * s1
-        elif f == 1:
-            ang = _TWO_PI * x
-            np.cos(ang, out=c)
-            np.sin(ang, out=s)
-            c1, s1 = c, s
+            z *= zeta
         else:
-            if c1 is None:
-                ang = _TWO_PI * x
-                c1, s1 = np.cos(ang), np.sin(ang)
-            z = _rotation_power(c1, s1, f)
-            c[:] = z.real
-            s[:] = z.imag
+            z = _rotation_power(zeta, f)
+            z *= _SQRT2
+        tab[row, 0] = z.real
+        tab[row, 1] = z.imag
     rows = tab.reshape(2 * len(freqs), x.size)
     cols = 2 * np.searchsorted(freqs, j) + (ks % 2 == 0)
     if np.array_equal(cols, np.arange(cols.size)):
-        out = rows[: cols.size]  # already in table order: no gather
-    else:
-        out = rows[cols]
-    out *= _SQRT2
-    return out.T
+        return rows[: cols.size].T  # already in table order: no gather
+    return rows[cols].T
 
 
-def _rotation_power(c1, s1, f: int) -> np.ndarray:
-    """(c1 + i s1)^f by left-to-right binary powering, for f >= 1.
+def _cis(x: np.ndarray) -> np.ndarray:
+    """exp(2 pi i x) as cos and sin of 2 pi x in one complex array: np.exp's bits (numpy 2.4), at less cost."""
+    ang = _TWO_PI * x
+    z = np.empty(x.size, dtype=np.complex128)
+    np.cos(ang, out=z.real)
+    np.sin(ang, out=z.imag)
+    return z
 
-    About log2(f) in-place complex products per point, so a block start
+
+def _rotation_power(zeta: np.ndarray, f: int) -> np.ndarray:
+    """zeta^f by left-to-right binary powering, for f >= 1.
+
+    About log2(f) in-place complex products per point, so a run start
     costs no trig evaluation; the result drifts by about f x eps.
     """
-    z = np.empty(c1.size, dtype=np.complex128)
-    z.real = c1
-    z.imag = s1
-    out = z.copy()
+    out = zeta.copy()
     for bit in bin(f)[3:]:
         out *= out
         if bit == "1":
-            out *= z
+            out *= zeta
     return out
+
+
+def _chunks(n: int) -> list[slice]:
+    """Row blocks of _BLOCK_ROWS rows covering 0..n-1.
+
+    A one-row remainder joins the block before it, because numpy rounds
+    a one-element in-place complex product on another path."""
+    bounds = [*range(0, max(n - 1, 1), _BLOCK_ROWS), n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,18 +161,22 @@ def synthesize(f: CoefficientVector, x):
 
     Horner evaluation of sqrt(2) Re sum_j (c_{2j-1} - i c_{2j}) zeta^j
     with zeta = exp(2 pi i x), j = 1..J: O(n J) work and O(n) memory,
-    with no basis matrix.  Rounding drifts by about J eps sum_k |c_k|.
+    with no basis matrix.  The points go in row blocks of _BLOCK_ROWS,
+    so the accumulator stays in cache; a point's value does not depend
+    on its block.  Rounding drifts by about J eps sum_k |c_k|.
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
     c = f.padded(f.support + f.support % 2)
     a = c[0::2] - 1j * c[1::2]  # a[j - 1] pairs cos and sin at frequency j
-    zeta = np.exp(1j * (_TWO_PI * xs))
-    acc = np.zeros(xs.size, dtype=np.complex128)
-    for aj in a[::-1]:
-        acc += aj
-        acc *= zeta
-    vals = _SQRT2 * acc.real
+    vals = np.empty(xs.size)
+    for sl in _chunks(xs.size):
+        zeta = _cis(xs[sl])
+        acc = np.zeros(zeta.size, dtype=np.complex128)
+        for aj in a[::-1]:
+            acc += aj
+            acc *= zeta
+        vals[sl] = _SQRT2 * acc.real
     return float(vals[0]) if scalar else vals
 
 

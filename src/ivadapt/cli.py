@@ -373,7 +373,10 @@ def run(config: ExperimentConfig, adjustments=()) -> dict:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    files, results = _DISPATCH[config.study](config, out)
+    try:
+        files, results = _DISPATCH[config.study](config, out)
+    except FloatingPointError as exc:  # from generate_sample
+        raise CliError(f"the sampled response overflows ({exc}): a dgp magnitude is too large", field="dgp") from exc
     results_payload = {"config": config.to_json_dict(run_params=False), **results}
     write_json(out / "results.json", results_payload)
     files = list(files) + ["results.json"]

@@ -140,9 +140,11 @@ class IvSample:
             raise ValueError("y, x, w must have equal length")
         if self.y.size < 1:
             raise ValueError("sample must contain at least one observation")
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("y values must be finite")
         for name in ("x", "w"):
             arr = getattr(self, name)
-            if arr.min() < 0.0 or arr.max() >= 1.0:
+            if not (arr.min() >= 0.0 and arr.max() < 1.0):  # NaN fails too
                 raise ValueError(f"{name} values must lie in [0, 1)")
 
     @property
@@ -168,7 +170,8 @@ def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
     size = max(spec.phi.support, spec.g.support)
     h = CoefficientVector(spec.phi.padded(size) + spec.a * spec.g.padded(size))
     tg = CoefficientVector(eigenvalue_profile(spec.g.support, spec.t) * spec.g.coeffs)
-    y = synthesize(h, x) - spec.a * synthesize(tg, w) + spec.eta_sd * z
+    with np.errstate(over="raise", invalid="raise"):  # FloatingPointError when the spec's magnitudes overflow
+        y = synthesize(h, x) - spec.a * synthesize(tg, w) + spec.eta_sd * z
     return IvSample(y=y, x=x, w=w)
 
 

@@ -8,8 +8,8 @@ penalized contrast over truncation levels m; and inverts the retained
 coefficients to produce the adaptive estimate.
 
 Every sum over the sample is taken in blocks of _SCAN_BLOCK basis
-indices (_blocks) and, within a block, of _SCAN_ROWS rows (_chunks), so
-a basis block stays near 8 MiB whatever n and K are.  The sigma_k^2
+indices (_blocks) and, within a block, of 8,192 rows (basis._chunks), so
+a basis block stays near 1 MiB whatever n and K are.  The sigma_k^2
 oracle in dgp runs estimate_sigma_sq over its fixed-seed sample.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoefficientVector, basis_matrix
+from .basis import CoefficientVector, _chunks, basis_matrix
 from .dgp import IvSample, eigenvalue_profile, true_eigenvalue
 from .serialize import to_plain, write_csv
 
@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 _SCAN_BLOCK = 16
-#: Rows per row block: a 2^20-cell basis block of _SCAN_BLOCK columns.
-_SCAN_ROWS = (1 << 20) // _SCAN_BLOCK
 #: Largest basis index the deterministic resolution bracket may reach.
 _BRACKET_CAP = 10**8
 
@@ -76,11 +74,6 @@ class EstimatorConfig:
 
     def resolution_cap(self, n: int) -> int:
         return min(int(n) ** 4, self.k_max)
-
-
-def _chunks(n: int) -> list[slice]:
-    """Row blocks of _SCAN_ROWS rows covering 0..n-1 (one block for n <= 2^16)."""
-    return [slice(i0, min(i0 + _SCAN_ROWS, n)) for i0 in range(0, n, _SCAN_ROWS)]
 
 
 def _block_sums(sample: IvSample, ks: np.ndarray, eigen: bool, moments: bool) -> np.ndarray:

@@ -15,6 +15,7 @@ from ivadapt import (
     parseval_sq_distance,
     synthesize,
 )
+from ivadapt.basis import _BLOCK_ROWS, _chunks
 
 ROOT2 = math.sqrt(2.0)
 
@@ -36,6 +37,8 @@ def test_eval_basis_domain_errors():
         basis_matrix([1.01], [1])
     with pytest.raises(ValueError):
         basis_matrix([0.5, 1.5], [1])
+    with pytest.raises(ValueError):
+        basis_matrix([0.5, np.nan], [1])
 
 
 @given(st.integers(min_value=1, max_value=2048), st.floats(min_value=0.0, max_value=1.0))
@@ -67,17 +70,40 @@ def test_basis_matrix_any_index_set_matches_direct(ks):
     assert np.allclose(got, _direct_basis(x, ks), rtol=0.0, atol=1e-11)
 
 
+def _long_double_basis(x, ks):
+    """sqrt(2) cos/sin(2 pi j x) in long double, the argument reduced mod 1 first."""
+    arg = 2 * np.longdouble("3.14159265358979323846264338327950288") * np.fmod(
+        np.multiply.outer(np.asarray(x).astype(np.longdouble), (ks + 1) // 2), 1
+    )
+    return (np.sqrt(np.longdouble(2)) * np.where(ks % 2 == 1, np.cos(arg), np.sin(arg))).astype(np.float64)
+
+
 def test_basis_matrix_deep_block_start_within_argument_rounding():
     # a block start near the default k_max is reached by about 19
     # complex squarings; its error stays at the frequency x eps level
     # that rounding the argument 2 pi f x gives direct cos/sin
     ks = np.arange(2**20 + 1, 2**20 + 17)
     x = np.random.default_rng(5).random(2000)
-    arg = 2 * np.longdouble("3.14159265358979323846264338327950288") * np.fmod(
-        np.multiply.outer(x.astype(np.longdouble), (ks + 1) // 2), 1
-    )
-    ref = (np.sqrt(np.longdouble(2)) * np.where(ks % 2 == 1, np.cos(arg), np.sin(arg))).astype(np.float64)
-    assert np.abs(basis_matrix(x, ks) - ref).max() <= 2e-9
+    assert np.abs(basis_matrix(x, ks) - _long_double_basis(x, ks)).max() <= 2e-9
+
+
+@pytest.mark.parametrize("k0", [1, 17, 1025])
+def test_basis_matrix_block_matches_long_double_over_three_row_blocks(k0):
+    # the complex step z *= zeta drifts by about frequency x eps, the
+    # same budget per frequency as the deep block start above
+    n = 2 * _BLOCK_ROWS + 2
+    assert len(_chunks(n)) == 3
+    ks = np.arange(k0, k0 + 16)
+    x = np.random.default_rng(k0).random(n)
+    err = np.abs(basis_matrix(x, ks) - _long_double_basis(x, ks))
+    assert np.all(err <= 4e-15 * ((ks + 1) // 2))
+
+
+def test_basis_matrix_first_frequency_is_sqrt2_times_cos_and_sin():
+    # 2 pi x 0.25 rounds to fl(pi / 2), whose cosine is 6.1e-17: the
+    # only entry that is not sqrt(2) or 0
+    got = basis_matrix([0.0, 0.25], [1, 2])
+    assert got.tolist() == [[ROOT2, 0.0], [ROOT2 * math.cos(math.pi / 2), ROOT2]]
 
 
 def test_basis_matrix_prefix_columns_are_bitwise_stable():
@@ -142,6 +168,21 @@ def test_synthesize_matches_basis_matrix_product(support):
     for xi, ri in zip(x[:3], ref[:3]):
         value = synthesize(f, float(xi))
         assert isinstance(value, float) and abs(value - ri) <= tol
+
+
+def test_synthesize_values_do_not_depend_on_row_blocks():
+    # the one-row remainder joins the third block; every slice has two
+    # points or more, since a one-point call rounds its in-place complex
+    # products on numpy's one-element path
+    n = 3 * _BLOCK_ROWS + 1
+    assert [sl.stop - sl.start for sl in _chunks(n)] == [_BLOCK_ROWS, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+    rng = np.random.default_rng(8)
+    f = CoefficientVector(rng.standard_normal(51))
+    x = rng.random(n)
+    whole = synthesize(f, x)
+    cuts = [0, 2, 5000, _BLOCK_ROWS + 3, 20_000, n]
+    parts = [synthesize(f, x[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
 def test_parseval_identity_and_orthonormal_distance():

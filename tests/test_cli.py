@@ -502,6 +502,16 @@ def test_out_of_memory_gives_error_record(tmp_path, capsys, monkeypatch):
     assert json.loads(lines[0])["error"] == "MemoryError"
 
 
+@pytest.mark.parametrize("study", ["simulate", "estimate"])
+def test_overflowing_response_gives_error_record(tmp_path, capsys, study):
+    # every field is a finite number, but eta_sd * Z overflows float64
+    cfg = write_config(tmp_path, **with_dgp(eta_sd=1e308), n_grid=[100])
+    assert main([study, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["field"] == "dgp"
+
+
 # one arm of counts that are valid up to past the n bound, so that many
 # draws get through every field to the study checks
 VALID_COUNTS = st.integers(min_value=1, max_value=2**64)

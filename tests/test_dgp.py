@@ -178,9 +178,9 @@ def test_sigma_oracle_is_cached_and_deterministic():
 
 
 def test_sigma_oracle_is_the_estimators_sigma_sq_bitwise():
-    # 70,000 draws span two row blocks, and K = 19 cuts the second index block
+    # 70,000 draws span several row blocks, and K = 19 cuts the second index block
     spec = DgpSpec.default()
-    assert len(estimator._chunks(70_000)) == 2
+    assert len(estimator._chunks(70_000)) >= 2
     sample = generate_sample(spec, 70_000, seed=seeds.sequence(dgp._ORACLE_SEED, "sigma-oracle"))
     oracle = sigma_sq_profile(spec, 19, n_draws=70_000)
     assert oracle.tobytes() == estimate_sigma_sq(sample, 19).tobytes()
@@ -201,6 +201,17 @@ def test_dgp_spec_validation():
         DgpSpec(t=0.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=1.0)
     with pytest.raises(ValueError):
         DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("y", math.nan), ("y", math.inf), ("y", -math.inf), ("x", math.nan), ("w", math.nan)]
+)
+def test_iv_sample_rejects_non_finite_values_by_field(field, value):
+    # NaN passes neither "min < 0" nor "max >= 1", so the range checks must fail on it
+    columns = {"y": [1.0, 2.0, 3.0], "x": [0.1, 0.2, 0.3], "w": [0.4, 0.5, 0.6]}
+    columns[field][1] = value
+    with pytest.raises(ValueError, match=f"^{field} values"):
+        IvSample(**columns)
 
 
 def test_iv_sample_validation_and_csv_roundtrip(tmp_path):

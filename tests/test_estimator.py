@@ -158,9 +158,9 @@ def test_standalone_estimates_equal_the_scan_bitwise(n, k_max):
     sample = generate_sample(DgpSpec.default(), n, seed=n)
     report = adaptive_estimate(sample, config)
     if k_max == 19:
-        # the cap cuts the scan's second block short, over two row blocks
+        # the cap cuts the scan's second block short, over several row blocks
         assert report.cap_reached and report.resolution == 19
-        assert len(_chunks(n)) == 2
+        assert len(_chunks(n)) >= 2
     K = report.resolution
     assert estimate_sigma_sq(sample, K).tobytes() == report.sigma_sq_hat.tobytes()
     assert estimate_r_coeffs(sample, K).tobytes() == report.r_hat.tobytes()

@@ -27,7 +27,7 @@ def test_every_traced_name_exists(monkeypatch):
     assert missing == []
 
 
-@pytest.mark.parametrize("n", [200, 5000, estimator._chunks(1 << 21)[0].stop + 1])
+@pytest.mark.parametrize("n", [200, 5000, estimator._chunks(1 << 21)[0].stop + 2])
 def test_scan_requests_two_n_cells_per_scanned_index(monkeypatch, n):
     cells = []
     basis_matrix = estimator.basis_matrix
@@ -60,7 +60,7 @@ def _count_cells(monkeypatch):
     return cells
 
 
-@pytest.mark.parametrize("n", [200, 5000, estimator._chunks(1 << 21)[0].stop + 1])
+@pytest.mark.parametrize("n", [200, 5000, estimator._chunks(1 << 21)[0].stop + 2])
 def test_estimate_requests_only_the_scan_cells(monkeypatch, n):
     # the moments come from the scan's blocks: no second pass builds psi_k(W)
     cells = _count_cells(monkeypatch)
