@@ -67,7 +67,7 @@ def basis_matrix(x, ks) -> np.ndarray:
     j = (ks + 1) // 2
     freqs = sorted(set(j.tolist()))
     tab = np.empty((len(freqs), 2, x.size))  # cos and sin row per frequency
-    zeta = _cis(x) if freqs else None
+    zeta = _cis(x)
     for row, f in enumerate(freqs):
         if row and f == freqs[row - 1] + 1:
             z *= zeta
