@@ -43,10 +43,15 @@ def frequency(k):
 def basis_matrix(x, ks) -> np.ndarray:
     """Evaluate basis functions on a grid: out[i, m] = e_{ks[m]}(x[i]).
 
+    x is either the points, real and in [0, 1], or their rotations
+    zeta = exp(2 pi i x) as a complex array (as basis._cis returns them,
+    not checked), so a caller that needs several index sets over the
+    same points evaluates the trig once.  Real points are checked and
+    rotated here, and either form gives the same bits.
+
     One cos/sin table row per distinct frequency, in increasing order,
-    read off z = sqrt(2) zeta^f with zeta = exp(2 pi i x), the only trig
-    evaluated.  The first frequency of each run of consecutive ones
-    seeds z = sqrt(2) zeta^f by complex binary powering; each next
+    read off z = sqrt(2) zeta^f.  The first frequency of each run of
+    consecutive ones seeds z by complex binary powering; each next
     frequency is one in-place complex step z *= zeta.  Cost is
     O(n x (distinct frequencies + log2 of each run start)), and values
     drift by about frequency x eps, as direct cos/sin of 2 pi f x does
@@ -58,16 +63,19 @@ def basis_matrix(x, ks) -> np.ndarray:
     do not depend on the layout; use ``np.ascontiguousarray`` where C
     order is required.
     """
-    x = np.asarray(x, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.int64)
     if ks.size and ks.min() < 1:
         raise ValueError("basis index must satisfy k >= 1")
-    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails too
-        raise ValueError("evaluation points must lie in [0, 1]")
+    if np.iscomplexobj(x):
+        zeta = np.asarray(x, dtype=np.complex128)
+    else:
+        x = np.asarray(x, dtype=np.float64)
+        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails too
+            raise ValueError("evaluation points must lie in [0, 1]")
+        zeta = _cis(x)
     j = (ks + 1) // 2
     freqs = sorted(set(j.tolist()))
-    tab = np.empty((len(freqs), 2, x.size))  # cos and sin row per frequency
-    zeta = _cis(x)
+    tab = np.empty((len(freqs), 2, zeta.size))  # cos and sin row per frequency
     for row, f in enumerate(freqs):
         if row and f == freqs[row - 1] + 1:
             z *= zeta
@@ -76,7 +84,7 @@ def basis_matrix(x, ks) -> np.ndarray:
             z *= _SQRT2
         tab[row, 0] = z.real
         tab[row, 1] = z.imag
-    rows = tab.reshape(2 * len(freqs), x.size)
+    rows = tab.reshape(2 * len(freqs), zeta.size)
     cols = 2 * np.searchsorted(freqs, j) + (ks % 2 == 0)
     if np.array_equal(cols, np.arange(cols.size)):
         return rows[: cols.size].T  # already in table order: no gather

@@ -78,6 +78,12 @@ class ExperimentConfig:
         carrier_zero = self.dgp.a == 0 or not np.any(self.dgp.g.coeffs)
         if self.study == "oracle-study" and phi_zero and self.dgp.eta_sd == 0 and carrier_zero:
             raise CliError("oracle-study needs a response that is not identically zero", field="dgp")
+        if self.study in ("estimate", "risk-curve", "rate-study"):  # the studies that compute the contrast
+            for n in self.n_grid:
+                try:
+                    self.estimator.penalty_weight(n)
+                except ValueError as exc:
+                    raise CliError(str(exc), field="estimator.penalty_log_exponent") from exc
         if self.study in ("coverage-study", "oracle-study"):
             for n in self.n_grid:
                 try:
@@ -375,8 +381,10 @@ def run(config: ExperimentConfig, adjustments=()) -> dict:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         files, results = _DISPATCH[config.study](config, out)
-    except FloatingPointError as exc:  # from generate_sample
-        raise CliError(f"the sampled response overflows ({exc}): a dgp magnitude is too large", field="dgp") from exc
+    except FloatingPointError as exc:  # from generate_sample, or from the estimator's moment sums
+        raise CliError(
+            f"the sampled response or its moments overflow ({exc}): a dgp magnitude is too large", field="dgp"
+        ) from exc
     results_payload = {"config": config.to_json_dict(run_params=False), **results}
     write_json(out / "results.json", results_payload)
     files = list(files) + ["results.json"]

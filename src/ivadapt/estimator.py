@@ -9,8 +9,12 @@ coefficients to produce the adaptive estimate.
 
 Every sum over the sample is taken in blocks of _SCAN_BLOCK basis
 indices (_blocks) and, within a block, of 8,192 rows (basis._chunks), so
-a basis block stays near 1 MiB whatever n and K are.  The sigma_k^2
-oracle in dgp runs estimate_sigma_sq over its fixed-seed sample.
+a basis block stays near 1 MiB whatever n and K are.  The walk evaluates
+the rotations exp(2 pi i W), and exp(2 pi i X) when it needs the
+eigenvalues, once per row block before its first index block, and every
+index block's basis_matrix starts from them: one trig evaluation per
+point and variable per estimator call.  The sigma_k^2 oracle in dgp
+runs estimate_sigma_sq over its fixed-seed sample.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoefficientVector, _chunks, basis_matrix
+from .basis import CoefficientVector, _chunks, _cis, basis_matrix
 from .dgp import IvSample, eigenvalue_profile, true_eigenvalue
 from .serialize import to_plain, write_csv
 
@@ -75,26 +79,38 @@ class EstimatorConfig:
     def resolution_cap(self, n: int) -> int:
         return min(int(n) ** 4, self.k_max)
 
+    def penalty_weight(self, n: int) -> float:
+        """Penalty weight log(n)^p / n; ValueError when log(n)^p overflows a float."""
+        try:
+            return math.log(n) ** self.penalty_log_exponent / n
+        except OverflowError:
+            raise ValueError(
+                f"penalty weight log(n)^{self.penalty_log_exponent:g} overflows a float at n = {n}"
+            ) from None
 
-def _block_sums(sample: IvSample, ks: np.ndarray, eigen: bool, moments: bool) -> np.ndarray:
+
+def _block_sums(row_blocks: list, ks: np.ndarray, eigen: bool, moments: bool) -> np.ndarray:
     """Sums over the sample for the basis indices ks: three rows, one column per index.
 
-    With eigen, row 0 sums psi_k(X) psi_k(W); with moments, rows 1 and 2
-    sum Y psi_k(W) and (Y psi_k(W))^2.  Rows not asked for stay 0.  Each
-    row block builds psi(W) once, and psi(X) only with eigen.  Row
-    blocks do not depend on len(ks), so an index gets the same sums in a
-    short block as in a full one.
+    row_blocks holds (Y, exp(2 pi i X) or None, exp(2 pi i W)) per row
+    block of the sample.  With eigen, row 0 sums psi_k(X) psi_k(W); with
+    moments, rows 1 and 2 sum Y psi_k(W) and (Y psi_k(W))^2, and a
+    FloatingPointError reports a product or sum that overflows.  Rows
+    not asked for stay 0.  Each row block builds psi(W) once, and psi(X)
+    only with eigen.  Row blocks do not depend on len(ks), so an index
+    gets the same sums in a short block as in a full one.
     """
     sums = np.zeros((3, ks.size))
-    for sl in _chunks(sample.n):
-        bw = basis_matrix(sample.w[sl], ks).T
+    for y, zx, zw in row_blocks:
+        bw = basis_matrix(zw, ks).T
         if eigen:
-            sums[0] += np.einsum("ij,ij->i", basis_matrix(sample.x[sl], ks).T, bw)
+            sums[0] += np.einsum("ij,ij->i", basis_matrix(zx, ks).T, bw)
         if moments:
-            bw *= sample.y[sl]
-            sums[1] += bw.sum(axis=1)
-            bw *= bw
-            sums[2] += bw.sum(axis=1)
+            with np.errstate(over="raise"):
+                bw *= y
+                sums[1] += bw.sum(axis=1)
+                bw *= bw
+                sums[2] += bw.sum(axis=1)
     return sums
 
 
@@ -105,9 +121,18 @@ def _estimates(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _blocks(sample: IvSample, cap: int, eigen: bool, moments: bool):
-    """_block_sums for k = 1..cap, _SCAN_BLOCK indices at a time, the last block cut at cap."""
+    """_block_sums for k = 1..cap, _SCAN_BLOCK indices at a time, the last block cut at cap.
+
+    The rotations are evaluated once, before the first block, and every
+    block reuses them; with cap = 0 none are.
+    """
+    if cap < 1:
+        return
+    row_blocks = [
+        (sample.y[sl], _cis(sample.x[sl]) if eigen else None, _cis(sample.w[sl])) for sl in _chunks(sample.n)
+    ]
     for k0 in range(1, cap + 1, _SCAN_BLOCK):
-        yield _block_sums(sample, np.arange(k0, min(k0 + _SCAN_BLOCK, cap + 1)), eigen, moments)
+        yield _block_sums(row_blocks, np.arange(k0, min(k0 + _SCAN_BLOCK, cap + 1)), eigen, moments)
 
 
 def _estimates_upto(
@@ -260,8 +285,7 @@ def penalized_criterion(
         raise ValueError("truncation level m must be nonnegative")
     if m > min(np.size(a) for a in (r_hat, lambda_hat, sigma_sq_hat)):
         raise ValueError("truncation level m exceeds the available coefficients")
-    weight = math.log(n) ** config.penalty_log_exponent / n
-    return float(_criterion_values(r_hat, lambda_hat, sigma_sq_hat, weight, m)[m])
+    return float(_criterion_values(r_hat, lambda_hat, sigma_sq_hat, config.penalty_weight(n), m)[m])
 
 
 def select_level(criterion_values, allow_empty: bool = True) -> int:
@@ -317,8 +341,7 @@ def adaptive_estimate(sample: IvSample, config: EstimatorConfig | None = None) -
         raise DegenerateSampleError("need n >= 3 so that log n exceeds 1")
     resolution, sums, cap_reached = _resolution_scan(sample, config, moments=True)
     lambda_hat, r_hat, sigma_sq_hat = _estimates(sums, n)
-    weight = math.log(n) ** config.penalty_log_exponent / n
-    criterion = _criterion_values(r_hat, lambda_hat, sigma_sq_hat, weight, resolution)
+    criterion = _criterion_values(r_hat, lambda_hat, sigma_sq_hat, config.penalty_weight(n), resolution)
     m_selected = select_level(criterion, allow_empty=config.allow_empty_model)
     phi_hat = thresholded_estimator(r_hat, lambda_hat, m_selected, resolution)
     return EstimateReport(

@@ -15,7 +15,7 @@ from ivadapt import (
     parseval_sq_distance,
     synthesize,
 )
-from ivadapt.basis import _BLOCK_ROWS, _chunks
+from ivadapt.basis import _BLOCK_ROWS, _chunks, _cis
 
 ROOT2 = math.sqrt(2.0)
 
@@ -113,6 +113,24 @@ def test_basis_matrix_prefix_columns_are_bitwise_stable():
         assert np.array_equal(basis_matrix(x, np.arange(1, K + 1)), full[:, :K])
     assert basis_matrix(x, []).shape == (501, 0)
     assert basis_matrix([], [1, 2]).shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "n, ks",
+    [(501, np.arange(1, 41)), (501, [12, 11, 2, 1, 40, 39, 7]), (501, []), (0, np.arange(1, 17)), (0, [])],
+    ids=["prefix", "unsorted", "no-indices", "no-points", "neither"],
+)
+def test_basis_matrix_takes_the_rotations_of_the_points(n, ks):
+    x = np.random.default_rng(6).random(n)
+    got = basis_matrix(_cis(x), ks)
+    assert got.shape == (n, len(ks))
+    assert got.tobytes() == basis_matrix(x, ks).tobytes()
+
+
+@pytest.mark.parametrize("bad", [[0.5, 1.5], [-0.1], [0.2, math.nan]])
+def test_basis_matrix_still_checks_real_points(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        basis_matrix(np.array(bad), [1, 2])
 
 
 @given(st.integers(min_value=1, max_value=500))

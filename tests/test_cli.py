@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -363,6 +364,17 @@ ZERO_RESPONSE = [
 ]
 
 
+# the studies that compute the contrast need a finite penalty weight
+# log(n)^p / n at every n of the grid: log(1000)^400 overflows, log(10)^400 does not
+PENALTY_OVERFLOW = [
+    ("estimate", with_estimator(penalty_log_exponent=1e4), "estimator.penalty_log_exponent", "overflows"),
+    ("risk-curve", {**with_estimator(penalty_log_exponent=400), "n_grid": [10, 1000]},
+     "estimator.penalty_log_exponent", "n = 1000"),
+    ("rate-study", {**with_estimator(penalty_log_exponent=1e4), "n_grid": [100, 300, 1000, 3000]},
+     "estimator.penalty_log_exponent", "overflows"),
+]
+
+
 # 8 n bytes must fit numpy's array size (intp): above it numpy raises
 # ValueError before any allocation, so the bound is checked at load
 N_TOO_LARGE = [
@@ -385,7 +397,8 @@ N_TOO_LARGE = [
     + OUT_OF_RANGE
     + MISTYPED_COEFFS
     + N_TOO_LARGE
-    + ZERO_RESPONSE,
+    + ZERO_RESPONSE
+    + PENALTY_OVERFLOW,
 )
 def test_non_finite_floats_and_non_integer_counts_give_error_record(
     tmp_path, capsys, study, overrides, field, reason
@@ -413,6 +426,13 @@ def test_zero_phi_is_accepted_where_no_risk_is_divided_by(tmp_path, study, dgp):
     cfg = write_config(tmp_path, n_grid=[1000], **with_dgp(**dgp))
     config, _ = load_config(cfg, study=study, out=str(tmp_path / "out"))
     assert not config.dgp.phi.coeffs.any()
+
+
+@pytest.mark.parametrize("study", ["simulate", "coverage-study", "oracle-study"])
+def test_penalty_exponent_is_free_where_no_contrast_is_computed(tmp_path, study):
+    cfg = write_config(tmp_path, n_grid=[1000], **with_estimator(penalty_log_exponent=1e4))
+    config, _ = load_config(cfg, study=study, out=str(tmp_path / "out"))
+    assert config.estimator.penalty_log_exponent == 1e4
 
 
 CONFIG_KEYS = {"study", "dgp", "estimator", "n_grid", "reps", "master_seed"}
@@ -502,11 +522,21 @@ def test_out_of_memory_gives_error_record(tmp_path, capsys, monkeypatch):
     assert json.loads(lines[0])["error"] == "MemoryError"
 
 
-@pytest.mark.parametrize("study", ["simulate", "estimate"])
-def test_overflowing_response_gives_error_record(tmp_path, capsys, study):
-    # every field is a finite number, but eta_sd * Z overflows float64
-    cfg = write_config(tmp_path, **with_dgp(eta_sd=1e308), n_grid=[100])
-    assert main([study, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+@pytest.mark.parametrize(
+    "study, eta_sd",
+    [
+        # eta_sd * Z overflows float64 in generate_sample
+        ("simulate", 1e308),
+        ("estimate", 1e308),
+        # the response is finite, but its square in the moment sums is not
+        ("estimate", 1e200),
+    ],
+)
+def test_overflowing_response_gives_error_record(tmp_path, capsys, study, eta_sd):
+    cfg = write_config(tmp_path, **with_dgp(eta_sd=eta_sd), n_grid=[100])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would fail here
+        assert main([study, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["field"] == "dgp"

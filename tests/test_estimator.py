@@ -474,3 +474,16 @@ def test_estimator_config_validation():
     assert EstimatorConfig(k_max=7).resolution_cap(10**9) == 7
     assert EstimatorConfig().resolution_cap(10) == 10**4
     assert EstimatorConfig().resolution_cap(10**3) == 10**6
+
+
+def test_penalty_weight_overflow_is_a_value_error():
+    # log(n)^p overflows a float for p = 1e4 at any n >= 3; both users
+    # of the weight report it as a ValueError, not an OverflowError
+    assert EstimatorConfig().penalty_weight(100) == math.log(100) ** 2 / 100
+    config = EstimatorConfig(penalty_log_exponent=1e4)
+    with pytest.raises(ValueError, match="overflows"):
+        config.penalty_weight(100)
+    with pytest.raises(ValueError, match="overflows"):
+        penalized_criterion([0.3], [0.5], [1.0], 1, 100, config)
+    with pytest.raises(ValueError, match="overflows"):
+        adaptive_estimate(generate_sample(DgpSpec.default(), 100, seed=1), config)

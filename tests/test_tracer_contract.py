@@ -6,6 +6,7 @@ test makes it fail here.  The same holds for the basis cells the scan
 requests, from which the tracer derives how many indices it scanned.
 """
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,36 @@ def test_standalone_estimates_request_only_k_columns(monkeypatch, name, tables, 
     cells = _count_cells(monkeypatch)
     assert getattr(estimator, name)(sample, K).shape == (K,)
     assert sum(cells) == tables * sample.n * K
+
+
+def _count_rotated_points(monkeypatch):
+    """Sizes of every exp(2 pi i x) the estimator evaluates."""
+    points = []
+    cis = estimator._cis
+
+    def counting(x):
+        points.append(x.size)
+        return cis(x)
+
+    monkeypatch.setattr(estimator, "_cis", counting)
+    return points
+
+
+@pytest.mark.parametrize("n", [5000, estimator._chunks(1 << 21)[0].stop + 2])
+@pytest.mark.parametrize("name", ["adaptive_estimate", "estimate_resolution"])
+def test_scan_rotates_each_point_once(monkeypatch, name, n):
+    # X and W are rotated once per call, however many index blocks the
+    # scan walks; at t = 0.5 it walks 7 or more
+    sample = generate_sample(dataclasses.replace(DgpSpec.default(), t=0.5), n, seed=n)
+    assert estimator.estimate_resolution(sample) >= 6 * estimator._SCAN_BLOCK
+    points = _count_rotated_points(monkeypatch)
+    getattr(estimator, name)(sample)
+    assert sum(points) == 2 * n
+
+
+@pytest.mark.parametrize("K, rotated", [(40, 1), (0, 0)])
+def test_moments_rotate_only_w_once(monkeypatch, K, rotated):
+    sample = generate_sample(DgpSpec.default(), 300, seed=K)
+    points = _count_rotated_points(monkeypatch)
+    assert estimator.estimate_sigma_sq(sample, K).shape == (K,)
+    assert sum(points) == rotated * sample.n
