@@ -40,7 +40,7 @@ def frequency(k):
     return int(j) if np.ndim(k) == 0 else j
 
 
-def basis_matrix(x, ks) -> np.ndarray:
+def basis_matrix(x, ks, out=None) -> np.ndarray:
     """Evaluate basis functions on a grid: out[i, m] = e_{ks[m]}(x[i]).
 
     x is either the points, real and in [0, 1], or their rotations
@@ -62,6 +62,13 @@ def basis_matrix(x, ks) -> np.ndarray:
     (``out.T @ y``, ``einsum("ij,ij->j", ...)``) needs no copy.  Values
     do not depend on the layout; use ``np.ascontiguousarray`` where C
     order is required.
+
+    With out, a C-contiguous float64 array of at least 2 n x (distinct
+    frequencies) elements, the table is written into the front of out
+    and the result is the same view into it, with the same bits, so a
+    caller that walks many index blocks allocates its tables once.  Any
+    other out raises ValueError.  A ks that is not a run of consecutive
+    indices from a cosine index is gathered into a new array.
     """
     ks = np.asarray(ks, dtype=np.int64)
     if ks.size and ks.min() < 1:
@@ -69,13 +76,17 @@ def basis_matrix(x, ks) -> np.ndarray:
     if np.iscomplexobj(x):
         zeta = np.asarray(x, dtype=np.complex128)
     else:
-        x = np.asarray(x, dtype=np.float64)
-        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails too
-            raise ValueError("evaluation points must lie in [0, 1]")
-        zeta = _cis(x)
+        zeta = _cis(_unit_points(x))
     j = (ks + 1) // 2
     freqs = sorted(set(j.tolist()))
-    tab = np.empty((len(freqs), 2, zeta.size))  # cos and sin row per frequency
+    shape = (len(freqs), 2, zeta.size)  # cos and sin row per frequency
+    size = math.prod(shape)
+    if out is None:
+        tab = np.empty(shape)
+    elif isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.c_contiguous and out.size >= size:
+        tab = out.reshape(-1)[:size].reshape(shape)
+    else:
+        raise ValueError(f"out must be a C-contiguous float64 array of at least {size} values")
     for row, f in enumerate(freqs):
         if row and f == freqs[row - 1] + 1:
             z *= zeta
@@ -89,6 +100,14 @@ def basis_matrix(x, ks) -> np.ndarray:
     if np.array_equal(cols, np.arange(cols.size)):
         return rows[: cols.size].T  # already in table order: no gather
     return rows[cols].T
+
+
+def _unit_points(x) -> np.ndarray:
+    """x as a float64 array, checked to lie in [0, 1]; NaN and infinities fail too."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise ValueError("evaluation points must lie in [0, 1]")
+    return x
 
 
 def _cis(x: np.ndarray) -> np.ndarray:
@@ -165,7 +184,7 @@ class CoefficientVector:
 
 
 def synthesize(f: CoefficientVector, x):
-    """Pointwise value sum_k coeffs[k] e_k(x); x scalar or array in [0, 1].
+    """Pointwise value sum_k coeffs[k] e_k(x); x scalar or array in [0, 1] (else ValueError).
 
     Horner evaluation of sqrt(2) Re sum_j (c_{2j-1} - i c_{2j}) zeta^j
     with zeta = exp(2 pi i x), j = 1..J: O(n J) work and O(n) memory,
@@ -174,7 +193,7 @@ def synthesize(f: CoefficientVector, x):
     on its block.  Rounding drifts by about J eps sum_k |c_k|.
     """
     scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    xs = np.atleast_1d(_unit_points(x))
     c = f.padded(f.support + f.support % 2)
     a = c[0::2] - 1j * c[1::2]  # a[j - 1] pairs cos and sin at frequency j
     vals = np.empty(xs.size)

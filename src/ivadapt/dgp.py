@@ -68,16 +68,33 @@ def sample_noise(t: float, n: int, rng: np.random.Generator) -> np.ndarray:
     transform, and every sine moment vanishes by symmetry.  The wrapped
     Cauchy draw uses the closed-form quantile transform, so the sampler
     is exact and O(1) per draw.
+
+    The arithmetic is that of
+    (2 arctan((1 - rho) / (1 + rho) tan(pi (v - 1/2))) / 2 pi) mod 1,
+    the same operations in the same order, done in place so that at most
+    three arrays of n draws are alive at once.
     """
     if t <= 0:
         raise ValueError("ill-posedness degree t must be positive")
     if n < 1:
         raise ValueError("need at least one draw")
-    g = rng.gamma(shape=t, scale=1.0, size=n)
-    rho = np.exp(-g)
+    rho = rng.gamma(shape=t, scale=1.0, size=n)
+    np.negative(rho, out=rho)
+    np.exp(rho, out=rho)
+    theta = 1.0 - rho
+    rho += 1.0
+    theta /= rho
+    del rho
     v = rng.random(n)
-    theta = 2.0 * np.arctan(((1.0 - rho) / (1.0 + rho)) * np.tan(np.pi * (v - 0.5)))
-    return (theta / _TWO_PI) % 1.0
+    v -= 0.5
+    v *= np.pi
+    theta *= np.tan(v, out=v)
+    del v
+    np.arctan(theta, out=theta)
+    theta *= 2.0
+    theta /= _TWO_PI
+    theta %= 1.0
+    return theta
 
 
 @dataclass(frozen=True)
@@ -164,14 +181,23 @@ def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
         raise ValueError("sample size must be positive")
     rng = seeds.rng_from(seed)
     w = rng.random(n)
-    eps = sample_noise(spec.t, n, rng)
-    z = rng.standard_normal(n)
-    x = (w + eps) % 1.0
+    x = sample_noise(spec.t, n, rng)  # eps, then x = (w + eps) mod 1 in place
+    x += w
+    x %= 1.0
     size = max(spec.phi.support, spec.g.support)
     h = CoefficientVector(spec.phi.padded(size) + spec.a * spec.g.padded(size))
     tg = CoefficientVector(eigenvalue_profile(spec.g.support, spec.t) * spec.g.coeffs)
+    # y = h(X) - a (Tg)(W) + eta_sd Z, in that order and in place; Z is
+    # drawn only when it is needed (synthesize draws nothing from rng)
     with np.errstate(over="raise", invalid="raise"):  # FloatingPointError when the spec's magnitudes overflow
-        y = synthesize(h, x) - spec.a * synthesize(tg, w) + spec.eta_sd * z
+        y = synthesize(h, x)
+        tgw = synthesize(tg, w)
+        tgw *= spec.a
+        y -= tgw
+        del tgw
+        z = rng.standard_normal(n)
+        z *= spec.eta_sd
+        y += z
     return IvSample(y=y, x=x, w=w)
 
 

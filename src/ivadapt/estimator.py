@@ -13,7 +13,11 @@ a basis block stays near 1 MiB whatever n and K are.  The walk evaluates
 the rotations exp(2 pi i W), and exp(2 pi i X) when it needs the
 eigenvalues, once per row block before its first index block, and every
 index block's basis_matrix starts from them: one trig evaluation per
-point and variable per estimator call.  The sigma_k^2 oracle in dgp
+point and variable per estimator call.  The walk also allocates its
+basis tables once, as a workspace of _SCAN_BLOCK columns by the largest
+row block, one table for psi(W) and one more for psi(X) when it needs
+the eigenvalues, and every basis_matrix call writes into it (out=), so
+no index block allocates or frees a table.  The sigma_k^2 oracle in dgp
 runs estimate_sigma_sq over its fixed-seed sample.
 """
 
@@ -89,22 +93,23 @@ class EstimatorConfig:
             ) from None
 
 
-def _block_sums(row_blocks: list, ks: np.ndarray, eigen: bool, moments: bool) -> np.ndarray:
+def _block_sums(row_blocks: list, ks: np.ndarray, eigen: bool, moments: bool, work: np.ndarray) -> np.ndarray:
     """Sums over the sample for the basis indices ks: three rows, one column per index.
 
     row_blocks holds (Y, exp(2 pi i X) or None, exp(2 pi i W)) per row
     block of the sample.  With eigen, row 0 sums psi_k(X) psi_k(W); with
     moments, rows 1 and 2 sum Y psi_k(W) and (Y psi_k(W))^2, and a
     FloatingPointError reports a product or sum that overflows.  Rows
-    not asked for stay 0.  Each row block builds psi(W) once, and psi(X)
-    only with eigen.  Row blocks do not depend on len(ks), so an index
-    gets the same sums in a short block as in a full one.
+    not asked for stay 0.  Each row block builds psi(W) once into
+    work[0], and psi(X) only with eigen, into work[1].  Row blocks do not
+    depend on len(ks), so an index gets the same sums in a short block
+    as in a full one.
     """
     sums = np.zeros((3, ks.size))
     for y, zx, zw in row_blocks:
-        bw = basis_matrix(zw, ks).T
+        bw = basis_matrix(zw, ks, out=work[0]).T
         if eigen:
-            sums[0] += np.einsum("ij,ij->i", basis_matrix(zx, ks).T, bw)
+            sums[0] += np.einsum("ij,ij->i", basis_matrix(zx, ks, out=work[1]).T, bw)
         if moments:
             with np.errstate(over="raise"):
                 bw *= y
@@ -123,16 +128,18 @@ def _estimates(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
 def _blocks(sample: IvSample, cap: int, eigen: bool, moments: bool):
     """_block_sums for k = 1..cap, _SCAN_BLOCK indices at a time, the last block cut at cap.
 
-    The rotations are evaluated once, before the first block, and every
-    block reuses them; with cap = 0 none are.
+    The rotations and the basis-table workspace are made once, before
+    the first block, and every block reuses them; with cap = 0 neither
+    is.  Each block starts at a cosine index, so its tables fill at most
+    _SCAN_BLOCK rows of the workspace.
     """
     if cap < 1:
         return
-    row_blocks = [
-        (sample.y[sl], _cis(sample.x[sl]) if eigen else None, _cis(sample.w[sl])) for sl in _chunks(sample.n)
-    ]
+    chunks = _chunks(sample.n)
+    row_blocks = [(sample.y[sl], _cis(sample.x[sl]) if eigen else None, _cis(sample.w[sl])) for sl in chunks]
+    work = np.empty((1 + eigen, _SCAN_BLOCK * max(sl.stop - sl.start for sl in chunks)))
     for k0 in range(1, cap + 1, _SCAN_BLOCK):
-        yield _block_sums(row_blocks, np.arange(k0, min(k0 + _SCAN_BLOCK, cap + 1)), eigen, moments)
+        yield _block_sums(row_blocks, np.arange(k0, min(k0 + _SCAN_BLOCK, cap + 1)), eigen, moments, work)
 
 
 def _estimates_upto(

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import _BLOCK_ROWS
+
 __all__ = ["to_plain", "dumps", "write_json", "write_csv"]
 
 
@@ -44,15 +46,22 @@ def write_json(path, payload) -> None:
 
 
 def write_csv(path, columns) -> None:
-    """Write equal-length named columns, formatting one column at a time.
+    """Write equal-length named columns, _BLOCK_ROWS rows at a time.
 
     Float columns are written as repr of their Python floats (shortest
     round trip), int and string columns with str.  Columns of unequal
-    length raise ValueError before anything is written.
+    length raise ValueError before the file is opened.  Rows are
+    formatted and written one block at a time, so the formatted text of
+    the whole file is never held in memory.
     """
-    cells = []
-    for values in columns.values():
-        values = np.asarray(values)
-        cells.append(map(repr if values.dtype.kind == "f" else str, values.tolist()))
-    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    arrays = [np.asarray(values) for values in columns.values()]
+    lengths = {len(values) for values in arrays}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length: {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
+    formats = [repr if values.dtype.kind == "f" else str for values in arrays]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            cells = [map(fmt, values[start : start + _BLOCK_ROWS].tolist()) for fmt, values in zip(formats, arrays)]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))

@@ -127,10 +127,59 @@ def test_basis_matrix_takes_the_rotations_of_the_points(n, ks):
     assert got.tobytes() == basis_matrix(x, ks).tobytes()
 
 
-@pytest.mark.parametrize("bad", [[0.5, 1.5], [-0.1], [0.2, math.nan]])
+@pytest.mark.parametrize(
+    "bad", [[0.5, 1.5], [-0.1], [0.2, math.nan], [math.nan], [math.inf], [0.3, -math.inf], [-0.5], [2.0]]
+)
 def test_basis_matrix_still_checks_real_points(bad):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         basis_matrix(np.array(bad), [1, 2])
+    # synthesize shares the check, for arrays and scalars
+    f = CoefficientVector([1.0, -0.5, 0.25])
+    for points in (bad, bad[-1]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            synthesize(f, points)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["points", "rotations"])
+@pytest.mark.parametrize(
+    "n, ks",
+    [(1, np.arange(1, 17)), (501, np.arange(1, 17)), (501, np.arange(17, 33)), (501, np.arange(17, 20)), (501, [])],
+    ids=["one-point", "first-block", "second-block", "cut-block", "no-indices"],
+)
+def test_basis_matrix_writes_into_out(rotated, n, ks):
+    x = np.random.default_rng(8).random(n)
+    points = _cis(x) if rotated else x
+    buf = np.full(16 * n + 3, np.nan)
+    got = basis_matrix(points, ks, out=buf)
+    assert got.shape == (n, len(ks))
+    assert got.tobytes() == basis_matrix(x, ks).tobytes()
+    assert np.shares_memory(got, buf) == (len(ks) > 0)
+    assert np.isnan(buf[16 * n :]).all()  # only the front of out is written
+
+
+def test_basis_matrix_out_for_gathered_indices_keeps_the_values():
+    x = np.random.default_rng(9).random(301)
+    ks = [12, 11, 2, 1, 40, 39, 7]
+    buf = np.empty(2 * 20 * x.size)
+    assert basis_matrix(x, ks, out=buf).tobytes() == basis_matrix(x, ks).tobytes()
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty(16 * 100, dtype=np.float32),
+        np.empty(16 * 100, dtype=np.complex128),
+        np.empty(32 * 100)[::2],
+        np.empty((100, 16), order="F"),
+        np.empty(16 * 100 - 1),
+        [0.0] * (16 * 100),
+    ],
+    ids=["float32", "complex", "strided", "f-ordered", "too-small", "list"],
+)
+def test_basis_matrix_rejects_a_bad_out(out):
+    x = np.random.default_rng(10).random(100)
+    with pytest.raises(ValueError, match="out"):
+        basis_matrix(x, np.arange(1, 17), out=out)
 
 
 @given(st.integers(min_value=1, max_value=500))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ivadapt import (
     generate_sample,
     sample_noise,
     sigma_sq_profile,
+    synthesize,
     true_eigenvalue,
 )
 from ivadapt import dgp, estimator, seeds
@@ -82,6 +84,49 @@ def test_noise_higher_frequency_moments():
         c = np.cos(2 * np.pi * j * eps)
         se = c.std(ddof=1) / math.sqrt(NOISE_DRAWS)
         assert abs(c.mean() - (1.0 + j) ** -1.5) <= 4 * se
+
+
+def _noise_out_of_place(t, n, rng):
+    g = rng.gamma(shape=t, scale=1.0, size=n)
+    rho = np.exp(-g)
+    v = rng.random(n)
+    theta = 2.0 * np.arctan(((1.0 - rho) / (1.0 + rho)) * np.tan(np.pi * (v - 0.5)))
+    return (theta / (2.0 * math.pi)) % 1.0
+
+
+def _sample_out_of_place(spec, n, seed):
+    rng = seeds.rng_from(seed)
+    w = rng.random(n)
+    eps = _noise_out_of_place(spec.t, n, rng)
+    z = rng.standard_normal(n)
+    x = (w + eps) % 1.0
+    size = max(spec.phi.support, spec.g.support)
+    h = CoefficientVector(spec.phi.padded(size) + spec.a * spec.g.padded(size))
+    tg = CoefficientVector(eigenvalue_profile(spec.g.support, spec.t) * spec.g.coeffs)
+    return synthesize(h, x) - spec.a * synthesize(tg, w) + spec.eta_sd * z, x, w
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 8193, 100_000])
+def test_in_place_sampler_is_bitwise_the_out_of_place_formula(t, n):
+    eps = sample_noise(t, n, seeds.rng(n, "noise"))
+    assert eps.tobytes() == _noise_out_of_place(t, n, seeds.rng(n, "noise")).tobytes()
+    spec = DgpSpec(t=t, phi=DgpSpec.default().phi, g=CoefficientVector([1.0, 0.5]), a=0.5, eta_sd=0.5)
+    sample = generate_sample(spec, n, seed=n)
+    y, x, w = _sample_out_of_place(spec, n, n)
+    assert (sample.y.tobytes(), sample.x.tobytes(), sample.w.tobytes()) == (y.tobytes(), x.tobytes(), w.tobytes())
+
+
+def test_oracle_sample_peak_memory():
+    # the three n-draw arrays of the result and one temporary: 32 MiB at
+    # 10^6 draws (the out-of-place formula peaks at 54 MiB)
+    tracemalloc.start()
+    try:
+        generate_sample(DgpSpec.default(), dgp._ORACLE_DRAWS, seed=seeds.sequence(dgp._ORACLE_SEED, "sigma-oracle"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45 * 2**20
 
 
 def test_generate_sample_degenerate_is_exactly_zero():

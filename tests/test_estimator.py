@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from ivadapt import (
     thresholded_estimator,
     true_eigenvalue,
 )
-from ivadapt import seeds
+from ivadapt import estimator, seeds
 from ivadapt.estimator import _chunks, _criterion_values
 
 ROOT2 = math.sqrt(2.0)
@@ -169,6 +170,29 @@ def test_standalone_estimates_equal_the_scan_bitwise(n, k_max):
 
 # ---------------------------------------------------------------------------
 # resolution selection
+
+
+@pytest.mark.parametrize("n", [5000, _chunks(1 << 21)[0].stop + 2])
+@pytest.mark.parametrize(
+    "name, tables", [("adaptive_estimate", 2), ("estimate_resolution", 2), ("estimate_sigma_sq", 1)]
+)
+def test_block_walk_writes_every_table_into_one_workspace(monkeypatch, name, tables, n):
+    # psi(W), and psi(X) for the eigenvalues, each go into one buffer of
+    # the call, whatever the number of row and index blocks
+    data = []
+    basis_matrix = estimator.basis_matrix
+
+    def recording(x, ks, out=None):
+        data.append(None if out is None else out.__array_interface__["data"][0])
+        return basis_matrix(x, ks, out=out)
+
+    sample = generate_sample(dataclasses.replace(DgpSpec.default(), t=0.5), n, seed=n)
+    monkeypatch.setattr(estimator, "basis_matrix", recording)
+    args = (sample, 40) if name == "estimate_sigma_sq" else (sample,)
+    getattr(estimator, name)(*args)
+    assert None not in data
+    assert len(data) >= 3 * tables * len(_chunks(n))
+    assert len(set(data)) == tables
 
 
 def test_select_resolution_threshold_crossing():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,39 @@ def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(path, {"a": [1.0], "b": ["x", "y"]})
     assert not path.exists()
+
+
+def _one_shot_csv(columns) -> bytes:
+    cells = [map(repr if np.asarray(v).dtype.kind == "f" else str, np.asarray(v).tolist()) for v in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [0, 1, 8192, 8193, 3 * 8192 + 1])
+def test_write_csv_streams_the_one_shot_bytes(tmp_path, n):
+    rng = np.random.default_rng(n)
+    columns = {
+        "k": np.arange(1, n + 1),
+        "value": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        "name": [f"row{i}" for i in range(n)],
+    }
+    path = tmp_path / "rows.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == _one_shot_csv(columns)
+
+
+def test_write_csv_peak_memory(tmp_path):
+    # a 2^18-row sample.csv: one block of formatted rows at a time
+    # (the one-shot join peaks at 58 MiB)
+    rng = np.random.default_rng(3)
+    columns = {name: rng.random(1 << 18) for name in ("y", "x", "w")}
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "sample.csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_to_plain_encodes_a_dgp_spec_as_plain_floats():

@@ -33,8 +33,8 @@ def test_scan_requests_two_n_cells_per_scanned_index(monkeypatch, n):
     cells = []
     basis_matrix = estimator.basis_matrix
 
-    def counting(x, ks):
-        out = basis_matrix(x, ks)
+    def counting(x, ks, **kwargs):
+        out = basis_matrix(x, ks, **kwargs)
         cells.append(out.size)
         return out
 
@@ -52,8 +52,8 @@ def _count_cells(monkeypatch):
     for module in (estimator, dgp):
         basis_matrix = module.basis_matrix
 
-        def counting(x, ks, basis_matrix=basis_matrix):
-            out = basis_matrix(x, ks)
+        def counting(x, ks, basis_matrix=basis_matrix, **kwargs):
+            out = basis_matrix(x, ks, **kwargs)
             cells.append(out.size)
             return out
 
