@@ -58,7 +58,7 @@ def write_csv(path, columns) -> None:
     lengths = {len(values) for values in arrays}
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal length: {sorted(lengths)}")
-    n = lengths.pop() if lengths else 0
+    n = max(lengths, default=0)
     formats = [repr if values.dtype.kind == "f" else str for values in arrays]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
