@@ -18,9 +18,14 @@ named after its commit, holds every run, and per workload and
 end-to-end metric each side's median and quartiles over its correct
 runs (``statistics.quantiles``, exclusive method), how many of all
 pairs the change won, judged by the metric's ``better`` in
-BENCHMARK.json, and how many runs failed on each side.  The header
-gives machine, nproc, both commits and the numpy version the runs
-reported.
+BENCHMARK.json, and how many runs failed on each side.  ``claim_met``
+applies the rule for claiming a gain: the change wins at least nine
+tenths of all pairs, and its median is better than the base's by more
+than the base's interquartile range.  ``ratio`` is the median over
+pairs of change / base with a 95 % percentile bootstrap interval
+(pairs resampled with a fixed seed, so reruns give the same interval).
+The header gives machine, nproc, both commits and the numpy version
+the runs reported.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -92,13 +98,30 @@ def spread(values: list[float]) -> dict | None:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": len(values)}
 
 
+#: Bootstrap resamples and seed of the paired-ratio interval.
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
+
+
+def ratio_interval(ratios: list[float]) -> dict | None:
+    """Median of the paired ratios and its 95 % percentile bootstrap interval."""
+    if not ratios:
+        return None
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = [statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP_RESAMPLES)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")  # 2.5 % steps
+    return {"median": statistics.median(ratios), "ci_low": cuts[0], "ci_high": cuts[-1], "level": 0.95,
+            "resamples": BOOTSTRAP_RESAMPLES, "pairs": len(ratios)}
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per metric: each side's spread over its correct runs and the change's wins over all pairs.
 
     A pair is a win only when both sides are correct and the change is
     better, so a failed or incorrect run on either side counts against
     the change.  ``failed`` counts each side's runs that exited nonzero
-    or were not correct.
+    or were not correct.  The paired ratios skip pairs with a failed
+    side or a base of 0.
     """
     failed = {side: sum(not correct(r) for r in runs if r["side"] == side) for side in ("base", "change")}
     out = {}
@@ -114,15 +137,22 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             for p in pairs.values()
         )
         base, change = spread(values["base"]), spread(values["change"])
+        gap = change["median"] - base["median"] if base and change else None
+        ratios = [p["change"] / p["base"] for p in pairs.values() if p.get("change") is not None and p.get("base")]
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
             "base": base,
             "change": change,
-            "median_gap": change["median"] - base["median"] if base and change else None,
+            "median_gap": gap,
             "wins": wins,
             "pairs": len(pairs),
             "failed": failed,
+            "claim_met": bool(
+                pairs and wins >= 0.9 * len(pairs) and gap is not None
+                and (-gap if lower else gap) > base["iqr"]
+            ),
+            "ratio": ratio_interval(ratios),
         }
     return out
 
@@ -168,8 +198,11 @@ def main(argv=None) -> int:
     for workload, entry in workloads.items():
         for metric, stats in entry["metrics"].items():
             medians = [f"{stats[side]['median']:.4g}" if stats[side] else "-" for side in ("base", "change")]
+            ratio = stats["ratio"]
+            ci = f"{ratio['median']:.3f} [{ratio['ci_low']:.3f}, {ratio['ci_high']:.3f}]" if ratio else "-"
             print(f"{workload:14s} {metric:12s} base {medians[0]} change {medians[1]} "
-                  f"wins {stats['wins']}/{stats['pairs']} failed {stats['failed']}")
+                  f"wins {stats['wins']}/{stats['pairs']} claim_met {stats['claim_met']} ratio {ci} "
+                  f"failed {stats['failed']}")
     print(path)
     return 0
 

@@ -191,14 +191,20 @@ def synthesize(f: CoefficientVector, x):
     with no basis matrix.  The points go in row blocks of _BLOCK_ROWS,
     so the accumulator stays in cache; a point's value does not depend
     on its block.  Rounding drifts by about J eps sum_k |c_k|.
+
+    As in basis_matrix, x may instead be the rotations zeta as a complex
+    array (not checked), and either form gives the same bits.  The zero
+    function (no coefficients) gives +0.0 at every point and evaluates
+    no rotation.
     """
     scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(_unit_points(x))
+    rotated = np.iscomplexobj(x)
+    xs = np.atleast_1d(np.asarray(x, dtype=np.complex128) if rotated else _unit_points(x))
     c = f.padded(f.support + f.support % 2)
     a = c[0::2] - 1j * c[1::2]  # a[j - 1] pairs cos and sin at frequency j
-    vals = np.empty(xs.size)
-    for sl in _chunks(xs.size):
-        zeta = _cis(xs[sl])
+    vals = np.zeros(xs.size)
+    for sl in _chunks(xs.size) if a.size else ():
+        zeta = xs[sl] if rotated else _cis(xs[sl])
         acc = np.zeros(zeta.size, dtype=np.complex128)
         for aj in a[::-1]:
             acc += aj

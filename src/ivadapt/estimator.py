@@ -9,16 +9,20 @@ coefficients to produce the adaptive estimate.
 
 Every sum over the sample is taken in blocks of _SCAN_BLOCK basis
 indices (_blocks) and, within a block, of 8,192 rows (basis._chunks), so
-a basis block stays near 1 MiB whatever n and K are.  The walk evaluates
-the rotations exp(2 pi i W), and exp(2 pi i X) when it needs the
-eigenvalues, once per row block before its first index block, and every
-index block's basis_matrix starts from them: one trig evaluation per
-point and variable per estimator call.  The walk also allocates its
-basis tables once, as a workspace of _SCAN_BLOCK columns by the largest
-row block, one table for psi(W) and one more for psi(X) when it needs
-the eigenvalues, and every basis_matrix call writes into it (out=), so
-no index block allocates or frees a table.  The sigma_k^2 oracle in dgp
-runs estimate_sigma_sq over its fixed-seed sample.
+a basis block stays near 1 MiB whatever n and K are.  Every index
+block's basis_matrix starts from the rotations exp(2 pi i W), and
+exp(2 pi i X) when it needs the eigenvalues.  A sample that
+generate_sample drew with at most dgp._KEEP_ROTATIONS_UPTO points
+carries the rotations its sampler made, and the walk slices them: one
+trig evaluation per point and variable per replication.  Any other
+sample (above that size, or built from arrays) is rotated once per row
+block before the first index block, once per estimator call.  The walk
+also allocates its basis tables once, as a workspace of _SCAN_BLOCK
+columns by the largest row block, one table for psi(W) and one more
+for psi(X) when it needs the eigenvalues, and every basis_matrix call
+writes into it (out=), so no index block allocates or frees a table.
+The sigma_k^2 oracle in dgp runs estimate_sigma_sq over its fixed-seed
+sample.
 """
 
 from __future__ import annotations
@@ -130,16 +134,25 @@ def _blocks(sample: IvSample, cap: int, eigen: bool, moments: bool):
 
     The rotations and the basis-table workspace are made once, before
     the first block, and every block reuses them; with cap = 0 neither
-    is.  Each block starts at a cosine index, so its tables fill at most
-    _SCAN_BLOCK rows of the workspace.
+    is.  The rotations are slices of the sample's own when it carries
+    them.  Each block starts at a cosine index, so its tables fill at
+    most _SCAN_BLOCK rows of the workspace.
     """
     if cap < 1:
         return
     chunks = _chunks(sample.n)
-    row_blocks = [(sample.y[sl], _cis(sample.x[sl]) if eigen else None, _cis(sample.w[sl])) for sl in chunks]
+    zx, zw = sample._rotations or (None, None)
+    row_blocks = [
+        (sample.y[sl], _rotate(sample.x, zx, sl) if eigen else None, _rotate(sample.w, zw, sl)) for sl in chunks
+    ]
     work = np.empty((1 + eigen, _SCAN_BLOCK * max(sl.stop - sl.start for sl in chunks)))
     for k0 in range(1, cap + 1, _SCAN_BLOCK):
         yield _block_sums(row_blocks, np.arange(k0, min(k0 + _SCAN_BLOCK, cap + 1)), eigen, moments, work)
+
+
+def _rotate(points: np.ndarray, zeta: np.ndarray | None, sl: slice) -> np.ndarray:
+    """exp(2 pi i points[sl]): a slice of the rotations zeta when the sample has them, else evaluated."""
+    return _cis(points[sl]) if zeta is None else zeta[sl]
 
 
 def _estimates_upto(

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import quad_grid, trapezoid_inner
+from ivadapt import basis
 from ivadapt import (
     CoefficientVector,
     FunctionFamilySpec,
@@ -250,6 +251,35 @@ def test_synthesize_values_do_not_depend_on_row_blocks():
     cuts = [0, 2, 5000, _BLOCK_ROWS + 3, 20_000, n]
     parts = [synthesize(f, x[a:b]) for a, b in zip(cuts, cuts[1:])]
     assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+
+@pytest.mark.parametrize("support", [0, 1, 2, 51])
+@pytest.mark.parametrize("n", [1, 2, 3, 501, 3 * _BLOCK_ROWS + 1])
+def test_synthesize_takes_the_rotations_of_the_points(n, support):
+    f = CoefficientVector(np.random.default_rng(support).standard_normal(support))
+    x = np.random.default_rng(n).random(n)
+    got = synthesize(f, _cis(x))
+    assert got.shape == (n,)
+    assert got.tobytes() == synthesize(f, x).tobytes()
+    value = synthesize(f, _cis(x[:1])[0])
+    assert isinstance(value, float) and value == synthesize(f, float(x[0]))
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["points", "rotations"])
+@pytest.mark.parametrize("n", [0, 1, 3 * _BLOCK_ROWS + 1, None], ids=["0", "1", "3-blocks", "scalar"])
+def test_synthesize_of_the_zero_function_rotates_nothing(monkeypatch, rotated, n):
+    x = 0.37 if n is None else np.random.default_rng(4).random(n)
+    zeta = _cis(np.atleast_1d(x))
+    points = []
+    monkeypatch.setattr(basis, "_cis", lambda x: points.append(x.size) or _cis(x))
+    got = synthesize(CoefficientVector.zero(), (zeta if n is not None else zeta[0]) if rotated else x)
+    assert points == []
+    if n is None:
+        assert isinstance(got, float) and got == 0.0 and math.copysign(1.0, got) == 1.0
+    else:
+        assert got.tobytes() == np.zeros(n).tobytes()  # +0.0 everywhere
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):  # real points are still checked
+        synthesize(CoefficientVector.zero(), [0.5, 1.5])
 
 
 def test_parseval_identity_and_orthonormal_distance():

@@ -1,6 +1,7 @@
 """scripts/bench_pairs.summarize on synthetic runs: wins, ties, failures and spreads."""
 
 import importlib.util
+import statistics
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,57 @@ def test_medians_and_quartiles_come_from_correct_runs_only():
     assert out["change"]["iqr"] == 6.0
     assert out["median_gap"] == 3.0
     assert out["failed"] == {"base": 1, "change": 1}
+
+
+def _pairs(walls):
+    runs = []
+    for pair, (base, change) in enumerate(walls):
+        runs += [run(pair, "base", base, 1 / base), run(pair, "change", change, 1 / change)]
+    return runs
+
+
+def test_claim_is_met_with_nine_tenths_of_wins_and_a_gap_beyond_the_base_iqr():
+    # base 10..19, change 2 lower in 9 pairs and 1 higher in one
+    walls = [(10.0 + i, 8.0 + i) for i in range(9)] + [(19.0, 20.0)]
+    out = bench_pairs.summarize(_pairs(walls), END_TO_END)
+    assert out["wall_s"]["wins"] == out["reps_per_s"]["wins"] == 9
+    # the base's quartiles are 11.75 and 17.25: a 2.0 gap is inside the spread
+    assert out["wall_s"]["base"]["iqr"] == 5.5 and out["wall_s"]["median_gap"] == -2.0
+    assert not out["wall_s"]["claim_met"]
+    tight = [(10.0 + 0.01 * i, 8.0 + 0.01 * i) for i in range(9)] + [(10.09, 10.5)]
+    out = bench_pairs.summarize(_pairs(tight), END_TO_END)
+    assert out["wall_s"]["claim_met"] and out["reps_per_s"]["claim_met"]
+
+
+def test_claim_needs_nine_tenths_of_all_pairs_and_the_better_direction():
+    eight = [(10.0 + 0.01 * i, 8.0) for i in range(8)] + [(10.0, 12.0), (10.0, 12.0)]
+    assert not bench_pairs.summarize(_pairs(eight), END_TO_END)["wall_s"]["claim_met"]
+    # a failed run leaves 9 wins of 10 pairs run: still a claim
+    nine = [(10.0 + 0.01 * i, 8.0) for i in range(10)]
+    runs = _pairs(nine)
+    runs[-1]["exit"] = 1
+    out = bench_pairs.summarize(runs, END_TO_END)["wall_s"]
+    assert out["wins"] == 9 and out["pairs"] == 10 and out["claim_met"]
+    worse = [(8.0, 10.0 + 0.01 * i) for i in range(10)]
+    out = bench_pairs.summarize(_pairs(worse), END_TO_END)["wall_s"]
+    assert out["wins"] == 0 and not out["claim_met"]
+
+
+def test_paired_ratio_interval_is_reproducible_and_brackets_the_median():
+    walls = [(10.0, 9.0), (11.0, 9.5), (12.0, 11.0), (10.5, 10.0), (9.0, 8.0), (13.0, 12.5)]
+    runs = _pairs(walls)
+    ratio = bench_pairs.summarize(runs, END_TO_END)["wall_s"]["ratio"]
+    assert ratio == bench_pairs.summarize(runs, END_TO_END)["wall_s"]["ratio"]
+    assert ratio["pairs"] == 6 and ratio["resamples"] == bench_pairs.BOOTSTRAP_RESAMPLES
+    assert ratio["median"] == statistics.median([c / b for b, c in walls])
+    assert min(c / b for b, c in walls) <= ratio["ci_low"] <= ratio["median"] <= ratio["ci_high"]
+    assert ratio["ci_high"] <= max(c / b for b, c in walls)
+
+
+def test_paired_ratio_skips_failed_pairs_and_is_exact_for_a_constant_ratio():
+    runs = _pairs([(10.0, 5.0), (4.0, 2.0), (8.0, 4.0)])
+    runs += [run(3, "base", 1.0, 1.0), run(3, "change", 100.0, 0.01, correct=False)]
+    ratio = bench_pairs.summarize(runs, END_TO_END)["wall_s"]["ratio"]
+    assert (ratio["median"], ratio["ci_low"], ratio["ci_high"], ratio["pairs"]) == (0.5, 0.5, 0.5, 3)
+    failed = [run(0, "base", 1.0, 1.0, exit=1), run(0, "change", 1.0, 1.0)]
+    assert bench_pairs.summarize(failed, END_TO_END)["wall_s"]["ratio"] is None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,7 +18,7 @@ from ivadapt import (
     synthesize,
     true_eigenvalue,
 )
-from ivadapt import dgp, estimator, seeds
+from ivadapt import basis, dgp, estimator, seeds
 
 NOISE_DRAWS = 400_000
 
@@ -127,6 +128,47 @@ def test_oracle_sample_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 45 * 2**20
+
+
+def test_sample_at_the_rotation_cut_peak_memory():
+    # three n-draw arrays, the two rotations (32 B per point) and one
+    # temporary: 64 B per point, plus the sampler's row-block scratch
+    n = dgp._KEEP_ROTATIONS_UPTO
+    generate_sample(DgpSpec.default(), 3, seed=n)  # first-call imports are not the sample's
+    tracemalloc.start()
+    try:
+        sample = generate_sample(DgpSpec.default(), n, seed=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample._rotations is not None
+    assert peak < 64 * n + 2**19
+
+
+@pytest.mark.parametrize("n", [1, 3, 8194, dgp._KEEP_ROTATIONS_UPTO, dgp._KEEP_ROTATIONS_UPTO + 1])
+def test_sample_keeps_its_rotations_read_only_and_out_of_sight(tmp_path, n):
+    sample = generate_sample(DgpSpec.default(), n, seed=n)
+    if n > dgp._KEEP_ROTATIONS_UPTO:
+        assert sample._rotations is None
+        return
+    zx, zw = sample._rotations
+    assert zx.tobytes() == basis._cis(sample.x).tobytes() and zw.tobytes() == basis._cis(sample.w).tobytes()
+    for zeta in (zx, zw):
+        with pytest.raises(ValueError, match="read-only"):
+            zeta[0] = 1.0
+    with pytest.raises(TypeError):
+        IvSample(y=sample.y, x=sample.x, w=sample.w, _rotations=sample._rotations)
+    built = IvSample(y=sample.y, x=sample.x, w=sample.w)
+    assert built._rotations is None
+    assert [f.name for f in dataclasses.fields(IvSample) if f.compare] == ["y", "x", "w"]
+    assert repr(built) == repr(sample) and "_rotations" not in repr(sample)
+    if n == 1:  # == on longer samples compares arrays and raises
+        assert built == sample
+    assert dataclasses.replace(sample)._rotations is None
+    sample.to_csv(tmp_path / "drawn.csv")
+    built.to_csv(tmp_path / "built.csv")
+    assert (tmp_path / "drawn.csv").read_bytes() == (tmp_path / "built.csv").read_bytes()
+    assert (tmp_path / "drawn.csv").read_text().startswith("y,x,w\n")
 
 
 def test_generate_sample_degenerate_is_exactly_zero():

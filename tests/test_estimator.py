@@ -27,7 +27,7 @@ from ivadapt import (
     thresholded_estimator,
     true_eigenvalue,
 )
-from ivadapt import estimator, seeds
+from ivadapt import dgp, estimator, seeds
 from ivadapt.estimator import _chunks, _criterion_values
 
 ROOT2 = math.sqrt(2.0)
@@ -166,6 +166,26 @@ def test_standalone_estimates_equal_the_scan_bitwise(n, k_max):
     assert estimate_sigma_sq(sample, K).tobytes() == report.sigma_sq_hat.tobytes()
     assert estimate_r_coeffs(sample, K).tobytes() == report.r_hat.tobytes()
     assert estimate_eigenvalues(sample, K).tobytes() == report.lambda_hat.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n", [3, 8193, 8194, 8197, 3 * 8192 + 5, dgp._KEEP_ROTATIONS_UPTO, dgp._KEEP_ROTATIONS_UPTO + 1]
+)
+def test_drawn_and_array_built_samples_estimate_bitwise_alike(n):
+    # the scan slices the sampler's whole-array rotations of a drawn
+    # sample and rotates an array-built one row block by row block
+    drawn = generate_sample(DgpSpec.default(), n, seed=n)
+    assert (drawn._rotations is None) == (n > dgp._KEEP_ROTATIONS_UPTO)
+    built = IvSample(y=drawn.y, x=drawn.x, w=drawn.w)
+    a, b = adaptive_estimate(drawn), adaptive_estimate(built)
+    assert (a.resolution, a.m_selected, a.cap_reached) == (b.resolution, b.m_selected, b.cap_reached)
+    for name in ("r_hat", "lambda_hat", "sigma_sq_hat", "criterion"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.phi_hat.coeffs.tobytes() == b.phi_hat.coeffs.tobytes()
+    assert estimate_resolution(drawn) == estimate_resolution(built) == a.resolution
+    for K in (1, 19, a.resolution + 5):
+        for fn in (estimate_r_coeffs, estimate_sigma_sq, estimate_eigenvalues):
+            assert fn(drawn, K).tobytes() == fn(built, K).tobytes()
 
 
 # ---------------------------------------------------------------------------

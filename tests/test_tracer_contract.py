@@ -13,7 +13,7 @@ import pytest
 
 import ivadapt
 import ivadapt.cli  # noqa: F401  (the tracer rebinds names in the CLI module too)
-from ivadapt import DgpSpec, dgp, estimator, generate_sample
+from ivadapt import DgpSpec, IvSample, basis, dgp, estimator, generate_sample
 
 IVBENCH = Path(__file__).resolve().parents[1] / "ivbench"
 
@@ -84,33 +84,64 @@ def test_standalone_estimates_request_only_k_columns(monkeypatch, name, tables, 
 
 
 def _count_rotated_points(monkeypatch):
-    """Sizes of every exp(2 pi i x) the estimator evaluates."""
+    """Sizes of every exp(2 pi i x) evaluated, by the sampler (dgp, basis) and by the estimator."""
     points = []
-    cis = estimator._cis
+    cis = basis._cis
 
     def counting(x):
         points.append(x.size)
         return cis(x)
 
-    monkeypatch.setattr(estimator, "_cis", counting)
+    for module in (basis, dgp, estimator):
+        monkeypatch.setattr(module, "_cis", counting)
     return points
+
+
+def _rotated_t05_sample(n, arrays):
+    sample = generate_sample(dataclasses.replace(DgpSpec.default(), t=0.5), n, seed=n)
+    return IvSample(y=sample.y, x=sample.x, w=sample.w) if arrays else sample
 
 
 @pytest.mark.parametrize("n", [5000, estimator._chunks(1 << 21)[0].stop + 2])
 @pytest.mark.parametrize("name", ["adaptive_estimate", "estimate_resolution"])
 def test_scan_rotates_each_point_once(monkeypatch, name, n):
-    # X and W are rotated once per call, however many index blocks the
-    # scan walks; at t = 0.5 it walks 7 or more
-    sample = generate_sample(dataclasses.replace(DgpSpec.default(), t=0.5), n, seed=n)
-    assert estimator.estimate_resolution(sample) >= 6 * estimator._SCAN_BLOCK
+    # one replication rotates X and W once: the scan slices the rotations
+    # the sampler made, however many index blocks it walks; at t = 0.5 it
+    # walks 7 or more
+    points = _count_rotated_points(monkeypatch)
+    result = getattr(estimator, name)(_rotated_t05_sample(n, arrays=False))
+    assert sum(points) == 2 * n
+    assert getattr(result, "resolution", result) >= 6 * estimator._SCAN_BLOCK
+
+
+@pytest.mark.parametrize("n", [5000, estimator._chunks(1 << 21)[0].stop + 2])
+@pytest.mark.parametrize("name", ["adaptive_estimate", "estimate_resolution"])
+def test_scan_rotates_an_array_built_sample_once_per_call(monkeypatch, name, n):
+    sample = _rotated_t05_sample(n, arrays=True)
     points = _count_rotated_points(monkeypatch)
     getattr(estimator, name)(sample)
     assert sum(points) == 2 * n
 
 
+@pytest.mark.parametrize("name", ["adaptive_estimate", "estimate_resolution"])
+def test_sample_above_the_cut_is_rotated_by_sampler_and_scan(monkeypatch, name):
+    # above dgp._KEEP_ROTATIONS_UPTO the sample keeps no rotations: the
+    # sampler and the scan each rotate X and W
+    n = dgp._KEEP_ROTATIONS_UPTO + 1
+    points = _count_rotated_points(monkeypatch)
+    sample = generate_sample(DgpSpec.default(), n, seed=n)
+    assert sample._rotations is None
+    getattr(estimator, name)(sample)
+    assert sum(points) == 4 * n
+
+
 @pytest.mark.parametrize("K, rotated", [(40, 1), (0, 0)])
 def test_moments_rotate_only_w_once(monkeypatch, K, rotated):
-    sample = generate_sample(DgpSpec.default(), 300, seed=K)
+    drawn = generate_sample(DgpSpec.default(), 300, seed=K)
+    sample = IvSample(y=drawn.y, x=drawn.x, w=drawn.w)
     points = _count_rotated_points(monkeypatch)
     assert estimator.estimate_sigma_sq(sample, K).shape == (K,)
     assert sum(points) == rotated * sample.n
+    # a drawn sample brings its rotations along
+    assert estimator.estimate_sigma_sq(drawn, K).tobytes() == estimator.estimate_sigma_sq(sample, K).tobytes()
+    assert sum(points) == 2 * rotated * sample.n
