@@ -97,7 +97,7 @@ def _count_rotated_points(monkeypatch):
     return points
 
 
-def _rotated_t05_sample(n, arrays):
+def _t05_sample(n, arrays):
     sample = generate_sample(dataclasses.replace(DgpSpec.default(), t=0.5), n, seed=n)
     return IvSample(y=sample.y, x=sample.x, w=sample.w) if arrays else sample
 
@@ -109,7 +109,7 @@ def test_scan_rotates_each_point_once(monkeypatch, name, n):
     # the sampler made, however many index blocks it walks; at t = 0.5 it
     # walks 7 or more
     points = _count_rotated_points(monkeypatch)
-    result = getattr(estimator, name)(_rotated_t05_sample(n, arrays=False))
+    result = getattr(estimator, name)(_t05_sample(n, arrays=False))
     assert sum(points) == 2 * n
     assert getattr(result, "resolution", result) >= 6 * estimator._SCAN_BLOCK
 
@@ -117,7 +117,7 @@ def test_scan_rotates_each_point_once(monkeypatch, name, n):
 @pytest.mark.parametrize("n", [5000, estimator._chunks(1 << 21)[0].stop + 2])
 @pytest.mark.parametrize("name", ["adaptive_estimate", "estimate_resolution"])
 def test_scan_rotates_an_array_built_sample_once_per_call(monkeypatch, name, n):
-    sample = _rotated_t05_sample(n, arrays=True)
+    sample = _t05_sample(n, arrays=True)
     points = _count_rotated_points(monkeypatch)
     getattr(estimator, name)(sample)
     assert sum(points) == 2 * n
