@@ -148,10 +148,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             "wins": wins,
             "pairs": len(pairs),
             "failed": failed,
-            "claim_met": bool(
-                pairs and wins >= 0.9 * len(pairs) and gap is not None
-                and (-gap if lower else gap) > base["iqr"]
-            ),
+            "claim_met": gap is not None and wins >= 0.9 * len(pairs) and (-gap if lower else gap) > base["iqr"],
             "ratio": ratio_interval(ratios),
         }
     return out

@@ -269,10 +269,11 @@ def test_synthesize_takes_the_rotations_of_the_points(n, support):
 @pytest.mark.parametrize("n", [0, 1, 3 * _BLOCK_ROWS + 1, None], ids=["0", "1", "3-blocks", "scalar"])
 def test_synthesize_of_the_zero_function_rotates_nothing(monkeypatch, rotated, n):
     x = 0.37 if n is None else np.random.default_rng(4).random(n)
-    zeta = _cis(np.atleast_1d(x))
+    if rotated:
+        x = _cis(np.atleast_1d(x)).reshape(np.shape(x))
     points = []
     monkeypatch.setattr(basis, "_cis", lambda x: points.append(x.size) or _cis(x))
-    got = synthesize(CoefficientVector.zero(), (zeta if n is not None else zeta[0]) if rotated else x)
+    got = synthesize(CoefficientVector.zero(), x)
     assert points == []
     if n is None:
         assert isinstance(got, float) and got == 0.0 and math.copysign(1.0, got) == 1.0
