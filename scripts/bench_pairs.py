@@ -11,7 +11,9 @@ first, odd pairs the change first.  Every run is
 ``python3 ivbench/run.py --workload W --seed N --seconds S --trace 0``
 in that checkout, one at a time.  The script only calls the benchmark:
 it keeps the last stdout line of each run (the JSON result) and the
-run record above it.
+run record above it, plus the host's 1-minute load average just before
+and just after the run (``load_1m``), so host drift can be told from a
+regression.
 
 The output file, written at the root of the --change checkout and
 named after its commit, holds every run, and per workload and
@@ -65,10 +67,12 @@ def cpu_model() -> str:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One benchmark run: its exit code, run record and JSON result (None when missing)."""
+    """One benchmark run: its exit code, run record, JSON result (None when missing) and load_1m."""
     cmd = [sys.executable, "ivbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    load_before = os.getloadavg()[0]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    load_after = os.getloadavg()[0]
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     records = [json.loads(line)["run"] for line in lines if line.startswith('{"run"')]
     result = None
@@ -77,7 +81,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
             result = json.loads(lines[-1])
         except json.JSONDecodeError:
             pass
-    return {"exit": proc.returncode, "record": records[0] if records else None, "result": result}
+    return {"exit": proc.returncode, "record": records[0] if records else None, "result": result,
+            "load_1m": {"before": load_before, "after": load_after}}
 
 
 def correct(run: dict) -> bool:
@@ -174,7 +179,9 @@ def main(argv=None) -> int:
                 run = run_once(sides[side], workload, seed, args.seconds)
                 runs.append({"pair": pair, "seed": seed, "side": side, "position": position, **run})
                 wall = metric_value(run, "wall_s")
-                print(f"{workload} pair {pair} seed {seed} {side}: exit {run['exit']} wall_s {wall}", file=sys.stderr)
+                load = run["load_1m"]
+                print(f"{workload} pair {pair} seed {seed} {side}: exit {run['exit']} wall_s {wall} "
+                      f"load_1m {load['before']:.2f} -> {load['after']:.2f}", file=sys.stderr)
         workloads[workload] = {"seeds": args.seeds, "metrics": summarize(runs, end_to_end), "runs": runs}
 
     records = [r["record"] for w in workloads.values() for r in w["runs"] if r["record"]]

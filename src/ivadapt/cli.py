@@ -370,8 +370,19 @@ _DISPATCH = {
 STUDIES = tuple(_DISPATCH)
 
 
+#: Bytes read per step when hashing an output, so a large CSV is never held whole.
+_HASH_BLOCK = 1 << 20
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    # hashlib.file_digest (Python 3.11+) reads the same way, through one reused
+    # buffer; this one is no larger than the file, so a small output costs no memory
+    digest, block = hashlib.sha256(), bytearray(min(_HASH_BLOCK, path.stat().st_size))
+    view = memoryview(block)
+    with path.open("rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def run(config: ExperimentConfig, adjustments=()) -> dict:

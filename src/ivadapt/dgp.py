@@ -151,7 +151,7 @@ class DgpSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IvSample:
     """n observed triples (y, x, w) with x and w on the unit interval.
 
@@ -181,6 +181,11 @@ class IvSample:
             arr = getattr(self, name)
             if not (arr.min() >= 0.0 and arr.max() < 1.0):  # NaN fails too
                 raise ValueError(f"{name} values must lie in [0, 1)")
+
+    def __eq__(self, other):
+        if not isinstance(other, IvSample):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in ("y", "x", "w"))
 
     @property
     def n(self) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import seeds
 from .basis import CoefficientVector, parseval_sq_distance
-from .dgp import DgpSpec, eigenvalue_profile, generate_sample, sigma_sq_profile, true_eigenvalue
+from .dgp import DgpSpec, eigenvalue_profile, generate_sample, sigma_sq_profile
 from .estimator import (
     EstimatorConfig,
     adaptive_estimate,
@@ -60,37 +60,40 @@ class DegenerateFitError(ValueError):
     """Raised when a rate fit is requested on an unusable grid."""
 
 
-def _risk(phi: CoefficientVector, t: float, sigma_sq, n: int, m: int, penalized: bool) -> float:
+def _risk_sums(phi: CoefficientVector, t: float, sigma_sq, m_max: int):
+    """Bias tails sum_{k>m} phi_k^2 and variance sums sum_{k<=m} sigma_k^2 / lambda_k^2, m = 0..m_max."""
+    sig = np.asarray(sigma_sq, dtype=np.float64)
+    if m_max > sig.size:
+        raise ValueError(f"sigma_sq must cover k = 1..{m_max}")
+    tail = np.append(np.cumsum(phi.padded(m_max)[::-1] ** 2)[::-1], 0.0)
+    variance = np.append(0.0, np.cumsum(sig[:m_max] / eigenvalue_profile(m_max, t) ** 2))
+    return tail[: m_max + 1], variance
+
+
+def _risk(phi: CoefficientVector, t: float, sigma_sq, n: int, m, penalized: bool):
     if n < 1:
         raise ValueError("sample size must be positive")
-    if m < 0:
+    levels = np.asarray(m)
+    if np.any(levels < 0):
         raise ValueError("truncation level m must be nonnegative")
-    sig = np.asarray(sigma_sq, dtype=np.float64)
-    if m > sig.size:
-        raise ValueError(f"sigma_sq must cover k = 1..{m}")
-    tail = float(np.sum(phi.coeffs[m:] ** 2)) if m < phi.support else 0.0
-    if m == 0:
-        return tail
-    lam = eigenvalue_profile(m, t)
+    tail, variance = _risk_sums(phi, t, sigma_sq, int(np.max(levels, initial=0)))
     factor = math.log(n) ** 2 if penalized else 1.0
-    return tail + factor * float(np.sum(sig[:m] / lam**2)) / n
+    values = tail[levels] + factor * variance[levels] / n
+    return float(values) if levels.ndim == 0 else values
 
 
-def risk_naive(phi: CoefficientVector, t: float, sigma_sq, n: int, m: int) -> float:
-    """Tail bias plus (1/n) sum_{k<=m} lambda_k^-2 sigma_k^2."""
+def risk_naive(phi: CoefficientVector, t: float, sigma_sq, n: int, m):
+    """Tail bias plus (1/n) sum_{k<=m} lambda_k^-2 sigma_k^2 at level m (int or array of ints)."""
     return _risk(phi, t, sigma_sq, n, m, penalized=False)
 
 
-def risk_penalized(phi: CoefficientVector, t: float, sigma_sq, n: int, m: int) -> float:
-    """Naive risk with the variance term inflated by log^2 n."""
+def risk_penalized(phi: CoefficientVector, t: float, sigma_sq, n: int, m):
+    """Naive risk with the variance term inflated by log^2 n, at level m (int or array of ints)."""
     return _risk(phi, t, sigma_sq, n, m, penalized=True)
 
 
 def _risk_scan(phi, t, sigma_sq, n, fn) -> np.ndarray:
-    m_max = phi.support + ORACLE_SCAN_BUFFER
-    if len(sigma_sq) < m_max:
-        raise ValueError(f"sigma_sq must cover k = 1..{m_max}")
-    values = np.array([fn(phi, t, sigma_sq, n, m) for m in range(m_max + 1)])
+    values = fn(phi, t, sigma_sq, n, np.arange(phi.support + ORACLE_SCAN_BUFFER + 1))
     if not np.all(np.diff(values[phi.support :]) > 0):
         raise RuntimeError("risk is not strictly increasing past the support")
     return values
@@ -107,9 +110,7 @@ def restricted_oracle_level(
     """Smallest minimizer of the naive risk restricted to m <= resolution."""
     if resolution < 0:
         raise ValueError("resolution must be nonnegative")
-    values = _risk_scan(phi, t, sigma_sq, n, risk_naive)
-    horizon = min(resolution, values.size - 1)
-    return int(np.argmin(values[: horizon + 1]))
+    return int(np.argmin(_risk_scan(phi, t, sigma_sq, n, risk_naive)[: resolution + 1]))
 
 
 def min_penalized_risk(phi: CoefficientVector, t: float, sigma_sq, n: int) -> tuple[int, float]:
@@ -124,17 +125,15 @@ def truncation_remainder(phi: CoefficientVector, t: float, sigma_sq, n: int) -> 
 
     Zero whenever the lower bound reaches the oracle level; otherwise
     the sum of phi_k^2 + (1/n) lambda_k^-2 sigma_k^2 over the gap
-    (indices clamped to k >= 1).
+    k = max(lower, 1)..m0, read off the bias tails and variance sums.
     """
     m0 = oracle_level(phi, t, sigma_sq, n)
     lower, _ = deterministic_resolution_bounds(t, n)
     if lower >= m0:
         return 0.0
-    ks = np.arange(max(lower, 1), m0 + 1)
-    lam = true_eigenvalue(ks, t)
-    sig = np.asarray(sigma_sq, dtype=np.float64)[ks - 1]
-    c = phi.padded(m0)[ks - 1]
-    return float(np.sum(c**2 + sig / lam**2 / n))
+    tail, variance = _risk_sums(phi, t, sigma_sq, m0)
+    before = max(lower - 1, 0)
+    return float(tail[before] - tail[m0] + (variance[m0] - variance[before]) / n)
 
 
 @dataclass(frozen=True)

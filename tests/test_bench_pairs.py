@@ -1,7 +1,9 @@
-"""scripts/bench_pairs.summarize on synthetic runs: wins, ties, failures and spreads."""
+"""scripts/bench_pairs on synthetic runs: wins, ties, failures, spreads and each run's load average."""
 
 import importlib.util
+import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -119,3 +121,35 @@ def test_paired_ratio_skips_failed_pairs_and_is_exact_for_a_constant_ratio():
     assert (ratio["median"], ratio["ci_low"], ratio["ci_high"], ratio["pairs"]) == (0.5, 0.5, 0.5, 3)
     failed = [run(0, "base", 1.0, 1.0, exit=1), run(0, "change", 1.0, 1.0)]
     assert bench_pairs.summarize(failed, END_TO_END)["wall_s"]["ratio"] is None
+
+
+def test_each_run_records_the_load_average_before_and_after(monkeypatch, tmp_path, capsys):
+    # no benchmark runs: subprocess.run answers for git and for ivbench/run.py
+    result = {"correct": True, "metrics": {"wall_s": {"value": 2.0}, "reps_per_s": {"value": 0.5}}}
+
+    def fake_run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 0, stdout="0123456789abcdef\n", stderr="")
+        stdout = json.dumps({"run": {"numpy": "2.0"}}) + "\n" + json.dumps(result) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    loads = iter([0.5, 1.25, 2.0, 3.5, 1.0, 0.75, 4.0, 4.5])
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", lambda: (next(loads), 0.0, 0.0))
+    for side in ("base", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    argv = ["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
+            "--workload", "rate-ref", "--seeds", "3-4", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 0
+
+    saved = json.loads((tmp_path / "change" / "BENCH_0123456.json").read_text())
+    runs = saved["workloads"]["rate-ref"]["runs"]
+    assert [r["load_1m"] for r in runs] == [
+        {"before": 0.5, "after": 1.25}, {"before": 2.0, "after": 3.5},
+        {"before": 1.0, "after": 0.75}, {"before": 4.0, "after": 4.5},
+    ]
+    assert [(r["pair"], r["side"]) for r in runs] == [(0, "base"), (0, "change"), (1, "change"), (1, "base")]
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "rate-ref pair 0 seed 3 base: exit 0 wall_s 2.0 load_1m 0.50 -> 1.25"
+    assert lines[3].endswith("load_1m 4.00 -> 4.50")

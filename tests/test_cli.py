@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -152,6 +153,23 @@ def test_manifest_checksums_match(tmp_path):
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert entry["sha256"] == digest
         assert entry["bytes"] == (out / name).stat().st_size
+
+
+def test_manifest_checksum_reads_an_output_in_blocks(tmp_path):
+    # a several-MiB output (a 2^18-row sample.csv is 15 MB) is never held whole
+    path = tmp_path / "sample.csv"
+    path.write_bytes(np.random.default_rng(4).bytes(6 * 2**20 + 12345))
+    tracemalloc.start()
+    try:
+        digest = cli._sha256(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < 2 * 2**20
+    for size in (0, 1, cli._HASH_BLOCK - 1, cli._HASH_BLOCK, cli._HASH_BLOCK + 1):
+        path.write_bytes(b"\x5a" * size)
+        assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_invalid_config_gives_machine_readable_error(tmp_path, capsys):

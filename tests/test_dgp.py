@@ -162,13 +162,24 @@ def test_sample_keeps_its_rotations_read_only_and_out_of_sight(tmp_path, n):
     assert built._rotations is None
     assert [f.name for f in dataclasses.fields(IvSample) if f.compare] == ["y", "x", "w"]
     assert repr(built) == repr(sample) and "_rotations" not in repr(sample)
-    if n == 1:  # == on longer samples compares arrays and raises
-        assert built == sample
+    assert built == sample
     assert dataclasses.replace(sample)._rotations is None
     sample.to_csv(tmp_path / "drawn.csv")
     built.to_csv(tmp_path / "built.csv")
     assert (tmp_path / "drawn.csv").read_bytes() == (tmp_path / "built.csv").read_bytes()
     assert (tmp_path / "drawn.csv").read_text().startswith("y,x,w\n")
+
+
+@pytest.mark.parametrize("n", [2, 8193])
+def test_samples_compare_by_content(n):
+    sample = generate_sample(DgpSpec.default(), n, seed=n)
+    assert sample == IvSample(y=sample.y.copy(), x=sample.x.copy(), w=sample.w.copy())
+    for name in ("y", "x", "w"):
+        changed = getattr(sample, name).copy()
+        changed[-1] = (changed[-1] + 0.5) % 1.0
+        assert sample != dataclasses.replace(sample, **{name: changed})
+    assert sample != IvSample(y=sample.y[:-1], x=sample.x[:-1], w=sample.w[:-1])
+    assert sample != (sample.y, sample.x, sample.w)
 
 
 def test_generate_sample_degenerate_is_exactly_zero():

@@ -73,6 +73,44 @@ def test_oracle_level_matches_brute_force_scan():
             assert oracle_level(phi, 1.0, sig, n) == brute
 
 
+def _random_case(seed):
+    rng = np.random.default_rng(seed)
+    support = int(rng.integers(1, 40))
+    phi = CoefficientVector(rng.standard_normal(support) * np.arange(1, support + 1) ** -rng.uniform(0.3, 2.5))
+    sig = rng.uniform(0.05, 2.0, support + ORACLE_SCAN_BUFFER)
+    return phi, float(rng.uniform(0.5, 3.0)), sig, int(2 ** rng.integers(2, 25))
+
+
+def _direct_risk(phi, t, sig, n, m, factor=1.0):
+    """The risk at one level from its definition: the tail and the variance sum, each summed alone."""
+    lam = true_eigenvalue(np.arange(1, m + 1), t)
+    return float(np.sum(phi.padded(m)[m:] ** 2)) + factor * float(np.sum(sig[:m] / lam**2)) / n
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_oracle_levels_match_a_scan_of_the_scalar_risk(seed):
+    phi, t, sig, n = _random_case(seed)
+    levels = range(phi.support + ORACLE_SCAN_BUFFER + 1)
+    naive = [risk_naive(phi, t, sig, n, m) for m in levels]
+    penalized = [risk_penalized(phi, t, sig, n, m) for m in levels]
+    # the array form is the scalar form, level by level and bit for bit
+    assert risk_naive(phi, t, sig, n, np.arange(len(naive))).tolist() == naive
+    assert risk_penalized(phi, t, sig, n, np.arange(len(penalized))).tolist() == penalized
+    assert naive == pytest.approx([_direct_risk(phi, t, sig, n, m) for m in levels], rel=1e-13, abs=0)
+    factor = math.log(n) ** 2
+    assert penalized == pytest.approx([_direct_risk(phi, t, sig, n, m, factor) for m in levels], rel=1e-13, abs=0)
+
+    m0 = oracle_level(phi, t, sig, n)
+    assert m0 == int(np.argmin(naive))
+    for resolution in (0, 1, 5, 200):
+        assert restricted_oracle_level(phi, t, sig, n, resolution) == int(np.argmin(naive[: resolution + 1]))
+    assert min_penalized_risk(phi, t, sig, n) == (int(np.argmin(penalized)), min(penalized))
+    lower, _ = deterministic_resolution_bounds(t, n)
+    gap = range(max(lower, 1), m0 + 1) if lower < m0 else ()
+    expected = sum(phi.padded(k)[k - 1] ** 2 + sig[k - 1] / true_eigenvalue(k, t) ** 2 / n for k in gap)
+    assert truncation_remainder(phi, t, sig, n) == pytest.approx(expected, rel=1e-13, abs=0)
+
+
 def test_oracle_level_requires_sigma_coverage():
     phi = CoefficientVector(np.ones(30))
     with pytest.raises(ValueError):

@@ -9,11 +9,12 @@ requests, from which the tracer derives how many indices it scanned.
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ivadapt
 import ivadapt.cli  # noqa: F401  (the tracer rebinds names in the CLI module too)
-from ivadapt import DgpSpec, IvSample, basis, dgp, estimator, generate_sample
+from ivadapt import CoefficientVector, DgpSpec, IvSample, basis, dgp, estimator, generate_sample, risk
 
 IVBENCH = Path(__file__).resolve().parents[1] / "ivbench"
 
@@ -26,6 +27,25 @@ def test_every_traced_name_exists(monkeypatch):
     assert bindings
     missing = [f"{getattr(owner, '__name__', owner)}.{name}" for owner, name, _ in bindings if not hasattr(owner, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "name, extra", [("oracle_level", ()), ("restricted_oracle_level", (3,)), ("min_penalized_risk", ()),
+                    ("truncation_remainder", ())]
+)
+def test_oracle_functions_evaluate_the_risk_through_its_public_names(monkeypatch, name, extra):
+    # the tracer counts calls through risk.risk_naive and risk.risk_penalized
+    # as risk.risk_evals, which a traced rate-ref unit requires to be above 0
+    calls = []
+    for attr in ("risk_naive", "risk_penalized"):
+        def counting(*args, fn=getattr(risk, attr), **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(risk, attr, counting)
+    phi = CoefficientVector(2.0 * np.arange(1, 31) ** -0.6)
+    getattr(risk, name)(phi, 1.0, np.ones(80), 100, *extra)
+    assert calls
 
 
 @pytest.mark.parametrize("n", [200, 5000, estimator._chunks(1 << 21)[0].stop + 2])
