@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -366,22 +367,100 @@ def test_oracle_summary_consistency():
     assert summary.remainder >= 0.0
 
 
-def test_clopper_pearson_matches_beta_quantiles():
+ALPHA = 0.05
+CP_CASES = [(h, r) for r in range(1, 61) for h in range(r + 1)]
+CP_CASES += [(h, r) for r in (100, 500) for h in sorted({*range(0, r + 1, 7), r - 1, r})]
+
+
+@pytest.fixture(scope="module")
+def cp_bounds():
+    return {case: _clopper_pearson(*case) for case in CP_CASES}
+
+
+def _beta_quantiles(hits, reps, low, high):
+    """(bound, a, b, q) for each bound that is a Beta(a, b) quantile, not clamped to 0 or 1."""
+    sides = [(low, hits, reps - hits + 1, ALPHA / 2), (high, hits + 1, reps - hits, 1 - ALPHA / 2)]
+    return [side for side in sides if side[1] >= 1 and side[2] >= 1]
+
+
+def _tail_reaches(x, a, b, q):
+    """Whether I_x(a, b) = P(Bin(a + b - 1, x) >= a) >= q, decided in exact integer arithmetic."""
+    m, d = x.as_integer_ratio()
+    q_num, q_den = q.as_integer_ratio()
+    n = a + b - 1
+    tail = sum(math.comb(n, k) * m**k * (d - m) ** (n - k) for k in range(a, n + 1))
+    return tail * q_den >= q_num * d**n
+
+
+def test_clopper_pearson_brackets_the_exact_root(cp_bounds):
+    # reps <= 60 passes too (3,660 bounds) but takes three times as long
+    checked = 0
+    for (h, r), (low, high) in cp_bounds.items():
+        if r > 40:
+            continue
+        for bound, a, b, q in _beta_quantiles(h, r, low, high):
+            step = 32 * math.ulp(bound)
+            assert not _tail_reaches(bound - step, a, b, q), (h, r, bound)
+            assert _tail_reaches(min(bound + step, 1.0), a, b, q), (h, r, bound)
+            checked += 1
+    assert checked == 1640
+
+
+def test_clopper_pearson_matches_scipy_and_the_closed_forms(cp_bounds):
     from scipy.stats import beta
 
-    alpha = 0.05
-    cases = [(h, r) for r in range(1, 61) for h in range(r + 1)]
-    cases += [(h, r) for r in (100, 500) for h in sorted({*range(0, r + 1, 7), r - 1, r})]
-    for h, r in cases:
-        low, high = _clopper_pearson(h, r)
-        old_low = 0.0 if h == 0 else float(beta.ppf(alpha / 2, h, r - h + 1))
-        old_high = 1.0 if h == r else float(beta.ppf(1 - alpha / 2, h + 1, r - h))
-        assert (low, high) == (old_low, old_high), (h, r)
+    for (h, r), (low, high) in cp_bounds.items():
+        for bound, a, b, q in _beta_quantiles(h, r, low, high):
+            assert bound == pytest.approx(float(beta.ppf(q, a, b)), rel=1e-13, abs=0), (h, r)
         assert low <= h / r <= high
         if h == r:
-            assert low == pytest.approx((alpha / 2) ** (1 / r), rel=1e-12, abs=0)
+            assert high == 1.0
+            assert low == pytest.approx((ALPHA / 2) ** (1 / r), rel=1e-12, abs=0)
         if h == 0:
-            assert high == pytest.approx(-math.expm1(math.log(alpha / 2) / r), rel=1e-12, abs=0)
+            assert low == 0.0
+            assert high == pytest.approx(-math.expm1(math.log(ALPHA / 2) / r), rel=1e-12, abs=0)
+
+
+def test_clopper_pearson_matches_scipy_at_ten_thousand_reps():
+    from scipy.stats import beta
+
+    r = 10_000
+    for h in range(0, r + 1, 97):
+        low, high = _clopper_pearson(h, r)
+        for bound, a, b, q in _beta_quantiles(h, r, low, high):
+            assert bound == pytest.approx(float(beta.ppf(q, a, b)), rel=1e-12, abs=0), (h, r)
+
+
+@pytest.mark.parametrize("reps", [10**5, 10**7])
+def test_clopper_pearson_is_fast_and_matches_scipy_at_large_reps(reps):
+    from scipy.stats import beta
+
+    for h in (1, 2, reps // 2, reps - 2):
+        start = time.perf_counter()
+        low, high = _clopper_pearson(h, reps)
+        assert time.perf_counter() - start < 0.05, (h, reps)
+        for bound, a, b, q in _beta_quantiles(h, reps, low, high):
+            assert bound == pytest.approx(float(beta.ppf(q, a, b)), rel=1e-10, abs=0), (h, reps)
+    # the closed forms hold far tighter than scipy does here, which is 6.6e-11 off at h = 2, reps = 10^7
+    assert _clopper_pearson(0, reps)[1] == pytest.approx(-math.expm1(math.log(ALPHA / 2) / reps), rel=1e-14, abs=0)
+    assert _clopper_pearson(reps, reps)[0] == pytest.approx((ALPHA / 2) ** (1 / reps), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize(
+    ("hits", "reps", "alpha", "field"),
+    [
+        (0, 0, ALPHA, "reps"),
+        (4, 3, ALPHA, "hits"),
+        (-1, 3, ALPHA, "hits"),
+        (1, 3, 0.0, "alpha"),
+        (1, 3, 1.0, "alpha"),
+        (1, 3, math.nan, "alpha"),
+    ],
+    ids=["reps-below-one", "hits-above-reps", "hits-negative", "alpha-zero", "alpha-one", "alpha-nan"],
+)
+def test_clopper_pearson_rejects_bad_input(hits, reps, alpha, field):
+    with pytest.raises(ValueError, match=field):
+        _clopper_pearson(hits, reps, alpha)
 
 
 _IMPORT_PROBE = """
@@ -389,13 +468,16 @@ import json, sys
 import ivadapt.cli
 after_import = sorted(m for m in ("scipy", "concurrent.futures.process") if m in sys.modules)
 from ivadapt import DgpSpec, EstimatorConfig, coverage_study
+from ivadapt.risk import _clopper_pearson
 result = coverage_study(DgpSpec.default(), EstimatorConfig(), 200, 3, 1, jobs=1)
-print(json.dumps({"after_import": after_import, "reps": result.reps,
-                  "scipy_stats": "scipy.stats" in sys.modules}))
+after_study = "scipy" in sys.modules
+bounds = [_clopper_pearson(1, 3), _clopper_pearson(3, 3)]
+print(json.dumps({"after_import": after_import, "reps": result.reps, "after_study": after_study,
+                  "after_bounds": "scipy" in sys.modules}))
 """
 
 
-def test_cli_import_and_serial_coverage_skip_scipy_stats_and_the_pool():
+def test_cli_import_serial_coverage_and_clopper_pearson_skip_scipy_and_the_pool():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE],
@@ -407,4 +489,5 @@ def test_cli_import_and_serial_coverage_skip_scipy_stats_and_the_pool():
     probe = json.loads(proc.stdout)
     assert probe["after_import"] == []
     assert probe["reps"] == 3
-    assert probe["scipy_stats"] is False
+    assert probe["after_study"] is False
+    assert probe["after_bounds"] is False

@@ -1,5 +1,6 @@
-"""The configs the repo ships load, and the public names stay as listed."""
+"""The configs the repo ships load, the public names stay as listed, and the package needs no scipy."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -62,3 +63,23 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 48
     assert sorted(ivadapt.__all__) == PUBLIC_NAMES
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_the_package_imports_no_scipy_and_does_not_depend_on_it():
+    sources = sorted((ROOT / "src" / "ivadapt").glob("*.py"))
+    assert sources
+    for path in sources:
+        for module in _imported_modules(path):
+            assert module.split(".")[0] != "scipy", (path.name, module)
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert not any(re.match(r"scipy\b", dep) for dep in project["dependencies"])
+    assert any(re.match(r"scipy\b", dep) for dep in project["optional-dependencies"]["test"])
