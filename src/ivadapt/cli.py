@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, seeds
+from . import __version__, risk, seeds
 from .basis import CoefficientVector, FunctionFamilySpec, make_test_function
 from .dgp import DgpSpec, generate_sample
 from .estimator import EstimatorConfig, adaptive_estimate, deterministic_resolution_bounds
@@ -93,6 +93,8 @@ class ExperimentConfig:
         min_reps = 2 if self.study in ("risk-curve", "rate-study") else 1
         if self.reps < min_reps:
             raise CliError(f"{self.study} needs reps >= {min_reps}", field="reps")
+        if self.study == "coverage-study" and self.reps > risk._CP_MAX_REPS:
+            raise CliError(f"coverage-study computes its interval for reps <= {risk._CP_MAX_REPS}", field="reps")
         if self.jobs < 1:
             raise CliError("jobs must be at least 1", field="jobs")
 
@@ -311,19 +313,8 @@ def _run_risk_curve(config: ExperimentConfig, out: Path):
             "ratio": result.ratio,
         },
     )
-    payload = {
-        "study": config.study,
-        "n_grid": to_plain(curve.n_grid),
-        "mean_loss": to_plain(curve.mean_loss),
-        "stderr": to_plain(curve.stderr),
-        "oracle_risk": to_plain(curve.oracle_risk),
-        "ratio": to_plain(result.ratio),
-        "naive_mean_loss": to_plain(result.naive_mean_loss),
-        "naive_stderr": to_plain(result.naive_stderr),
-        "oracle_levels": to_plain(result.oracle_levels),
-        "reps": curve.reps,
-        "master_seed": config.master_seed,
-    }
+    fields = to_plain(result)  # the curve's fields lifted beside the ratio diagnostics
+    payload = {"study": config.study, **fields.pop("curve"), **fields, "master_seed": config.master_seed}
     if config.study == "risk-curve":
         return ["risk_curve.csv"], payload
     fit = rate_fit(curve, s=float(config.phi_family.s), t=float(config.dgp.t))

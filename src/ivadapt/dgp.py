@@ -15,8 +15,8 @@ The rotations exp(2 pi i X) and exp(2 pi i W) are evaluated once per
 sample; up to _KEEP_ROTATIONS_UPTO points the sample keeps them, and
 the estimator's scan reads them instead of evaluating them again, so a
 replication makes one trig evaluation per point and variable.
-The sigma_k^2 oracle is the estimator's estimate_sigma_sq over one
-fixed-seed sample of 10^6 draws.
+The sigma_k^2 oracle, the estimator over a sample drawn here, lives in
+risk (sigma_sq_profile), so this module imports no estimator code.
 """
 
 from __future__ import annotations
@@ -37,19 +37,15 @@ __all__ = [
     "eigenvalue_profile",
     "generate_sample",
     "sample_noise",
-    "sigma_sq_profile",
     "true_eigenvalue",
 ]
 
-#: Fixed seed and size of the Monte Carlo oracle used for sigma_k^2.
-_ORACLE_SEED = 741_003
-_ORACLE_DRAWS = 10**6
 #: Largest sample that keeps its rotations exp(2 pi i X) and exp(2 pi i W)
 #: for the estimator: 32 B per point held from sampling until the sample
 #: is dropped, traded for the two trig evaluations per point (about
 #: 115 ns) the estimator would repeat.  Every Monte Carlo replication of
-#: the studies stays below it, the 10^6-draw sigma^2 oracle above, so the
-#: oracle's memory does not grow.
+#: the studies stays below it, the 10^6-draw sample of the sigma^2 oracle
+#: (risk.sigma_sq_profile) above, so the oracle's memory does not grow.
 _KEEP_ROTATIONS_UPTO = 1 << 16
 
 _TWO_PI = 2.0 * math.pi
@@ -228,28 +224,3 @@ def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
             zeta.setflags(write=False)
         object.__setattr__(sample, "_rotations", rotations)
     return sample
-
-
-_SIGMA_CACHE: dict = {}
-
-
-def sigma_sq_profile(spec: DgpSpec, K: int, n_draws: int = _ORACLE_DRAWS) -> np.ndarray:
-    """Monte Carlo oracle for sigma_k^2 = Var(Y psi_k(W)), k = 1..K.
-
-    The estimator's estimate_sigma_sq over a fixed-seed sample of n_draws
-    observations; read-only and cached per (spec, K, n_draws), so oracle
-    risks are reproducible constants for a given spec.
-    """
-    from .estimator import estimate_sigma_sq  # estimator imports this module
-
-    if K < 1:
-        raise ValueError("need K >= 1")
-    cache_key = (spec.key(), int(K), int(n_draws))
-    hit = _SIGMA_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    sample = generate_sample(spec, n_draws, seed=seeds.sequence(_ORACLE_SEED, "sigma-oracle"))
-    values = estimate_sigma_sq(sample, K)
-    values.setflags(write=False)
-    _SIGMA_CACHE[cache_key] = values
-    return values

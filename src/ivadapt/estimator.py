@@ -21,8 +21,8 @@ also allocates its basis tables once, as a workspace of _SCAN_BLOCK
 columns by the largest row block, one table for psi(W) and one more
 for psi(X) when it needs the eigenvalues, and every basis_matrix call
 writes into it (out=), so no index block allocates or frees a table.
-The sigma_k^2 oracle in dgp runs estimate_sigma_sq over its fixed-seed
-sample.
+The sigma_k^2 oracle, risk.sigma_sq_profile, runs estimate_sigma_sq over
+its fixed-seed sample.
 """
 
 from __future__ import annotations

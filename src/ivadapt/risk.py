@@ -3,9 +3,11 @@
 The naive risk of the known-operator projection estimator at level m is
 the tail bias plus the inverted variance sum; the penalized risk
 inflates the variance term by log^2 n.  Oracle levels minimize these
-over m.  The Monte Carlo studies replicate the adaptive estimator over
-derived seed streams and summarize losses, oracle ratios, rate slopes,
-and the bracketing frequency of the random resolution bound.
+over m, with the term variances sigma_k^2 from a Monte Carlo oracle
+(sigma_sq_profile).  The Monte Carlo studies replicate the adaptive
+estimator over derived seed streams and summarize losses, oracle ratios,
+rate slopes, and the bracketing frequency of the random resolution
+bound with its 95 % Clopper-Pearson interval (reps <= 10^9).
 """
 
 from __future__ import annotations
@@ -17,15 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import seeds
+from . import dgp, seeds
 from .basis import CoefficientVector, parseval_sq_distance
-from .dgp import DgpSpec, eigenvalue_profile, generate_sample, sigma_sq_profile
+from .dgp import DgpSpec, eigenvalue_profile, generate_sample
 from .estimator import (
     EstimatorConfig,
     adaptive_estimate,
     deterministic_resolution_bounds,
     estimate_r_coeffs,
     estimate_resolution,
+    estimate_sigma_sq,
     naive_estimator,
 )
 
@@ -48,6 +51,7 @@ __all__ = [
     "restricted_oracle_level",
     "risk_naive",
     "risk_penalized",
+    "sigma_sq_profile",
     "truncation_remainder",
 ]
 
@@ -55,6 +59,31 @@ __all__ = [
 #: function; beyond the support the risk is strictly increasing, so the
 #: minimizer cannot lie there (asserted at runtime).
 ORACLE_SCAN_BUFFER = 50
+#: Fixed seed and size of the Monte Carlo oracle's sample for sigma_k^2.
+_ORACLE_SEED = 741_003
+_ORACLE_DRAWS = 10**6
+_SIGMA_CACHE: dict = {}
+
+
+def sigma_sq_profile(spec: DgpSpec, K: int, n_draws: int = _ORACLE_DRAWS) -> np.ndarray:
+    """Monte Carlo oracle for sigma_k^2 = Var(Y psi_k(W)), k = 1..K.
+
+    The estimator's estimate_sigma_sq over a fixed-seed sample of n_draws
+    observations; read-only and cached per (spec, K, n_draws), so oracle
+    risks are reproducible constants for a given spec.  It draws through
+    dgp.generate_sample: the benchmark's tracer counts this module's as replications.
+    """
+    if K < 1:
+        raise ValueError("need K >= 1")
+    cache_key = (spec.key(), int(K), int(n_draws))
+    hit = _SIGMA_CACHE.get(cache_key)
+    if hit is not None:
+        return hit
+    sample = dgp.generate_sample(spec, n_draws, seed=seeds.sequence(_ORACLE_SEED, "sigma-oracle"))
+    values = estimate_sigma_sq(sample, K)
+    values.setflags(write=False)
+    _SIGMA_CACHE[cache_key] = values
+    return values
 
 
 class DegenerateFitError(ValueError):
@@ -145,6 +174,7 @@ class ReplicationBatch:
     naive_loss: np.ndarray
     m_selected: np.ndarray
     resolution: np.ndarray
+    oracle_m: int  # the oracle level m0, where every replication's naive estimator truncates
 
 
 def _mc_replication(payload):
@@ -179,7 +209,6 @@ def replication_losses(
     reps: int,
     master_seed: int,
     jobs: int = 1,
-    oracle_m: int | None = None,
 ) -> ReplicationBatch:
     """Adaptive and known-operator losses over derived replication streams.
 
@@ -188,9 +217,8 @@ def replication_losses(
     """
     if reps < 1:
         raise ValueError("need at least one replication")
-    if oracle_m is None:
-        sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
-        oracle_m = oracle_level(spec.phi, spec.t, sigma, n)
+    sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
+    oracle_m = oracle_level(spec.phi, spec.t, sigma, n)
     payloads = [(spec, config, n, master_seed, rep, oracle_m) for rep in range(reps)]
     rows = _map_payloads(_mc_replication, payloads, jobs)
     arr = np.asarray(rows, dtype=np.float64)
@@ -199,6 +227,7 @@ def replication_losses(
         naive_loss=arr[:, 1],
         m_selected=arr[:, 2].astype(np.int64),
         resolution=arr[:, 3].astype(np.int64),
+        oracle_m=oracle_m,
     )
 
 
@@ -261,10 +290,7 @@ def oracle_ratio_study(
     naive_means, naive_stderrs, levels = [], [], []
     for n in n_grid:
         n = int(n)
-        m0 = oracle_level(spec.phi, spec.t, sigma, n)
-        batch = replication_losses(
-            spec, config, n, reps, master_seed, jobs=jobs, oracle_m=m0
-        )
+        batch = replication_losses(spec, config, n, reps, master_seed, jobs=jobs)
         mean = float(np.mean(batch.adaptive_loss))
         means.append(mean)
         stderrs.append(float(np.std(batch.adaptive_loss, ddof=1) / math.sqrt(reps)))
@@ -273,7 +299,7 @@ def oracle_ratio_study(
         _, inf_risk = min_penalized_risk(spec.phi, spec.t, sigma, n)
         oracle_risks.append(inf_risk)
         ratios.append(mean / (math.log(n) ** 2 * inf_risk))
-        levels.append(m0)
+        levels.append(batch.oracle_m)
     curve = RiskCurve(
         n_grid=n_grid,
         mean_loss=np.asarray(means),
@@ -365,9 +391,13 @@ _ONE_BITS = 0x3FF0000000000000
 # The continued fraction stops when a step changes it by less than this
 # relative amount; 1e-16 is below what its rounding lets it settle to.
 # Its term count grows like sqrt(a + b) only right at the mean, where I_x
-# is near 1/2; the guard is far above what a + b <= 10^9 needs there.
+# is near 1/2: at most 3,983 terms for reps = _CP_MAX_REPS, so the guard
+# covers every reps _clopper_pearson takes.  At reps = 10^13 it is reached.
 _FRACTION_TOL = 1e-15
 _FRACTION_TERMS = 10_000
+# The one level coverage-study reports (95 %), and the largest reps it takes.
+_CP_ALPHA = 0.05
+_CP_MAX_REPS = 10**9
 
 
 def _stirling_error(x: float) -> float:
@@ -425,9 +455,9 @@ def _beta_fraction(a: int, b: int, x: float, y: float, lam: float) -> float:
         bn, bnp1 = bnp1, alpha * bn + beta * bnp1
         r0, r = r, anp1 / bnp1
         if abs(r - r0) <= _FRACTION_TOL * r:
-            break
+            return r
         an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
-    return r
+    raise RuntimeError(f"the incomplete beta fraction did not converge in {_FRACTION_TERMS} terms (a={a}, b={b})")
 
 
 def _beta_quantile(q: float, a: int, b: int) -> float:
@@ -457,24 +487,22 @@ def _beta_quantile(q: float, a: int, b: int) -> float:
     return struct.unpack("<d", struct.pack("<q", hi))[0]
 
 
-def _clopper_pearson(hits: int, reps: int, alpha: float = 0.05) -> tuple[float, float]:
-    """Exact two-sided 1 - alpha interval for a binomial proportion.
+def _clopper_pearson(hits: int, reps: int) -> tuple[float, float]:
+    """Exact two-sided 95 % interval for a binomial proportion, reps <= 10^9.
 
     The bounds are the alpha/2 quantile of Beta(hits, reps - hits + 1)
-    and the 1 - alpha/2 quantile of Beta(hits + 1, reps - hits)
-    (Clopper & Pearson, Biometrika 1934), and 0 at hits = 0 and 1 at
-    hits = reps, where those distributions degenerate.  Each quantile is
-    _beta_quantile, which is within 14 ulp of the exact root on every
-    test case up to reps = 500.
+    and the 1 - alpha/2 quantile of Beta(hits + 1, reps - hits), alpha =
+    _CP_ALPHA (Clopper & Pearson, Biometrika 1934), and 0 at hits = 0 and
+    1 at hits = reps, where those distributions degenerate.  Each quantile
+    is _beta_quantile, which is within 14 ulp of the exact root on every
+    test case up to reps = 500; above _CP_MAX_REPS its fraction may not converge.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
+    if not 1 <= reps <= _CP_MAX_REPS:
+        raise ValueError(f"reps must lie in 1..{_CP_MAX_REPS}, got {reps}")
     if not 0 <= hits <= reps:
         raise ValueError(f"hits must lie in 0..{reps}, got {hits}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    low = 0.0 if hits == 0 else _beta_quantile(alpha / 2, hits, reps - hits + 1)
-    high = 1.0 if hits == reps else _beta_quantile(1 - alpha / 2, hits + 1, reps - hits)
+    low = 0.0 if hits == 0 else _beta_quantile(_CP_ALPHA / 2, hits, reps - hits + 1)
+    high = 1.0 if hits == reps else _beta_quantile(1 - _CP_ALPHA / 2, hits + 1, reps - hits)
     return low, high
 
 
@@ -534,7 +562,7 @@ def oracle_summary(
     m0 = int(np.argmin(risk_values))
     sample = generate_sample(spec, n, seed=seeds.sequence(master_seed, "oracle-study", n, 0))
     resolution = estimate_resolution(sample, config)
-    m1 = restricted_oracle_level(spec.phi, spec.t, sigma, n, resolution)
+    m1 = int(np.argmin(risk_values[: resolution + 1]))  # restricted_oracle_level, read off the profile
     lower, upper = deterministic_resolution_bounds(spec.t, n)
     return OracleSummary(
         n=int(n),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ivadapt import RiskCurve, cli, rate_fit
+from ivadapt import RiskCurve, cli, oracle_ratio_study, rate_fit
 from ivadapt.cli import STUDIES, CliError, emit_plot_data, load_config, main
+from ivadapt.serialize import to_plain
 
 BASE_CONFIG = {
     "study": "simulate",
@@ -100,6 +102,26 @@ def test_rate_study_outputs_and_jobs_independence(tmp_path):
     assert plot_lines[0] == "block,log_n,log_loss"
     assert sum(1 for l in plot_lines if l.startswith("data,")) == 5
     assert sum(1 for l in plot_lines if l.startswith("fit,")) == 2
+
+
+def test_rate_study_results_are_the_study_fields(tmp_path):
+    # results.json holds every field of the study result, the curve's lifted to the top level
+    cfg = write_config(tmp_path, n_grid=[128, 256, 512, 1024, 2048], reps=3)
+    out = tmp_path / "run"
+    assert main(["rate-study", "--config", str(cfg), "--out", str(out)]) == 0
+    config, _ = load_config(cfg, study="rate-study", out=str(out))
+    result = oracle_ratio_study(config.dgp, config.estimator, config.n_grid, config.reps, config.master_seed)
+    fields = {f.name: getattr(result.curve, f.name) for f in dataclasses.fields(result.curve)}
+    fields.update((f.name, getattr(result, f.name)) for f in dataclasses.fields(result) if f.name != "curve")
+    assert len(fields) == 9
+    expected = {
+        "config": config.to_json_dict(run_params=False),
+        "study": "rate-study",
+        "master_seed": config.master_seed,
+        "rate_fit": rate_fit(result.curve, s=1.0, t=1.0),
+        **fields,
+    }
+    assert json.loads((out / "results.json").read_text()) == to_plain(expected)
 
 
 def test_rate_study_requires_family(tmp_path):
@@ -194,6 +216,7 @@ def test_invalid_config_gives_machine_readable_error(tmp_path, capsys):
         ("rate-study", {"n_grid": [128, 256, 512, 1024, 2048], "reps": 1}, "reps"),
         ("rate-study", {"n_grid": [128, 512, 2048], "reps": 2}, "n_grid"),
         ("rate-study", {"n_grid": [128, 256, 512, 1024], "reps": 2}, "n_grid"),
+        ("coverage-study", {"n_grid": [1000], "reps": 10**9 + 1}, "reps"),
     ],
 )
 def test_study_preconditions_give_error_record(tmp_path, capsys, study, overrides, field):
@@ -646,6 +669,13 @@ def test_load_config_validation(tmp_path):
     no_dgp.write_text(json.dumps({"study": "simulate", "n_grid": [5], "master_seed": 1}))
     with pytest.raises(CliError):
         load_config(no_dgp, out=str(tmp_path))
+
+
+def test_coverage_study_takes_reps_up_to_a_billion(tmp_path):
+    # the interval's domain ends at 10^9 (10^9 + 1 is a precondition error); only the config is loaded
+    cfg = write_config(tmp_path, n_grid=[1000], reps=10**9)
+    config, _ = load_config(cfg, study="coverage-study", out=str(tmp_path / "x"))
+    assert config.reps == 10**9
 
 
 def test_emit_plot_data_contract(tmp_path):

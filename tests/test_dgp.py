@@ -18,7 +18,7 @@ from ivadapt import (
     synthesize,
     true_eigenvalue,
 )
-from ivadapt import basis, dgp, estimator, seeds
+from ivadapt import basis, dgp, estimator, risk, seeds
 
 NOISE_DRAWS = 400_000
 
@@ -123,7 +123,7 @@ def test_oracle_sample_peak_memory():
     # 10^6 draws (the out-of-place formula peaks at 54 MiB)
     tracemalloc.start()
     try:
-        generate_sample(DgpSpec.default(), dgp._ORACLE_DRAWS, seed=seeds.sequence(dgp._ORACLE_SEED, "sigma-oracle"))
+        generate_sample(DgpSpec.default(), risk._ORACLE_DRAWS, seed=seeds.sequence(risk._ORACLE_SEED, "sigma-oracle"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -279,7 +279,7 @@ def test_sigma_oracle_is_the_estimators_sigma_sq_bitwise():
     # 70,000 draws span several row blocks, and K = 19 cuts the second index block
     spec = DgpSpec.default()
     assert len(estimator._chunks(70_000)) >= 2
-    sample = generate_sample(spec, 70_000, seed=seeds.sequence(dgp._ORACLE_SEED, "sigma-oracle"))
+    sample = generate_sample(spec, 70_000, seed=seeds.sequence(risk._ORACLE_SEED, "sigma-oracle"))
     oracle = sigma_sq_profile(spec, 19, n_draws=70_000)
     assert oracle.tobytes() == estimate_sigma_sq(sample, 19).tobytes()
 

@@ -28,9 +28,11 @@ from ivadapt import (
     restricted_oracle_level,
     risk_naive,
     risk_penalized,
+    sigma_sq_profile,
     truncation_remainder,
     true_eigenvalue,
 )
+from ivadapt import risk
 from ivadapt.risk import _clopper_pearson, _map_payloads
 
 ONES = np.ones(600)
@@ -182,6 +184,7 @@ def test_loss_is_parseval_distance():
 def test_mc_risk_pure_noise():
     spec = DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=0.1)
     batch = replication_losses(spec, EstimatorConfig(), 256, 50, master_seed=31)
+    assert batch.oracle_m == 0  # a zero phi has no bias to trade
     assert np.mean(batch.adaptive_loss) < 0.01
     assert np.mean(batch.m_selected == 0) >= 0.9
 
@@ -267,9 +270,12 @@ def test_oracle_ratio_study_structure():
     assert np.all(np.isfinite(result.ratio))
     assert result.curve.reps == 10
     # pointwise agreement with a standalone replication batch (same streams)
-    mean, stderr = mc_risk(replication_losses(spec, config, 512, 10, master_seed=36))
+    batch = replication_losses(spec, config, 512, 10, master_seed=36)
+    mean, stderr = mc_risk(batch)
     assert result.curve.mean_loss[1] == mean
     assert result.curve.stderr[1] == stderr
+    sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
+    assert result.oracle_levels[1] == batch.oracle_m == oracle_level(spec.phi, spec.t, sigma, 512)
     with pytest.raises(ValueError):
         oracle_ratio_study(spec, config, [512, 512], 10, master_seed=36)
 
@@ -360,6 +366,9 @@ def test_oracle_summary_consistency():
     spec = DgpSpec.default()
     config = EstimatorConfig()
     summary = oracle_summary(spec, config, 2048, master_seed=38)
+    sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
+    assert summary.oracle_m == oracle_level(spec.phi, spec.t, sigma, 2048)
+    assert summary.restricted_oracle_m == restricted_oracle_level(spec.phi, spec.t, sigma, 2048, summary.resolution)
     assert summary.restricted_oracle_m <= summary.resolution or summary.resolution == 0
     assert summary.restricted_oracle_m <= summary.oracle_m
     assert summary.risk_values[summary.oracle_m] == summary.risk_values.min()
@@ -447,20 +456,36 @@ def test_clopper_pearson_is_fast_and_matches_scipy_at_large_reps(reps):
 
 
 @pytest.mark.parametrize(
-    ("hits", "reps", "alpha", "field"),
+    ("hits", "reps", "field"),
     [
-        (0, 0, ALPHA, "reps"),
-        (4, 3, ALPHA, "hits"),
-        (-1, 3, ALPHA, "hits"),
-        (1, 3, 0.0, "alpha"),
-        (1, 3, 1.0, "alpha"),
-        (1, 3, math.nan, "alpha"),
+        (0, 0, "reps"),
+        (4, 3, "hits"),
+        (-1, 3, "hits"),
+        (5 * 10**8, 10**9 + 1, "reps"),
+        (2**59, 2**60, "reps"),
     ],
-    ids=["reps-below-one", "hits-above-reps", "hits-negative", "alpha-zero", "alpha-one", "alpha-nan"],
+    ids=["reps-below-one", "hits-above-reps", "hits-negative", "reps-above-a-billion", "reps-two-to-the-sixty"],
 )
-def test_clopper_pearson_rejects_bad_input(hits, reps, alpha, field):
+def test_clopper_pearson_rejects_bad_input(hits, reps, field):
+    # past 10^9 the fraction can reach its guard; at reps = 2^60 both bounds would be 0.5000000000000001
     with pytest.raises(ValueError, match=field):
-        _clopper_pearson(hits, reps, alpha)
+        _clopper_pearson(hits, reps)
+
+
+def test_clopper_pearson_covers_reps_up_to_a_billion():
+    # hits = reps / 2 puts both quantiles at the mean, where the fraction is longest (3,983 terms)
+    reps = 10**9
+    start = time.perf_counter()
+    low, high = _clopper_pearson(reps // 2, reps)
+    assert time.perf_counter() - start < 0.5
+    assert low < 0.5 < high
+    assert high - 0.5 == pytest.approx(0.5 - low, rel=1e-6)
+
+
+def test_beta_fraction_raises_at_its_guard(monkeypatch):
+    monkeypatch.setattr(risk, "_FRACTION_TERMS", 3)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _clopper_pearson(50, 100)
 
 
 _IMPORT_PROBE = """

@@ -1,4 +1,4 @@
-"""The configs the repo ships load, the public names stay as listed, and the package needs no scipy."""
+"""The shipped configs load, the public names stay as listed, the modules import in layers, and no scipy is needed."""
 
 import ast
 import json
@@ -83,3 +83,25 @@ def test_the_package_imports_no_scipy_and_does_not_depend_on_it():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert not any(re.match(r"scipy\b", dep) for dep in project["dependencies"])
     assert any(re.match(r"scipy\b", dep) for dep in project["optional-dependencies"]["test"])
+
+
+#: Each module imports only modules before it in this list (the package's __init__ is exempt).
+LAYERS = ["seeds", "basis", "serialize", "dgp", "estimator", "risk", "cli"]
+
+
+def _relative_imports(path):
+    """Modules of the package that a source file imports, function bodies included."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module is not None:
+                yield node.module.split(".")[0]
+            else:  # from . import a, b: a name that is no module comes from __init__
+                yield from (alias.name for alias in node.names if alias.name in LAYERS)
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    sources = {p.stem: p for p in (ROOT / "src" / "ivadapt").glob("*.py") if p.stem != "__init__"}
+    assert sorted(sources) == sorted(LAYERS)
+    for name, path in sources.items():
+        for target in _relative_imports(path):
+            assert LAYERS.index(target) < LAYERS.index(name), (name, target)

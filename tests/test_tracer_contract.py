@@ -48,6 +48,39 @@ def test_oracle_functions_evaluate_the_risk_through_its_public_names(monkeypatch
     assert calls
 
 
+def _counting(monkeypatch, module, name, calls, **override):
+    """Wrap module.name so each call is recorded in calls; override fixes keyword arguments."""
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(f"{module.__name__.split('.')[-1]}.{name}")
+        return fn(*args, **{**kwargs, **override})
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_sigma_oracle_draws_its_sample_through_the_dgp_module(monkeypatch):
+    # the tracer counts dgp.sigma_sq_profile.draws only through dgp.generate_sample,
+    # and counts every call of risk.generate_sample as a replication
+    calls = []
+    _counting(monkeypatch, dgp, "generate_sample", calls)
+    _counting(monkeypatch, risk, "generate_sample", calls)
+    monkeypatch.setattr(risk, "_SIGMA_CACHE", {})  # no earlier call can hide the draw
+    spec = DgpSpec(t=1.0, phi=CoefficientVector([0.3, 0.2]), g=CoefficientVector([1.0]), a=0.25, eta_sd=0.7)
+    risk.sigma_sq_profile(spec, 4, n_draws=1_000)
+    assert calls == ["dgp.generate_sample"]
+
+
+def test_replication_losses_reads_the_oracle_through_the_risk_module(monkeypatch):
+    # the tracer times these two by their names in risk (risk.oracle_levels, dgp.sigma_sq_profile)
+    calls = []
+    _counting(monkeypatch, risk, "sigma_sq_profile", calls, n_draws=2_000)
+    _counting(monkeypatch, risk, "oracle_level", calls)
+    batch = risk.replication_losses(DgpSpec.default(), estimator.EstimatorConfig(), 64, 1, master_seed=5)
+    assert calls == ["risk.sigma_sq_profile", "risk.oracle_level"]
+    assert batch.oracle_m >= 0
+
+
 @pytest.mark.parametrize("n", [200, 5000, estimator._chunks(1 << 21)[0].stop + 2])
 def test_scan_requests_two_n_cells_per_scanned_index(monkeypatch, n):
     cells = []
