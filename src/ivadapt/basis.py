@@ -71,13 +71,11 @@ def basis_matrix(x, ks, out=None) -> np.ndarray:
     indices from a cosine index is gathered into a new array.
     """
     ks = np.asarray(ks, dtype=np.int64)
-    if ks.size and ks.min() < 1:
-        raise ValueError("basis index must satisfy k >= 1")
+    j = frequency(ks)
     if np.iscomplexobj(x):
         zeta = np.asarray(x, dtype=np.complex128)
     else:
         zeta = _cis(_unit_points(x))
-    j = (ks + 1) // 2
     freqs = sorted(set(j.tolist()))
     shape = (len(freqs), 2, zeta.size)  # cos and sin row per frequency
     size = math.prod(shape)

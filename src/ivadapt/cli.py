@@ -24,7 +24,7 @@ from . import __version__, risk, seeds
 from .basis import CoefficientVector, FunctionFamilySpec, make_test_function
 from .dgp import DgpSpec, generate_sample
 from .estimator import EstimatorConfig, adaptive_estimate, deterministic_resolution_bounds
-from .risk import CoverageResult, RateFit, RiskCurve, coverage_study, oracle_ratio_study, oracle_summary, rate_fit
+from .risk import CoverageResult, RateFit, coverage_study, oracle_ratio_study, oracle_summary, rate_fit
 from .serialize import to_plain, write_csv, write_json
 
 __all__ = ["STUDIES", "CliError", "ExperimentConfig", "emit_plot_data", "load_config", "main", "run"]
@@ -247,16 +247,16 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
     return config, adjustments
 
 
-def emit_plot_data(curve: RiskCurve, fit: RateFit, path) -> None:
+def emit_plot_data(n_grid, mean_loss, fit: RateFit, path) -> None:
     """Two-block CSV for plotting: log-log risk points plus the ends of the raw-n fit line."""
-    x = np.log(curve.n_grid.astype(np.float64)).tolist()
+    x = np.log(np.asarray(n_grid, dtype=np.float64)).tolist()
     ends = [x[0], x[-1]]
     write_csv(
         path,
         {
             "block": ["data"] * len(x) + ["fit"] * 2,
             "log_n": x + ends,
-            "log_loss": np.log(curve.mean_loss).tolist() + [fit.raw_slope * xe + fit.raw_intercept for xe in ends],
+            "log_loss": np.log(mean_loss).tolist() + [fit.raw_slope * xe + fit.raw_intercept for xe in ends],
         },
     )
 
@@ -302,24 +302,22 @@ def _run_risk_curve(config: ExperimentConfig, out: Path):
         config.master_seed,
         jobs=config.jobs,
     )
-    curve = result.curve
     write_csv(
         out / "risk_curve.csv",
         {
-            "n": curve.n_grid,
-            "mean_loss": curve.mean_loss,
-            "stderr": curve.stderr,
-            "oracle_risk": curve.oracle_risk,
+            "n": result.n_grid,
+            "mean_loss": result.mean_loss,
+            "stderr": result.stderr,
+            "oracle_risk": result.oracle_risk,
             "ratio": result.ratio,
         },
     )
-    fields = to_plain(result)  # the curve's fields lifted beside the ratio diagnostics
-    payload = {"study": config.study, **fields.pop("curve"), **fields, "master_seed": config.master_seed}
+    payload = {"study": config.study, **to_plain(result), "master_seed": config.master_seed}
     if config.study == "risk-curve":
         return ["risk_curve.csv"], payload
-    fit = rate_fit(curve, s=float(config.phi_family.s), t=float(config.dgp.t))
+    fit = rate_fit(result.n_grid, result.mean_loss, s=float(config.phi_family.s), t=float(config.dgp.t))
     write_json(out / "rate_fit.json", to_plain(fit))
-    emit_plot_data(curve, fit, out / "plot_data.csv")
+    emit_plot_data(result.n_grid, result.mean_loss, fit, out / "plot_data.csv")
     return ["risk_curve.csv", "rate_fit.json", "plot_data.csv"], {**payload, "rate_fit": to_plain(fit)}
 
 

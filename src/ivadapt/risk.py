@@ -40,7 +40,6 @@ __all__ = [
     "OracleSummary",
     "RateFit",
     "ReplicationBatch",
-    "RiskCurve",
     "coverage_study",
     "min_penalized_risk",
     "oracle_level",
@@ -159,6 +158,11 @@ def truncation_remainder(phi: CoefficientVector, t: float, sigma_sq, n: int) -> 
     """
     m0 = oracle_level(phi, t, sigma_sq, n)
     lower, _ = deterministic_resolution_bounds(t, n)
+    return _gap_risk(phi, t, sigma_sq, n, lower, m0)
+
+
+def _gap_risk(phi: CoefficientVector, t: float, sigma_sq, n: int, lower: int, m0: int) -> float:
+    """Sum of phi_k^2 + (1/n) lambda_k^-2 sigma_k^2 over k = max(lower, 1)..m0; 0 when lower >= m0."""
     if lower >= m0:
         return 0.0
     tail, variance = _risk_sums(phi, t, sigma_sq, m0)
@@ -232,34 +236,14 @@ def replication_losses(
 
 
 @dataclass(frozen=True)
-class RiskCurve:
-    """Monte Carlo risk summaries over a grid of sample sizes."""
+class OracleRatioResult:
+    """Monte Carlo risk curve plus the oracle-ratio diagnostics, one entry per grid point."""
 
     n_grid: np.ndarray
+    reps: int
     mean_loss: np.ndarray
     stderr: np.ndarray
     oracle_risk: np.ndarray
-    reps: int
-
-    def __post_init__(self):
-        n_grid = np.asarray(self.n_grid, dtype=np.int64)
-        object.__setattr__(self, "n_grid", n_grid)
-        for name in ("mean_loss", "stderr", "oracle_risk"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, arr)
-            if arr.size != n_grid.size:
-                raise ValueError("curve arrays must share the grid length")
-        if np.any(self.mean_loss <= 0) or np.any(self.oracle_risk <= 0):
-            raise ValueError("losses and oracle risks must be positive")
-        if np.any(self.stderr < 0):
-            raise ValueError("standard errors must be nonnegative")
-
-
-@dataclass(frozen=True)
-class OracleRatioResult:
-    """Risk curve plus the oracle-ratio diagnostics per sample size."""
-
-    curve: RiskCurve
     ratio: np.ndarray
     naive_mean_loss: np.ndarray
     naive_stderr: np.ndarray
@@ -300,15 +284,12 @@ def oracle_ratio_study(
         oracle_risks.append(inf_risk)
         ratios.append(mean / (math.log(n) ** 2 * inf_risk))
         levels.append(batch.oracle_m)
-    curve = RiskCurve(
+    return OracleRatioResult(
         n_grid=n_grid,
+        reps=int(reps),
         mean_loss=np.asarray(means),
         stderr=np.asarray(stderrs),
         oracle_risk=np.asarray(oracle_risks),
-        reps=int(reps),
-    )
-    return OracleRatioResult(
-        curve=curve,
         ratio=np.asarray(ratios),
         naive_mean_loss=np.asarray(naive_means),
         naive_stderr=np.asarray(naive_stderrs),
@@ -342,16 +323,19 @@ def _lsq_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, ym - slope * xm
 
 
-def rate_fit(curve: RiskCurve, s: float, t: float) -> RateFit:
-    """Least-squares slope of the risk curve on the log-corrected abscissa."""
-    n = curve.n_grid.astype(np.float64)
+def rate_fit(n_grid, mean_loss, s: float, t: float) -> RateFit:
+    """Least-squares slope of log mean_loss over the grid on the log-corrected abscissa."""
+    n = np.asarray(n_grid, dtype=np.float64)
+    loss = np.asarray(mean_loss, dtype=np.float64)
+    if loss.shape != n.shape or np.any(loss <= 0):
+        raise ValueError("rate fit needs one positive mean loss per grid point")
     if n.size < 4:
         raise DegenerateFitError("rate fit needs at least 4 grid points")
     if n.max() / n.min() < 10.0:
         raise DegenerateFitError("rate fit needs a grid spanning at least one decade")
     gamma = 2.0 + 2.0 * s + 2.0 * t
     x = np.log(n) - 2.0 * gamma * np.log(np.log(n))
-    y = np.log(curve.mean_loss)
+    y = np.log(loss)
     slope, intercept = _lsq_line(x, y)
     raw_slope, raw_intercept = _lsq_line(np.log(n), y)
     expected = -2.0 * s / (2.0 * s + 2.0 * t + 1.0)
@@ -514,9 +498,9 @@ def coverage_study(
     master_seed: int,
     jobs: int = 1,
 ) -> CoverageResult:
-    """Replicate the resolution scan and count bracketing hits with an exact CI."""
-    if reps < 1:
-        raise ValueError("need at least one replication")
+    """Replicate the resolution scan and count bracketing hits with an exact CI (reps <= 10^9)."""
+    if not 1 <= reps <= _CP_MAX_REPS:
+        raise ValueError(f"reps must lie in 1..{_CP_MAX_REPS}, got {reps}")
     lower, upper = deterministic_resolution_bounds(spec.t, n)
     payloads = [(spec, config, n, master_seed, rep) for rep in range(reps)]
     resolutions = np.asarray(_map_payloads(_coverage_replication, payloads, jobs))
@@ -571,7 +555,7 @@ def oracle_summary(
         resolution=int(resolution),
         lower_bound=int(lower),
         upper_bound=int(upper),
-        remainder=truncation_remainder(spec.phi, spec.t, sigma, n),
+        remainder=_gap_risk(spec.phi, spec.t, sigma, n, lower, m0),  # truncation_remainder, without its own scan
         risk_values=risk_values,
         penalized_risk_values=penalized_values,
     )

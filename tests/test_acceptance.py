@@ -204,7 +204,7 @@ def test_criterion_07_oracle_ratio_bounded(ratio_study):
 
 
 def test_criterion_08_rate_of_convergence(ratio_study):
-    fit = rate_fit(ratio_study.curve, s=1.0, t=1.0)
+    fit = rate_fit(ratio_study.n_grid, ratio_study.mean_loss, s=1.0, t=1.0)
     ok = -0.55 <= fit.fitted_slope <= -0.25
     check(
         8,
@@ -233,15 +233,14 @@ def test_criterion_09_remainder_vanishes(default_spec, sigma_default):
 
 
 def test_criterion_10_oracle_dominance(ratio_study):
-    curve = ratio_study.curve
     dominance = True
     envelope = True
     details = []
-    for i, n in enumerate(curve.n_grid):
-        slack = 4.0 * (curve.stderr[i] + ratio_study.naive_stderr[i])
-        if ratio_study.naive_mean_loss[i] > curve.mean_loss[i] + slack:
+    for i, n in enumerate(ratio_study.n_grid):
+        slack = 4.0 * (ratio_study.stderr[i] + ratio_study.naive_stderr[i])
+        if ratio_study.naive_mean_loss[i] > ratio_study.mean_loss[i] + slack:
             dominance = False
-        rel = curve.mean_loss[i] / ratio_study.naive_mean_loss[i]
+        rel = ratio_study.mean_loss[i] / ratio_study.naive_mean_loss[i]
         if rel > 10.0 * math.log(int(n)) ** 2:
             envelope = False
         details.append(f"n={int(n)}: adaptive/naive {rel:.2f}")

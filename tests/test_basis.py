@@ -141,6 +141,16 @@ def test_basis_matrix_still_checks_real_points(bad):
             synthesize(f, points)
 
 
+@pytest.mark.parametrize("ks", [[0], [1, 0, 2], [-3], np.arange(-1, 5)])
+def test_basis_matrix_rejects_an_index_below_one_before_reading_the_points(ks):
+    # the index rule is frequency's, raised before the points are checked
+    for points in ([0.25, 0.5], [2.0]):
+        with pytest.raises(ValueError, match=r"^basis index must satisfy k >= 1$"):
+            basis_matrix(np.array(points), ks)
+    with pytest.raises(ValueError, match=r"^basis index must satisfy k >= 1$"):
+        frequency(ks)
+
+
 @pytest.mark.parametrize("rotated", [False, True], ids=["points", "rotations"])
 @pytest.mark.parametrize(
     "n, ks",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ivadapt import RiskCurve, cli, oracle_ratio_study, rate_fit
+from ivadapt import cli, oracle_ratio_study, rate_fit
 from ivadapt.cli import STUDIES, CliError, emit_plot_data, load_config, main
 from ivadapt.serialize import to_plain
 
@@ -105,20 +105,19 @@ def test_rate_study_outputs_and_jobs_independence(tmp_path):
 
 
 def test_rate_study_results_are_the_study_fields(tmp_path):
-    # results.json holds every field of the study result, the curve's lifted to the top level
+    # results.json holds every field of the study result at its top level
     cfg = write_config(tmp_path, n_grid=[128, 256, 512, 1024, 2048], reps=3)
     out = tmp_path / "run"
     assert main(["rate-study", "--config", str(cfg), "--out", str(out)]) == 0
     config, _ = load_config(cfg, study="rate-study", out=str(out))
     result = oracle_ratio_study(config.dgp, config.estimator, config.n_grid, config.reps, config.master_seed)
-    fields = {f.name: getattr(result.curve, f.name) for f in dataclasses.fields(result.curve)}
-    fields.update((f.name, getattr(result, f.name)) for f in dataclasses.fields(result) if f.name != "curve")
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
     assert len(fields) == 9
     expected = {
         "config": config.to_json_dict(run_params=False),
         "study": "rate-study",
         "master_seed": config.master_seed,
-        "rate_fit": rate_fit(result.curve, s=1.0, t=1.0),
+        "rate_fit": rate_fit(result.n_grid, result.mean_loss, s=1.0, t=1.0),
         **fields,
     }
     assert json.loads((out / "results.json").read_text()) == to_plain(expected)
@@ -680,15 +679,9 @@ def test_coverage_study_takes_reps_up_to_a_billion(tmp_path):
 
 def test_emit_plot_data_contract(tmp_path):
     n_grid = np.array([100, 1000, 10_000, 100_000])
-    curve = RiskCurve(
-        n_grid=n_grid,
-        mean_loss=2.0 * n_grid.astype(float) ** -0.4,
-        stderr=np.zeros(4),
-        oracle_risk=np.ones(4),
-        reps=3,
-    )
+    mean_loss = 2.0 * n_grid.astype(float) ** -0.4
     path = tmp_path / "plot.csv"
-    emit_plot_data(curve, rate_fit(curve, 1.0, 1.0), path)
+    emit_plot_data(n_grid, mean_loss, rate_fit(n_grid, mean_loss, 1.0, 1.0), path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + 4 + 2
     # exact power law: fit endpoints coincide with the data rows

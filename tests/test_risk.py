@@ -15,7 +15,6 @@ from ivadapt import (
     DegenerateFitError,
     DgpSpec,
     EstimatorConfig,
-    RiskCurve,
     coverage_study,
     deterministic_resolution_bounds,
     min_penalized_risk,
@@ -265,15 +264,15 @@ def test_oracle_ratio_study_structure():
     config = EstimatorConfig()
     grid = [256, 512, 1024]
     result = oracle_ratio_study(spec, config, grid, 10, master_seed=36)
-    assert np.array_equal(result.curve.n_grid, grid)
+    assert np.array_equal(result.n_grid, grid)
     assert np.all(result.ratio > 0)
     assert np.all(np.isfinite(result.ratio))
-    assert result.curve.reps == 10
+    assert result.reps == 10
     # pointwise agreement with a standalone replication batch (same streams)
     batch = replication_losses(spec, config, 512, 10, master_seed=36)
     mean, stderr = mc_risk(batch)
-    assert result.curve.mean_loss[1] == mean
-    assert result.curve.stderr[1] == stderr
+    assert result.mean_loss[1] == mean
+    assert result.stderr[1] == stderr
     sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
     assert result.oracle_levels[1] == batch.oracle_m == oracle_level(spec.phi, spec.t, sigma, 512)
     with pytest.raises(ValueError):
@@ -296,57 +295,37 @@ def test_rate_fit_recovers_exact_power_law():
     gamma = 6.0
     x = n_grid / np.log(n_grid) ** (2 * gamma)
     for slope in (-0.4, -4.0 / 7.0):
-        curve = RiskCurve(
-            n_grid=n_grid,
-            mean_loss=3.0 * x**slope,
-            stderr=np.zeros(n_grid.size),
-            oracle_risk=np.ones(n_grid.size),
-            reps=10,
-        )
-        fit = rate_fit(curve, s=1.0, t=1.0)
+        mean_loss = 3.0 * x**slope
+        fit = rate_fit(n_grid, mean_loss, s=1.0, t=1.0)
         assert fit.fitted_slope == pytest.approx(slope, abs=1e-12)
-    fit = rate_fit(curve, s=1.0, t=1.0)
+    fit = rate_fit(n_grid, mean_loss, s=1.0, t=1.0)
     assert fit.expected_slope == pytest.approx(-0.4)
     assert fit.gamma == 6.0
-    assert rate_fit(curve, s=2.0, t=1.0).expected_slope == pytest.approx(-4.0 / 7.0)
+    assert rate_fit(n_grid, mean_loss, s=2.0, t=1.0).expected_slope == pytest.approx(-4.0 / 7.0)
 
 
 def test_rate_fit_rejects_degenerate_grids():
-    def curve_for(ns):
-        ns = np.asarray(ns)
-        return RiskCurve(
-            n_grid=ns,
-            mean_loss=np.ones(ns.size),
-            stderr=np.zeros(ns.size),
-            oracle_risk=np.ones(ns.size),
-            reps=2,
-        )
+    def fit_for(ns):
+        return rate_fit(ns, np.ones(len(ns)), s=1.0, t=1.0)
 
     with pytest.raises(DegenerateFitError):
-        rate_fit(curve_for([]), s=1.0, t=1.0)
+        fit_for([])
     with pytest.raises(DegenerateFitError):
-        rate_fit(curve_for([100, 200, 400]), s=1.0, t=1.0)
+        fit_for([100, 200, 400])
     with pytest.raises(DegenerateFitError):
-        rate_fit(curve_for([100, 200, 400, 800]), s=1.0, t=1.0)
+        fit_for([100, 200, 400, 800])
 
 
-def test_risk_curve_validation():
-    with pytest.raises(ValueError):
-        RiskCurve(
-            n_grid=[10, 20],
-            mean_loss=[1.0],
-            stderr=[0.1, 0.1],
-            oracle_risk=[1.0, 1.0],
-            reps=2,
-        )
-    with pytest.raises(ValueError):
-        RiskCurve(
-            n_grid=[10],
-            mean_loss=[0.0],
-            stderr=[0.1],
-            oracle_risk=[1.0],
-            reps=2,
-        )
+@pytest.mark.parametrize(
+    "mean_loss",
+    [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0], [1.0, 1.0, -0.5, 1.0]],
+    ids=["short", "long", "zero", "negative"],
+)
+def test_rate_fit_rejects_a_loss_list_that_is_not_one_positive_loss_per_point(mean_loss):
+    # a grid that spans a decade, so only the losses can be at fault
+    with pytest.raises(ValueError, match="one positive mean loss per grid point") as info:
+        rate_fit([100, 1000, 10_000, 100_000], mean_loss, s=1.0, t=1.0)
+    assert not isinstance(info.value, DegenerateFitError)
 
 
 def test_coverage_study_basics():
@@ -374,6 +353,40 @@ def test_oracle_summary_consistency():
     assert summary.risk_values[summary.oracle_m] == summary.risk_values.min()
     assert summary.lower_bound <= summary.upper_bound
     assert summary.remainder >= 0.0
+
+
+def test_oracle_summary_scans_the_naive_risk_once(monkeypatch):
+    # the remainder reads the m0 and bracket the summary already holds
+    spec = DgpSpec.default()
+    config = EstimatorConfig()
+    sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
+    remainders = {n: truncation_remainder(spec.phi, spec.t, sigma, n) for n in (64, 2048)}
+    assert remainders[64] > 0.0
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return risk_naive(*args, **kwargs)
+
+    monkeypatch.setattr(risk, "risk_naive", counting)
+    for n, remainder in remainders.items():
+        calls.clear()
+        summary = oracle_summary(spec, config, n, master_seed=38)
+        assert calls == [n]
+        assert summary.remainder.hex() == remainder.hex()
+
+
+@pytest.mark.parametrize("reps", [0, -1, 6])
+def test_coverage_study_rejects_reps_before_drawing_a_sample(monkeypatch, reps):
+    # the bound is lowered to 5, so without the check 6 reps fail at the first draw
+    # instead of building 10^9 payloads and running every replication
+    def no_sample(*args, **kwargs):
+        raise AssertionError("coverage_study drew a sample")
+
+    monkeypatch.setattr(risk, "_CP_MAX_REPS", 5)
+    monkeypatch.setattr(risk, "generate_sample", no_sample)
+    with pytest.raises(ValueError, match=r"reps must lie in 1\.\.5, got "):
+        coverage_study(DgpSpec.default(), EstimatorConfig(), 1000, reps, master_seed=37)
 
 
 ALPHA = 0.05

@@ -48,7 +48,7 @@ PUBLIC_NAMES = [
     "CoefficientVector", "CoverageResult", "DegenerateFitError", "DegenerateSampleError",
     "DgpSpec", "EstimateReport", "EstimatorConfig", "FunctionFamilySpec", "IvSample",
     "ORACLE_SCAN_BUFFER", "OracleRatioResult", "OracleSummary", "RateFit", "ReplicationBatch",
-    "RiskCurve", "__version__", "adaptive_estimate", "basis_matrix", "coverage_study",
+    "__version__", "adaptive_estimate", "basis_matrix", "coverage_study",
     "deterministic_resolution_bounds", "eigenvalue_profile", "estimate_eigenvalues",
     "estimate_r_coeffs", "estimate_resolution", "estimate_sigma_sq", "frequency",
     "generate_sample", "make_test_function", "min_penalized_risk", "naive_estimator",
@@ -61,7 +61,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
     assert sorted(ivadapt.__all__) == PUBLIC_NAMES
 
 

@@ -7,6 +7,7 @@ requests, from which the tracer derives how many indices it scanned.
 """
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,34 @@ def test_every_traced_name_exists(monkeypatch):
     assert bindings
     missing = [f"{getattr(owner, '__name__', owner)}.{name}" for owner, name, _ in bindings if not hasattr(owner, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "workload, study, n_grid, reps",
+    [
+        ("single-large", "estimate", (600,), 1),
+        ("coverage-par", "coverage-study", (300, 1000), 3),
+        ("rate-ref", "rate-study", (64, 128, 256, 640), 2),
+    ],
+    ids=["estimate", "coverage-study", "rate-study"],
+)
+def test_traced_study_runs_clean_and_moves_every_exercised_counter(monkeypatch, tmp_path, workload, study, n_grid, reps):
+    # the whole traced path in-process: the study, then the stage pass, which
+    # calls estimate_sigma_sq, penalized_criterion, select_level and
+    # EstimatorConfig.resolution_cap, names the study itself need not call
+    monkeypatch.syspath_prepend(str(IVBENCH))
+    import layers
+    import workloads
+
+    monkeypatch.setattr(risk, "_SIGMA_CACHE", {})  # a cache hit would leave the oracle's draws at 0
+    tiny = dataclasses.replace(workloads.WORKLOADS[workload], n_grid=n_grid, reps=reps)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workloads.study_config(tiny, study, 3, tmp_path / "out")))
+    trace = layers.StudyTrace()
+    code, problems = trace.run(ivadapt, [study, "--config", str(config), "--jobs", "1"])
+    assert (code, problems) == (0, [])
+    totals = trace.totals()
+    assert [name for name in tiny.exercised if not totals[name] > 0] == []
 
 
 @pytest.mark.parametrize(
