@@ -34,10 +34,10 @@ _BLOCK_ROWS = 1 << 13
 def frequency(k):
     """Frequency j(k) = ceil(k / 2) of basis index k (scalar or array)."""
     karr = np.asarray(k)
-    if np.any(karr < 1):
+    if karr.size and karr.min() < 1:  # basis_matrix calls this per index block; min() builds no temporary
         raise ValueError("basis index must satisfy k >= 1")
     j = (karr + 1) // 2
-    return int(j) if np.ndim(k) == 0 else j
+    return int(j) if karr.ndim == 0 else j
 
 
 def basis_matrix(x, ks, out=None) -> np.ndarray:
