@@ -14,7 +14,6 @@ import dataclasses
 import datetime
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -218,7 +217,7 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
     overrides = {"study": study, "master_seed": seed, "output_dir": out, "jobs": jobs}
     fields.update((key, value) for key, value in overrides.items() if value is not None)
     if "jobs" not in fields:
-        fields["jobs"] = os.cpu_count() or 1
+        fields["jobs"] = risk._usable_cores()
         adjustments.append(f"jobs defaulted to available cores: {fields['jobs']}")
     for key, message in (
         ("study", "config must name a study (or use a subcommand)"),

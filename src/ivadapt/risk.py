@@ -194,9 +194,16 @@ def _mc_replication(payload):
     return adaptive, parseval_sq_distance(naive, spec.phi), report.m_selected, report.resolution
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask, not the host's count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_payloads(fn, payloads, jobs):
     # the pool forks all its workers at its first task, so jobs is clamped first
-    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    workers = min(jobs, len(payloads), _usable_cores())
     if workers <= 1:
         return [fn(p) for p in payloads]
     from concurrent.futures import ProcessPoolExecutor

@@ -509,6 +509,16 @@ def test_estimate_report_key_set(tmp_path):
     assert set(report["config"]) == {"k_max", "penalty_log_exponent", "allow_empty_model"}
 
 
+def test_jobs_defaults_to_the_usable_cores(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.risk, "_usable_cores", lambda: 3)
+    payload = {key: value for key, value in BASE_CONFIG.items() if key != "jobs"}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(payload))
+    config, adjustments = load_config(cfg, out=str(tmp_path / "out"))
+    assert config.jobs == 3
+    assert "jobs defaulted to available cores: 3" in adjustments
+
+
 def test_family_fields_are_read_as_floats(tmp_path):
     # a JSON integer in a float field is read as its float, as in dgp.t
     cfg = write_config(tmp_path, **with_phi(s=1, q=3, amplitude=2))

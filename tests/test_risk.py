@@ -236,7 +236,7 @@ class _RecordingPool:
 
 @pytest.mark.parametrize(
     "jobs, payloads, cores, workers",
-    [(100_000, 5, 8, 5), (3, 10, 8, 3), (100_000, 10, 4, 4), (4, 1, 8, None), (100_000, 10, None, None)],
+    [(100_000, 5, 8, 5), (3, 10, 8, 3), (100_000, 10, 4, 4), (4, 1, 8, None), (100_000, 10, 1, None)],
 )
 def test_map_payloads_clamps_workers(monkeypatch, jobs, payloads, cores, workers):
     # never starts a real pool: jobs this large would fork that many processes
@@ -244,11 +244,23 @@ def test_map_payloads_clamps_workers(monkeypatch, jobs, payloads, cores, workers
 
     _RecordingPool.made = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(risk, "_usable_cores", lambda: cores)
     assert _map_payloads(abs, list(range(-payloads, 0)), jobs) == list(range(payloads, 0, -1))
     assert [pool.max_workers for pool in _RecordingPool.made] == ([] if workers is None else [workers])
     if workers is not None:
         assert _RecordingPool.made[0].chunksize == max(1, payloads // (workers * 4))
+
+
+def test_usable_cores_counts_the_affinity_mask(monkeypatch):
+    # a process pinned to one CPU of a 64-CPU host may run one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert risk._usable_cores() == 1
+    # without an affinity mask the host's count stands, and an unknown count is 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert risk._usable_cores() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert risk._usable_cores() == 1
 
 
 def test_mc_risk_stderr_scales_with_replications():

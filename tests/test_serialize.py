@@ -72,6 +72,31 @@ def test_write_csv_peak_memory(tmp_path):
     assert peak < 8 * 2**20
 
 
+def test_write_csv_float_cells_are_repr_at_the_boundaries_of_the_fixed_form(tmp_path):
+    # orjson's form differs from repr's below 1e-4, from 1e16 and for nan or
+    # inf; the cells on both sides of each switch must still be repr's bytes
+    edges = np.array([1e-4, 1e16])
+    edges = np.concatenate([edges, -edges])
+    rng = np.random.default_rng(22)
+    bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+    info = np.finfo(np.float64)
+    values = np.concatenate([
+        edges,
+        np.nextafter(edges, np.inf),
+        np.nextafter(edges, -np.inf),
+        [0.0, -0.0, 5e-324, info.tiny, info.max, math.nan, math.inf, -math.inf],
+        bits[np.isfinite(bits)],
+    ])
+    with np.errstate(over="ignore"):  # the largest doubles overflow float32 to inf
+        columns = {"value": values, "single": values.astype(np.float32)}
+    path = tmp_path / "edges.csv"
+    write_csv(path, columns)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines[0] == "value,single" and lines[-1] == ""
+    expected = [f"{repr(v)},{repr(s)}" for v, s in zip(values.tolist(), columns["single"].tolist(), strict=True)]
+    assert lines[1:-1] == expected
+
+
 def test_to_plain_encodes_a_dgp_spec_as_plain_floats():
     spec = DgpSpec(
         t=1.5,

@@ -1,8 +1,9 @@
-"""The shipped configs load, the public names stay as listed, the modules import in layers, and no scipy is needed."""
+"""The shipped configs load, the public names stay as listed, the modules import in layers, and only numpy and orjson are needed."""
 
 import ast
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,15 @@ def test_the_package_imports_no_scipy_and_does_not_depend_on_it():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert not any(re.match(r"scipy\b", dep) for dep in project["dependencies"])
     assert any(re.match(r"scipy\b", dep) for dep in project["optional-dependencies"]["test"])
+
+
+def test_the_package_imports_only_numpy_and_orjson_outside_the_standard_library():
+    sources = sorted((ROOT / "src" / "ivadapt").glob("*.py"))
+    imported = {module.split(".")[0] for path in sources for module in _imported_modules(path)}
+    assert imported - sys.stdlib_module_names == {"numpy", "orjson"}
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert sorted(re.match(r"[\w-]+", dep).group() for dep in project["dependencies"]) == ["numpy", "orjson"]
 
 
 #: Each module imports only modules before it in this list (the package's __init__ is exempt).
