@@ -321,12 +321,9 @@ def _run_risk_curve(config: ExperimentConfig, out: Path):
 
 
 def _run_coverage_study(config: ExperimentConfig, out: Path):
-    results = [
-        coverage_study(
-            config.dgp, config.estimator, int(n), config.reps, config.master_seed, jobs=config.jobs
-        )
-        for n in config.n_grid
-    ]
+    results = coverage_study(
+        config.dgp, config.estimator, config.n_grid, config.reps, config.master_seed, jobs=config.jobs
+    )
     fields = [f.name for f in dataclasses.fields(CoverageResult)]
     write_csv(out / "coverage.csv", _columns(results, fields))
     return ["coverage.csv"], {"study": "coverage-study", "results": to_plain(results)}

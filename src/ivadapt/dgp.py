@@ -51,6 +51,17 @@ _KEEP_ROTATIONS_UPTO = 1 << 16
 _TWO_PI = 2.0 * math.pi
 
 
+def _mod_one(v: np.ndarray) -> np.ndarray:
+    """v mod 1 in place, as v - floor(v).
+
+    For every finite double this gives the bits of numpy's v % 1.0
+    (fmod, then + 1 for a negative remainder and +0.0 for a zero one),
+    in about a twentieth of its time.
+    """
+    v -= np.floor(v)
+    return v
+
+
 def true_eigenvalue(k, t):
     """Operator eigenvalue (1 + j(k))^(-t) at basis index k (scalar or array)."""
     if t <= 0:
@@ -100,8 +111,7 @@ def sample_noise(t: float, n: int, rng: np.random.Generator) -> np.ndarray:
     np.arctan(theta, out=theta)
     theta *= 2.0
     theta /= _TWO_PI
-    theta %= 1.0
-    return theta
+    return _mod_one(theta)
 
 
 @dataclass(frozen=True)
@@ -202,7 +212,7 @@ def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
     w = rng.random(n)
     x = sample_noise(spec.t, n, rng)  # eps, then x = (w + eps) mod 1 in place
     x += w
-    x %= 1.0
+    _mod_one(x)
     size = max(spec.phi.support, spec.g.support)
     h = CoefficientVector(spec.phi.padded(size) + spec.a * spec.g.padded(size))
     tg = CoefficientVector(eigenvalue_profile(spec.g.support, spec.t) * spec.g.coeffs)

@@ -7,7 +7,10 @@ over m, with the term variances sigma_k^2 from a Monte Carlo oracle
 (sigma_sq_profile).  The Monte Carlo studies replicate the adaptive
 estimator over derived seed streams and summarize losses, oracle ratios,
 rate slopes, and the bracketing frequency of the random resolution
-bound with its 95 % Clopper-Pearson interval (reps <= 10^9).
+bound with its 95 % Clopper-Pearson interval (reps <= 10^9).  A study
+maps every (n, rep) replication of its grid through one _map_payloads
+call, so at jobs > 1 it starts one process pool; results keep (n, rep)
+order, so every output is the same for any jobs.
 """
 
 from __future__ import annotations
@@ -202,6 +205,14 @@ def _usable_cores() -> int:
 
 
 def _map_payloads(fn, payloads, jobs):
+    """[fn(p) for p in payloads], on at most min(jobs, len(payloads), cores) worker processes.
+
+    One worker runs in this process; more start one pool for this call
+    and stop it before returning.  The studies list their payloads by
+    increasing n, so by increasing cost; the pool maps them from the last
+    back, so the costliest chunks start first and the map ends on the
+    cheapest, and the results are put back in payload order.
+    """
     # the pool forks all its workers at its first task, so jobs is clamped first
     workers = min(jobs, len(payloads), _usable_cores())
     if workers <= 1:
@@ -210,7 +221,32 @@ def _map_payloads(fn, payloads, jobs):
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(payloads) // (workers * 4))
-        return list(pool.map(fn, payloads, chunksize=chunk))
+        return list(pool.map(fn, payloads[::-1], chunksize=chunk))[::-1]
+
+
+def _replication_batches(spec: DgpSpec, config: EstimatorConfig, n_grid, reps: int, master_seed: int, jobs: int):
+    """One ReplicationBatch per n of n_grid, from one _map_payloads call over every (n, rep).
+
+    The oracle levels m0 come first; payloads and results stay in (n, rep)
+    order and are cut back into per-n batches, so each batch is the same
+    for any parallelism degree and any grid it is part of.
+    """
+    if reps < 1:
+        raise ValueError("need at least one replication")
+    sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
+    levels = [oracle_level(spec.phi, spec.t, sigma, n) for n in n_grid]
+    payloads = [(spec, config, n, master_seed, rep, m0) for n, m0 in zip(n_grid, levels) for rep in range(reps)]
+    rows = np.asarray(_map_payloads(_mc_replication, payloads, jobs), dtype=np.float64)
+    return [
+        ReplicationBatch(
+            adaptive_loss=arr[:, 0],
+            naive_loss=arr[:, 1],
+            m_selected=arr[:, 2].astype(np.int64),
+            resolution=arr[:, 3].astype(np.int64),
+            oracle_m=m0,
+        )
+        for m0, arr in zip(levels, np.split(rows, len(levels)))
+    ]
 
 
 def replication_losses(
@@ -223,23 +259,11 @@ def replication_losses(
 ) -> ReplicationBatch:
     """Adaptive and known-operator losses over derived replication streams.
 
-    Results are aggregated in replication order, so the output is
-    identical for any parallelism degree.
+    The one-point grid of oracle_ratio_study: results are aggregated in
+    replication order, so the output is identical for any parallelism
+    degree.
     """
-    if reps < 1:
-        raise ValueError("need at least one replication")
-    sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
-    oracle_m = oracle_level(spec.phi, spec.t, sigma, n)
-    payloads = [(spec, config, n, master_seed, rep, oracle_m) for rep in range(reps)]
-    rows = _map_payloads(_mc_replication, payloads, jobs)
-    arr = np.asarray(rows, dtype=np.float64)
-    return ReplicationBatch(
-        adaptive_loss=arr[:, 0],
-        naive_loss=arr[:, 1],
-        m_selected=arr[:, 2].astype(np.int64),
-        resolution=arr[:, 3].astype(np.int64),
-        oracle_m=oracle_m,
-    )
+    return _replication_batches(spec, config, [int(n)], reps, master_seed, jobs)[0]
 
 
 @dataclass(frozen=True)
@@ -267,21 +291,23 @@ def oracle_ratio_study(
 ) -> OracleRatioResult:
     """Monte Carlo losses and the ratio mean_loss / (log^2 n inf_m R(m)) per n.
 
-    Each grid point reduces one replication_losses batch, so its mean
-    and standard error reproduce those of a standalone call with the
-    same n, reps and master_seed.
+    Every replication of the grid goes through one _map_payloads call, so
+    a parallel study starts one process pool.  Each grid point reduces
+    its own batch, so its mean and standard error reproduce those of a
+    standalone replication_losses call with the same n, reps and
+    master_seed.
     """
     n_grid = np.asarray(n_grid, dtype=np.int64)
     if n_grid.size == 0 or np.any(np.diff(n_grid) <= 0):
         raise ValueError("n_grid must be nonempty and strictly increasing")
     if reps < 2:
         raise ValueError("need at least two replications for standard errors")
+    grid = n_grid.tolist()
+    batches = _replication_batches(spec, config, grid, reps, master_seed, jobs)
     sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
     means, stderrs, oracle_risks, ratios = [], [], [], []
     naive_means, naive_stderrs, levels = [], [], []
-    for n in n_grid:
-        n = int(n)
-        batch = replication_losses(spec, config, n, reps, master_seed, jobs=jobs)
+    for n, batch in zip(grid, batches):
         mean = float(np.mean(batch.adaptive_loss))
         means.append(mean)
         stderrs.append(float(np.std(batch.adaptive_loss, ddof=1) / math.sqrt(reps)))
@@ -500,29 +526,44 @@ def _clopper_pearson(hits: int, reps: int) -> tuple[float, float]:
 def coverage_study(
     spec: DgpSpec,
     config: EstimatorConfig,
-    n: int,
+    n_grid,
     reps: int,
     master_seed: int,
     jobs: int = 1,
-) -> CoverageResult:
-    """Replicate the resolution scan and count bracketing hits with an exact CI (reps <= 10^9)."""
+) -> list[CoverageResult]:
+    """Replicate the resolution scan at each n and count bracketing hits with an exact CI (reps <= 10^9).
+
+    One CoverageResult per n of n_grid.  Every (n, rep) replication goes
+    through one _map_payloads call, in (n, rep) order, so a parallel
+    study starts one process pool and each n counts the same hits as a
+    one-point grid, for any parallelism degree.
+    """
     if not 1 <= reps <= _CP_MAX_REPS:
         raise ValueError(f"reps must lie in 1..{_CP_MAX_REPS}, got {reps}")
-    lower, upper = deterministic_resolution_bounds(spec.t, n)
-    payloads = [(spec, config, n, master_seed, rep) for rep in range(reps)]
+    n_grid = np.asarray(n_grid, dtype=np.int64)
+    if n_grid.ndim != 1 or n_grid.size == 0:
+        raise ValueError("n_grid must be a nonempty sequence of sample sizes")
+    n_grid = n_grid.tolist()
+    brackets = [deterministic_resolution_bounds(spec.t, n) for n in n_grid]
+    payloads = [(spec, config, n, master_seed, rep) for n in n_grid for rep in range(reps)]
     resolutions = np.asarray(_map_payloads(_coverage_replication, payloads, jobs))
-    hits = int(np.sum((resolutions >= lower) & (resolutions < upper)))
-    ci_low, ci_high = _clopper_pearson(hits, reps)
-    return CoverageResult(
-        n=int(n),
-        reps=int(reps),
-        hits=hits,
-        fraction=hits / reps,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        lower_bound=int(lower),
-        upper_bound=int(upper),
-    )
+    results = []
+    for n, (lower, upper), row in zip(n_grid, brackets, resolutions.reshape(len(n_grid), reps)):
+        hits = int(np.sum((row >= lower) & (row < upper)))
+        ci_low, ci_high = _clopper_pearson(hits, reps)
+        results.append(
+            CoverageResult(
+                n=n,
+                reps=int(reps),
+                hits=hits,
+                fraction=hits / reps,
+                ci_low=ci_low,
+                ci_high=ci_high,
+                lower_bound=int(lower),
+                upper_bound=int(upper),
+            )
+        )
+    return results
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from ivadapt import (
     truncation_remainder,
 )
 from ivadapt import seeds
+from ivadapt.risk import _map_payloads, _usable_cores
 from ivadapt.cli import main as cli_main
 
 GRID = tuple(2**e for e in range(9, 16))
@@ -62,7 +63,7 @@ def sigma_default(default_spec):
 @pytest.fixture(scope="module")
 def ratio_study(default_spec):
     return oracle_ratio_study(
-        default_spec, EstimatorConfig(), GRID, STUDY_REPS, STUDY_SEED, jobs=1
+        default_spec, EstimatorConfig(), GRID, STUDY_REPS, STUDY_SEED, jobs=_usable_cores()
     )
 
 
@@ -132,15 +133,19 @@ def test_criterion_03_exogeneity_and_endogeneity():
     )
 
 
+def _first_eigenvalue_estimate(payload):
+    spec, n, rep = payload
+    sample = generate_sample(spec, n, seed=seeds.sequence(20240905, "eig", n, rep))
+    return estimate_eigenvalues(sample, 1)[0]
+
+
 def test_criterion_04_eigenvalue_estimator_unbiased():
     spec = DgpSpec(
         t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=1.0
     )
     reps, n = 200, 10**5
-    values = np.empty(reps)
-    for rep in range(reps):
-        sample = generate_sample(spec, n, seed=seeds.sequence(20240905, "eig", n, rep))
-        values[rep] = estimate_eigenvalues(sample, 1)[0]
+    payloads = [(spec, n, rep) for rep in range(reps)]
+    values = np.asarray(_map_payloads(_first_eigenvalue_estimate, payloads, _usable_cores()))
     se = values.std(ddof=1) / math.sqrt(reps)
     dev = abs(values.mean() - 0.5) / se
     check(
@@ -153,8 +158,9 @@ def test_criterion_04_eigenvalue_estimator_unbiased():
 
 def test_criterion_05_resolution_bracketing(default_spec):
     config = EstimatorConfig()
-    big = coverage_study(default_spec, config, 10**4, 500, master_seed=20240906)
-    small = coverage_study(default_spec, config, 10**3, 500, master_seed=20240906)
+    small, big = coverage_study(
+        default_spec, config, (10**3, 10**4), 500, master_seed=20240906, jobs=_usable_cores()
+    )
     ok = big.fraction >= 0.90 and big.fraction >= small.fraction - 0.05
     check(
         5,

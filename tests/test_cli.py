@@ -152,6 +152,16 @@ def test_coverage_study_outputs(tmp_path):
         assert 0.0 <= float(cells[3]) <= 1.0
 
 
+def test_coverage_study_jobs_independence(tmp_path):
+    cfg = write_config(tmp_path, n_grid=[500, 1000], reps=12)
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    assert main(["coverage-study", "--config", str(cfg), "--out", str(out_a), "--jobs", "1"]) == 0
+    assert main(["coverage-study", "--config", str(cfg), "--out", str(out_b), "--jobs", "2"]) == 0
+    assert data_files(out_a) == ["coverage.csv", "results.json"]
+    assert hash_outputs(out_a) == hash_outputs(out_b)
+
+
 def test_oracle_study_outputs(tmp_path):
     cfg = write_config(tmp_path, n_grid=[512, 1024], reps=1)
     out = tmp_path / "run"

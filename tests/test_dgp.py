@@ -118,6 +118,23 @@ def test_in_place_sampler_is_bitwise_the_out_of_place_formula(t, n):
     assert (sample.y.tobytes(), sample.x.tobytes(), sample.w.tobytes()) == (y.tobytes(), x.tobytes(), w.tobytes())
 
 
+def test_mod_one_is_bitwise_numpy_remainder():
+    rng = np.random.default_rng(20261019)
+    patterns = rng.integers(0, 2**64, size=10**6, dtype=np.uint64, endpoint=False).view(np.float64)
+    tiny = 5e-324
+    edges = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 1 - 2**-53, -(1 - 2**-53), 2**-60, -(2**-60),
+             tiny, -tiny, 2 * tiny, -2 * tiny, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             1e300, -1e300, 1e-300, -1e-300, 2.0**52 + 0.5, -(2.0**52 + 0.5), 2.0**53, -(2.0**53)]
+    values = np.concatenate([
+        patterns[np.isfinite(patterns)],
+        rng.uniform(-2.0, 2.0, 10**6),
+        np.nextafter(np.array([-2.0, -1.0, 0.0, 1.0, 2.0]).repeat(2), np.tile([-np.inf, np.inf], 5)),
+        edges,
+    ])
+    expected = values % 1.0
+    assert dgp._mod_one(values).tobytes() == expected.tobytes()
+
+
 def test_oracle_sample_peak_memory():
     # the three n-draw arrays of the result and one temporary: 32 MiB at
     # 10^6 draws (the out-of-place formula peaks at 54 MiB)

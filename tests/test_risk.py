@@ -231,7 +231,8 @@ class _RecordingPool:
 
     def map(self, fn, items, chunksize=1):
         self.chunksize = chunksize
-        return map(fn, items)
+        self.items = list(items)
+        return map(fn, self.items)
 
 
 @pytest.mark.parametrize(
@@ -249,6 +250,51 @@ def test_map_payloads_clamps_workers(monkeypatch, jobs, payloads, cores, workers
     assert [pool.max_workers for pool in _RecordingPool.made] == ([] if workers is None else [workers])
     if workers is not None:
         assert _RecordingPool.made[0].chunksize == max(1, payloads // (workers * 4))
+
+
+def test_map_payloads_hands_the_pool_the_last_payloads_first(monkeypatch):
+    # studies list payloads cheapest first; the pool starts on the costliest, the results keep payload order
+    import concurrent.futures
+
+    _RecordingPool.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(risk, "_usable_cores", lambda: 2)
+    assert _map_payloads(abs, list(range(-280, 0)), 2) == list(range(280, 0, -1))
+    [pool] = _RecordingPool.made
+    assert (pool.max_workers, pool.chunksize, pool.items) == (2, 35, list(range(-1, -281, -1)))
+
+
+@pytest.mark.parametrize(
+    "study, grid",
+    [
+        (lambda grid, jobs: coverage_study(DgpSpec.default(), EstimatorConfig(), grid, 3, 41, jobs=jobs), [200, 400]),
+        (lambda grid, jobs: oracle_ratio_study(DgpSpec.default(), EstimatorConfig(), grid, 2, 41, jobs=jobs),
+         [64, 128, 256, 512]),
+    ],
+    ids=["coverage-study", "rate-study"],
+)
+def test_a_parallel_study_starts_one_pool_for_its_whole_grid(monkeypatch, study, grid):
+    import concurrent.futures
+
+    _RecordingPool.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(risk, "_usable_cores", lambda: 2)
+    study(grid, 2)
+    assert [pool.max_workers for pool in _RecordingPool.made] == [2]
+
+
+def test_coverage_study_counts_each_n_as_a_one_point_grid():
+    spec = DgpSpec.default()
+    config = EstimatorConfig()
+    grid = coverage_study(spec, config, [300, 600], 20, master_seed=39)
+    assert grid == [coverage_study(spec, config, [n], 20, master_seed=39)[0] for n in (300, 600)]
+    assert [result.n for result in grid] == [300, 600]
+
+
+@pytest.mark.parametrize("n_grid", [1000, [], [[1000]]])
+def test_coverage_study_rejects_a_grid_that_is_not_a_nonempty_list(n_grid):
+    with pytest.raises(ValueError, match="n_grid must be a nonempty sequence"):
+        coverage_study(DgpSpec.default(), EstimatorConfig(), n_grid, 3, master_seed=37)
 
 
 def test_usable_cores_counts_the_affinity_mask(monkeypatch):
@@ -343,14 +389,14 @@ def test_rate_fit_rejects_a_loss_list_that_is_not_one_positive_loss_per_point(me
 def test_coverage_study_basics():
     spec = DgpSpec.default()
     config = EstimatorConfig()
-    result = coverage_study(spec, config, 1000, 100, master_seed=37)
+    [result] = coverage_study(spec, config, [1000], 100, master_seed=37)
     assert 0.0 <= result.fraction <= 1.0
     assert result.ci_low <= result.fraction <= result.ci_high
     assert result.fraction >= 0.9
     assert result.hits <= result.reps
     assert result.lower_bound <= result.upper_bound
-    again = coverage_study(spec, config, 1000, 100, master_seed=37)
-    assert again == result
+    again = coverage_study(spec, config, [1000], 100, master_seed=37)
+    assert again == [result]
 
 
 def test_oracle_summary_consistency():
@@ -398,7 +444,7 @@ def test_coverage_study_rejects_reps_before_drawing_a_sample(monkeypatch, reps):
     monkeypatch.setattr(risk, "_CP_MAX_REPS", 5)
     monkeypatch.setattr(risk, "generate_sample", no_sample)
     with pytest.raises(ValueError, match=r"reps must lie in 1\.\.5, got "):
-        coverage_study(DgpSpec.default(), EstimatorConfig(), 1000, reps, master_seed=37)
+        coverage_study(DgpSpec.default(), EstimatorConfig(), [1000], reps, master_seed=37)
 
 
 ALPHA = 0.05
@@ -521,7 +567,7 @@ import ivadapt.cli
 after_import = loaded()
 from ivadapt import DgpSpec, EstimatorConfig, coverage_study
 from ivadapt.risk import _clopper_pearson
-result = coverage_study(DgpSpec.default(), EstimatorConfig(), 200, 3, 1, jobs=1)
+[result] = coverage_study(DgpSpec.default(), EstimatorConfig(), [200], 3, 1, jobs=1)
 after_study = loaded()
 _clopper_pearson(1, 3)
 _clopper_pearson(3, 3)
