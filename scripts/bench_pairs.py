@@ -9,7 +9,12 @@ of the parent commit and of the change), each with its own ivbench/.
 Pair i runs the i-th seed on both sides; even pairs run the base
 first, odd pairs the change first.  Every run is
 ``python3 ivbench/run.py --workload W --seed N --seconds S --trace 0``
-in that checkout, one at a time.  The script only calls the benchmark:
+in that checkout, one at a time.  Each side runs with its own fresh
+bytecode cache (``PYTHONPYCACHEPREFIX``, a new temporary directory per
+side, with ``PYTHONDONTWRITEBYTECODE`` unset), so bytecode that earlier
+runs left in a checkout's ``__pycache__`` is never read: each side
+compiles on its first run and reads its own cache after that, and the
+header records this as ``pycache``.  The script only calls the benchmark:
 it keeps the last stdout line of each run (the JSON result) and the
 run record above it, plus the host's 1-minute load average just before
 and just after the run (``load_1m``), so host drift can be told from a
@@ -40,6 +45,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -66,12 +72,19 @@ def cpu_model() -> str:
     return platform.processor()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def side_env(pycache: Path) -> dict:
+    """This process's environment with Python's bytecode cache at pycache and bytecode writing on."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: int, env: dict) -> dict:
     """One benchmark run: its exit code, run record, JSON result (None when missing) and load_1m."""
     cmd = [sys.executable, "ivbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     load_before = os.getloadavg()[0]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     load_after = os.getloadavg()[0]
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     records = [json.loads(line)["run"] for line in lines if line.startswith('{"run"')]
@@ -171,24 +184,27 @@ def main(argv=None) -> int:
     end_to_end = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     workloads = {}
-    for workload in args.workload:
-        runs = []
-        for pair, seed in enumerate(args.seeds):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for position, side in enumerate(order):
-                run = run_once(sides[side], workload, seed, args.seconds)
-                runs.append({"pair": pair, "seed": seed, "side": side, "position": position, **run})
-                wall = metric_value(run, "wall_s")
-                load = run["load_1m"]
-                print(f"{workload} pair {pair} seed {seed} {side}: exit {run['exit']} wall_s {wall} "
-                      f"load_1m {load['before']:.2f} -> {load['after']:.2f}", file=sys.stderr)
-        workloads[workload] = {"seeds": args.seeds, "metrics": summarize(runs, end_to_end), "runs": runs}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        envs = {side: side_env(Path(pycache) / side) for side in sides}
+        for workload in args.workload:
+            runs = []
+            for pair, seed in enumerate(args.seeds):
+                order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+                for position, side in enumerate(order):
+                    run = run_once(sides[side], workload, seed, args.seconds, envs[side])
+                    runs.append({"pair": pair, "seed": seed, "side": side, "position": position, **run})
+                    wall = metric_value(run, "wall_s")
+                    load = run["load_1m"]
+                    print(f"{workload} pair {pair} seed {seed} {side}: exit {run['exit']} wall_s {wall} "
+                          f"load_1m {load['before']:.2f} -> {load['after']:.2f}", file=sys.stderr)
+            workloads[workload] = {"seeds": args.seeds, "metrics": summarize(runs, end_to_end), "runs": runs}
 
     records = [r["record"] for w in workloads.values() for r in w["runs"] if r["record"]]
     change_commit = commit(sides["change"])
     payload = {
         "command": "python3 ivbench/run.py --workload W --seed N --seconds S --trace 0",
         "seconds": args.seconds,
+        "pycache": "a fresh PYTHONPYCACHEPREFIX directory per side, PYTHONDONTWRITEBYTECODE unset",
         "machine": {"cpu": cpu_model(), "arch": platform.machine(), "system": platform.platform()},
         "nproc": len(os.sched_getaffinity(0)),
         "numpy": sorted({r.get("numpy") for r in records if r.get("numpy")}),

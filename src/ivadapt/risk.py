@@ -7,10 +7,11 @@ over m, with the term variances sigma_k^2 from a Monte Carlo oracle
 (sigma_sq_profile).  The Monte Carlo studies replicate the adaptive
 estimator over derived seed streams and summarize losses, oracle ratios,
 rate slopes, and the bracketing frequency of the random resolution
-bound with its 95 % Clopper-Pearson interval (reps <= 10^9).  A study
-maps every (n, rep) replication of its grid through one _map_payloads
-call, so at jobs > 1 it starts one process pool; results keep (n, rep)
-order, so every output is the same for any jobs.
+bound with its 95 % Clopper-Pearson interval (reps <= 10^9).  Both grid
+studies check their grid by one rule first (_checked_grid) and map every
+(n, rep) replication of it through one _grid_rows call, so at jobs > 1 a
+study starts one process pool; results keep (n, rep) order, so every
+output is the same for any jobs.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ class ReplicationBatch:
 
 
 def _mc_replication(payload):
-    spec, config, n, master_seed, rep, m0 = payload
+    spec, config, master_seed, n, rep, m0 = payload
     sample = generate_sample(spec, n, seed=seeds.sequence(master_seed, "mc-risk", n, rep))
     report = adaptive_estimate(sample, config)
     adaptive = parseval_sq_distance(report.phi_hat, spec.phi)
@@ -224,29 +225,23 @@ def _map_payloads(fn, payloads, jobs):
         return list(pool.map(fn, payloads[::-1], chunksize=chunk))[::-1]
 
 
-def _replication_batches(spec: DgpSpec, config: EstimatorConfig, n_grid, reps: int, master_seed: int, jobs: int):
-    """One ReplicationBatch per n of n_grid, from one _map_payloads call over every (n, rep).
+def _grid_rows(fn, head, n_grid, per_n, reps: int, jobs: int) -> np.ndarray:
+    """fn over every payload (*head, n, rep, *per_n[i]) with n = n_grid[i] and rep < reps.
 
-    The oracle levels m0 come first; payloads and results stay in (n, rep)
-    order and are cut back into per-n batches, so each batch is the same
-    for any parallelism degree and any grid it is part of.
+    One _map_payloads call in (n, rep) order; the results, at numpy's
+    inferred dtype, are shaped (len(n_grid), reps, outputs), so row i is
+    the same for any jobs and any grid holding n_grid[i].
     """
-    if reps < 1:
-        raise ValueError("need at least one replication")
-    sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
-    levels = [oracle_level(spec.phi, spec.t, sigma, n) for n in n_grid]
-    payloads = [(spec, config, n, master_seed, rep, m0) for n, m0 in zip(n_grid, levels) for rep in range(reps)]
-    rows = np.asarray(_map_payloads(_mc_replication, payloads, jobs), dtype=np.float64)
-    return [
-        ReplicationBatch(
-            adaptive_loss=arr[:, 0],
-            naive_loss=arr[:, 1],
-            m_selected=arr[:, 2].astype(np.int64),
-            resolution=arr[:, 3].astype(np.int64),
-            oracle_m=m0,
-        )
-        for m0, arr in zip(levels, np.split(rows, len(levels)))
-    ]
+    payloads = [(*head, n, rep, *extra) for n, extra in zip(n_grid, per_n) for rep in range(reps)]
+    return np.asarray(_map_payloads(fn, payloads, jobs)).reshape(len(n_grid), reps, -1)
+
+
+def _checked_grid(n_grid) -> list[int]:
+    """n_grid as a list, if it is a 1-D, nonempty, strictly increasing sequence of ints."""
+    grid = np.asarray(n_grid)
+    if grid.ndim != 1 or grid.size == 0 or grid.dtype.kind != "i" or np.any(np.diff(grid) <= 0):
+        raise ValueError("n_grid must be a nonempty sequence of strictly increasing int sample sizes")
+    return grid.tolist()
 
 
 def replication_losses(
@@ -263,7 +258,17 @@ def replication_losses(
     replication order, so the output is identical for any parallelism
     degree.
     """
-    return _replication_batches(spec, config, [int(n)], reps, master_seed, jobs)[0]
+    if reps < 1:
+        raise ValueError("need at least one replication")
+    m0 = oracle_level(spec.phi, spec.t, sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER), n)
+    [rows] = _grid_rows(_mc_replication, (spec, config, master_seed), [int(n)], [(m0,)], reps, jobs)
+    return ReplicationBatch(
+        adaptive_loss=rows[:, 0],
+        naive_loss=rows[:, 1],
+        m_selected=rows[:, 2].astype(np.int64),
+        resolution=rows[:, 3].astype(np.int64),
+        oracle_m=m0,
+    )
 
 
 @dataclass(frozen=True)
@@ -291,41 +296,34 @@ def oracle_ratio_study(
 ) -> OracleRatioResult:
     """Monte Carlo losses and the ratio mean_loss / (log^2 n inf_m R(m)) per n.
 
-    Every replication of the grid goes through one _map_payloads call, so
+    Every replication of the grid goes through one _grid_rows call, so
     a parallel study starts one process pool.  Each grid point reduces
-    its own batch, so its mean and standard error reproduce those of a
+    its own row, so its mean and standard error reproduce those of a
     standalone replication_losses call with the same n, reps and
     master_seed.
     """
-    n_grid = np.asarray(n_grid, dtype=np.int64)
-    if n_grid.size == 0 or np.any(np.diff(n_grid) <= 0):
-        raise ValueError("n_grid must be nonempty and strictly increasing")
+    grid = _checked_grid(n_grid)
     if reps < 2:
         raise ValueError("need at least two replications for standard errors")
-    grid = n_grid.tolist()
-    batches = _replication_batches(spec, config, grid, reps, master_seed, jobs)
     sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
-    means, stderrs, oracle_risks, ratios = [], [], [], []
-    naive_means, naive_stderrs, levels = [], [], []
-    for n, batch in zip(grid, batches):
-        mean = float(np.mean(batch.adaptive_loss))
-        means.append(mean)
-        stderrs.append(float(np.std(batch.adaptive_loss, ddof=1) / math.sqrt(reps)))
-        naive_means.append(float(np.mean(batch.naive_loss)))
-        naive_stderrs.append(float(np.std(batch.naive_loss, ddof=1) / math.sqrt(reps)))
-        _, inf_risk = min_penalized_risk(spec.phi, spec.t, sigma, n)
-        oracle_risks.append(inf_risk)
-        ratios.append(mean / (math.log(n) ** 2 * inf_risk))
-        levels.append(batch.oracle_m)
+    levels, oracle_risks, log_sq = [], [], []
+    for n in grid:
+        levels.append(oracle_level(spec.phi, spec.t, sigma, n))
+        oracle_risks.append(min_penalized_risk(spec.phi, spec.t, sigma, n)[1])
+        log_sq.append(math.log(n) ** 2)
+    rows = _grid_rows(_mc_replication, (spec, config, master_seed), grid, [(m0,) for m0 in levels], reps, jobs)
+    adaptive, naive = rows[..., 0], rows[..., 1]
+    mean = np.mean(adaptive, axis=-1)
+    oracle_risk = np.asarray(oracle_risks)
     return OracleRatioResult(
-        n_grid=n_grid,
+        n_grid=np.asarray(grid, dtype=np.int64),
         reps=int(reps),
-        mean_loss=np.asarray(means),
-        stderr=np.asarray(stderrs),
-        oracle_risk=np.asarray(oracle_risks),
-        ratio=np.asarray(ratios),
-        naive_mean_loss=np.asarray(naive_means),
-        naive_stderr=np.asarray(naive_stderrs),
+        mean_loss=mean,
+        stderr=np.std(adaptive, axis=-1, ddof=1) / math.sqrt(reps),
+        oracle_risk=oracle_risk,
+        ratio=mean / (np.asarray(log_sq) * oracle_risk),
+        naive_mean_loss=np.mean(naive, axis=-1),
+        naive_stderr=np.std(naive, axis=-1, ddof=1) / math.sqrt(reps),
         oracle_levels=np.asarray(levels, dtype=np.int64),
     )
 
@@ -397,7 +395,7 @@ class CoverageResult:
 
 
 def _coverage_replication(payload):
-    spec, config, n, master_seed, rep = payload
+    spec, config, master_seed, n, rep = payload
     sample = generate_sample(spec, n, seed=seeds.sequence(master_seed, "coverage", n, rep))
     return estimate_resolution(sample, config)
 
@@ -534,21 +532,17 @@ def coverage_study(
     """Replicate the resolution scan at each n and count bracketing hits with an exact CI (reps <= 10^9).
 
     One CoverageResult per n of n_grid.  Every (n, rep) replication goes
-    through one _map_payloads call, in (n, rep) order, so a parallel
-    study starts one process pool and each n counts the same hits as a
+    through one _grid_rows call, in (n, rep) order, so a parallel study
+    starts one process pool and each n counts the same hits as a
     one-point grid, for any parallelism degree.
     """
+    grid = _checked_grid(n_grid)
     if not 1 <= reps <= _CP_MAX_REPS:
         raise ValueError(f"reps must lie in 1..{_CP_MAX_REPS}, got {reps}")
-    n_grid = np.asarray(n_grid, dtype=np.int64)
-    if n_grid.ndim != 1 or n_grid.size == 0:
-        raise ValueError("n_grid must be a nonempty sequence of sample sizes")
-    n_grid = n_grid.tolist()
-    brackets = [deterministic_resolution_bounds(spec.t, n) for n in n_grid]
-    payloads = [(spec, config, n, master_seed, rep) for n in n_grid for rep in range(reps)]
-    resolutions = np.asarray(_map_payloads(_coverage_replication, payloads, jobs))
+    brackets = [deterministic_resolution_bounds(spec.t, n) for n in grid]
+    rows = _grid_rows(_coverage_replication, (spec, config, master_seed), grid, [()] * len(grid), reps, jobs)
     results = []
-    for n, (lower, upper), row in zip(n_grid, brackets, resolutions.reshape(len(n_grid), reps)):
+    for n, (lower, upper), row in zip(grid, brackets, rows):
         hits = int(np.sum((row >= lower) & (row < upper)))
         ci_low, ci_high = _clopper_pearson(hits, reps)
         results.append(

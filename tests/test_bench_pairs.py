@@ -153,3 +153,36 @@ def test_each_run_records_the_load_average_before_and_after(monkeypatch, tmp_pat
     lines = capsys.readouterr().err.splitlines()
     assert lines[0] == "rate-ref pair 0 seed 3 base: exit 0 wall_s 2.0 load_1m 0.50 -> 1.25"
     assert lines[3].endswith("load_1m 4.00 -> 4.50")
+
+
+def test_each_side_runs_with_its_own_fresh_bytecode_cache(monkeypatch, tmp_path):
+    # bytecode left in a checkout's __pycache__ must not reach either side: each side gets
+    # its own new PYTHONPYCACHEPREFIX for all its runs, and writes bytecode there
+    result = {"correct": True, "metrics": {"wall_s": {"value": 2.0}, "reps_per_s": {"value": 0.5}}}
+    envs = []
+
+    def fake_run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 0, stdout="0123456789abcdef\n", stderr="")
+        envs.append((Path(kwargs["cwd"]).name, kwargs["env"]))
+        assert Path(kwargs["env"]["PYTHONPYCACHEPREFIX"]).parent.is_dir()
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "stale"))
+    for side in ("base", "change"):
+        (tmp_path / side / "src" / "__pycache__").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    argv = ["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
+            "--workload", "rate-ref", "--workload", "coverage-par", "--seeds", "3-4", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 0
+
+    assert len(envs) == 8 and all("PYTHONDONTWRITEBYTECODE" not in env for _, env in envs)
+    prefixes = {side: {env["PYTHONPYCACHEPREFIX"] for s, env in envs if s == side} for side in ("base", "change")}
+    assert all(len(p) == 1 for p in prefixes.values()) and prefixes["base"] != prefixes["change"]
+    for prefix in prefixes["base"] | prefixes["change"]:
+        assert not Path(prefix).exists()  # removed after the runs
+        assert tmp_path not in Path(prefix).parents
+    saved = json.loads((tmp_path / "change" / "BENCH_0123456.json").read_text())
+    assert "PYTHONPYCACHEPREFIX" in saved["pycache"]

@@ -291,10 +291,17 @@ def test_coverage_study_counts_each_n_as_a_one_point_grid():
     assert [result.n for result in grid] == [300, 600]
 
 
-@pytest.mark.parametrize("n_grid", [1000, [], [[1000]]])
-def test_coverage_study_rejects_a_grid_that_is_not_a_nonempty_list(n_grid):
+@pytest.mark.parametrize("study", [coverage_study, oracle_ratio_study], ids=["coverage-study", "rate-study"])
+@pytest.mark.parametrize("n_grid", [1000, [], [[1000]], [10000, 1000], [1000, 1000]])
+def test_a_study_rejects_a_grid_that_is_not_a_nonempty_increasing_list(monkeypatch, study, n_grid):
+    # the grid is checked before the sigma^2 oracle or any bracket is computed
+    def not_yet(*args, **kwargs):
+        raise AssertionError("the study did work before checking its grid")
+
+    monkeypatch.setattr(risk, "sigma_sq_profile", not_yet)
+    monkeypatch.setattr(risk, "deterministic_resolution_bounds", not_yet)
     with pytest.raises(ValueError, match="n_grid must be a nonempty sequence"):
-        coverage_study(DgpSpec.default(), EstimatorConfig(), n_grid, 3, master_seed=37)
+        study(DgpSpec.default(), EstimatorConfig(), n_grid, 3, master_seed=37)
 
 
 def test_usable_cores_counts_the_affinity_mask(monkeypatch):

@@ -109,6 +109,10 @@ def test_replication_losses_reads_the_oracle_through_the_risk_module(monkeypatch
     batch = risk.replication_losses(DgpSpec.default(), estimator.EstimatorConfig(), 64, 1, master_seed=5)
     assert calls == ["risk.sigma_sq_profile", "risk.oracle_level"]
     assert batch.oracle_m >= 0
+    # a rate study reads the oracle once for its whole grid and each oracle level once per n
+    calls.clear()
+    risk.oracle_ratio_study(DgpSpec.default(), estimator.EstimatorConfig(), [64, 128], 2, master_seed=5)
+    assert calls == ["risk.sigma_sq_profile", "risk.oracle_level", "risk.oracle_level"]
 
 
 @pytest.mark.parametrize("n", [200, 5000, estimator._chunks(1 << 21)[0].stop + 2])
