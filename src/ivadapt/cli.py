@@ -4,7 +4,8 @@ Each subcommand reads a single JSON config document, runs the study,
 and writes CSV/JSON outputs plus a manifest.json with per-file SHA-256
 checksums.  Data files contain no timestamps, so a rerun with the same
 config and seed is byte-identical regardless of the parallelism degree
-(timestamps live only in the manifest).
+(timestamps live only in the manifest).  At load, the library checks the
+study's inputs (_INPUT_CHECKS); the argument an error names is its field.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__, risk, seeds
 from .basis import CoefficientVector, FunctionFamilySpec, make_test_function
 from .dgp import DgpSpec, generate_sample
-from .estimator import EstimatorConfig, adaptive_estimate, deterministic_resolution_bounds
+from .estimator import EstimatorConfig, adaptive_estimate
 from .risk import CoverageResult, RateFit, coverage_study, oracle_ratio_study, oracle_summary, rate_fit
 from .serialize import to_plain, write_csv, write_json
 
@@ -53,49 +54,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise CliError(f"unknown study {self.study!r}", field="study")
-        if len(self.n_grid) == 0:
-            raise CliError("n_grid must be nonempty", field="n_grid")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise CliError("n_grid must be strictly increasing", field="n_grid")
-        min_n = 1 if self.study == "simulate" else 3
-        if self.n_grid[0] < min_n:
-            raise CliError(f"{self.study} needs every n >= {min_n}", field="n_grid")
-        max_n = np.iinfo(np.intp).max // 8  # the longest float64 array numpy can describe
-        if self.n_grid[-1] > max_n:
-            raise CliError(f"every n must be at most {max_n}", field="n_grid")
-        if self.study == "rate-study":
-            if len(self.n_grid) < 4 or self.n_grid[-1] / self.n_grid[0] < 10.0:
-                raise CliError("rate-study needs at least 4 n_grid points spanning a decade", field="n_grid")
-            if self.phi_family is None or self.phi_family.kind != "sobolev":
-                raise CliError(
-                    "rate-study needs dgp.phi given as a sobolev family so the smoothness s is known",
-                    field="dgp.phi",
-                )
-        phi_zero = not np.any(self.dgp.phi.coeffs)
-        if phi_zero and self.study in ("risk-curve", "rate-study"):
-            raise CliError(f"{self.study} needs a nonzero phi: its oracle risk is 0 at m = 0", field="dgp.phi")
-        carrier_zero = self.dgp.a == 0 or not np.any(self.dgp.g.coeffs)
-        if self.study == "oracle-study" and phi_zero and self.dgp.eta_sd == 0 and carrier_zero:
-            raise CliError("oracle-study needs a response that is not identically zero", field="dgp")
-        if self.study in ("estimate", "risk-curve", "rate-study"):  # the studies that compute the contrast
-            for n in self.n_grid:
-                try:
-                    self.estimator.penalty_weight(n)
-                except ValueError as exc:
-                    raise CliError(str(exc), field="estimator.penalty_log_exponent") from exc
-        if self.study in ("coverage-study", "oracle-study"):
-            for n in self.n_grid:
-                try:
-                    deterministic_resolution_bounds(self.dgp.t, n)
-                except ValueError as exc:
-                    raise CliError(f"no resolution bracket at n = {n}: {exc}", field="dgp.t") from exc
-        min_reps = 2 if self.study in ("risk-curve", "rate-study") else 1
-        if self.reps < min_reps:
-            raise CliError(f"{self.study} needs reps >= {min_reps}", field="reps")
-        if self.study == "coverage-study" and self.reps > risk._CP_MAX_REPS:
-            raise CliError(f"coverage-study computes its interval for reps <= {risk._CP_MAX_REPS}", field="reps")
-        if self.jobs < 1:
-            raise CliError("jobs must be at least 1", field="jobs")
+        if self.study == "rate-study" and getattr(self.phi_family, "kind", None) != "sobolev":
+            raise CliError("rate-study needs dgp.phi as a sobolev family, for its smoothness s", field="dgp.phi")
+        if self.study in ("simulate", "estimate", "oracle-study") and self.reps < 1:
+            raise CliError(f"{self.study} needs reps >= 1", field="reps")
+        try:
+            _INPUT_CHECKS[self.study](self)
+        except ValueError as exc:
+            head, dot, rest = exc.argument.partition(".")
+            raise CliError(str(exc), field=_FIELDS.get(head, head) + dot + rest) from exc
 
     def to_json_dict(self, run_params: bool = True) -> dict:
         """Config echo; run_params=False drops the fields (output_dir,
@@ -107,6 +74,16 @@ class ExperimentConfig:
             del payload["phi_family"]
         return payload
 
+
+_INPUT_CHECKS = {
+    "simulate": lambda c: risk._checked_grid(c.n_grid, min_n=1),
+    "estimate": lambda c: risk._check_penalty(c.estimator, risk._checked_grid(c.n_grid)),
+    "risk-curve": lambda c: risk._ratio_inputs(c.dgp, c.estimator, c.n_grid, c.reps, c.jobs),
+    "rate-study": lambda c: risk._fit_grid(risk._ratio_inputs(c.dgp, c.estimator, c.n_grid, c.reps, c.jobs)),
+    "coverage-study": lambda c: risk._coverage_inputs(c.dgp, c.n_grid, c.reps, c.jobs),
+    "oracle-study": lambda c: risk._summary_inputs(c.dgp, c.n_grid),
+}
+_FIELDS = {"spec": "dgp", "config": "estimator"}  # a study argument's config field
 
 # A field's kind is int, float (a finite number), bool or str, a one-kind
 # tuple for a JSON list of that kind, or a nested table for a nested object.

@@ -92,9 +92,7 @@ class EstimatorConfig:
         try:
             return math.log(n) ** self.penalty_log_exponent / n
         except OverflowError:
-            raise ValueError(
-                f"penalty weight log(n)^{self.penalty_log_exponent:g} overflows a float at n = {n}"
-            ) from None
+            raise ValueError(f"penalty weight log(n)^{self.penalty_log_exponent:g} overflows a float") from None
 
 
 def _block_sums(row_blocks: list, ks: np.ndarray, eigen: bool, moments: bool, work: np.ndarray) -> np.ndarray:
@@ -239,8 +237,7 @@ def deterministic_resolution_bounds(t: float, n: int) -> tuple[int, int]:
     one, so lower <= M < upper with high probability).  Raises
     ValueError when a crossing lies beyond basis index 10^8.
     """
-    if n < 3:
-        raise ValueError("bounds need n >= 3 so that log n exceeds 1")
+    resolution_threshold(n)  # DegenerateSampleError below n = 3
     root_n = math.sqrt(n)
     lower = _first_eigenvalue_crossing(t, math.log(n) ** 2 / root_n) - 1
     upper = _first_eigenvalue_crossing(t, math.log(n) ** 0.75 / root_n)
@@ -269,7 +266,7 @@ def _first_eigenvalue_crossing(t: float, threshold: float) -> int:
                 break
         if 2 * j - 1 <= _BRACKET_CAP:
             return 2 * j - 1
-    raise ValueError(f"eigenvalues at t = {t:g} stay above {threshold:.3g} up to basis index {_BRACKET_CAP}")
+    raise ValueError(f"eigenvalues at t = {t:g} exceed {threshold:.3g} to basis index {_BRACKET_CAP}: no bracket")
 
 
 def naive_estimator(r_hat, t: float, m: int) -> CoefficientVector:
@@ -357,11 +354,11 @@ def adaptive_estimate(sample: IvSample, config: EstimatorConfig | None = None) -
     """Run the full pipeline: scan, coefficients, contrast, selection, inversion."""
     config = config or EstimatorConfig()
     n = sample.n
-    if n < 3:
-        raise DegenerateSampleError("need n >= 3 so that log n exceeds 1")
+    resolution_threshold(n)  # DegenerateSampleError below n = 3
+    weight = config.penalty_weight(n)  # before the scan, so that an overflowing weight fails first
     resolution, sums, cap_reached = _resolution_scan(sample, config, moments=True)
     lambda_hat, r_hat, sigma_sq_hat = _estimates(sums, n)
-    criterion = _criterion_values(r_hat, lambda_hat, sigma_sq_hat, config.penalty_weight(n), resolution)
+    criterion = _criterion_values(r_hat, lambda_hat, sigma_sq_hat, weight, resolution)
     m_selected = select_level(criterion, allow_empty=config.allow_empty_model)
     phi_hat = thresholded_estimator(r_hat, lambda_hat, m_selected, resolution)
     return EstimateReport(

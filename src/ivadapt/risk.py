@@ -7,16 +7,18 @@ over m, with the term variances sigma_k^2 from a Monte Carlo oracle
 (sigma_sq_profile).  The Monte Carlo studies replicate the adaptive
 estimator over derived seed streams and summarize losses, oracle ratios,
 rate slopes, and the bracketing frequency of the random resolution
-bound with its 95 % Clopper-Pearson interval (reps <= 10^9).  Both grid
-studies check their grid by one rule first (_checked_grid) and map every
-(n, rep) replication of it through one _grid_rows call, so at jobs > 1 a
-study starts one process pool; results keep (n, rep) order, so every
-output is the same for any jobs.
+bound with its 95 % Clopper-Pearson interval (reps <= 10^9).  Each study
+first checks all its inputs by arithmetic alone (_ratio_inputs,
+_coverage_inputs, _summary_inputs, _fit_grid, which the CLI runs at load),
+one ValueError per rule naming the input.  Both grid studies map every
+(n, rep) replication of their grid through one _grid_rows call: one
+process pool at jobs > 1, and results in (n, rep) order for any jobs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -43,14 +45,12 @@ __all__ = [
     "OracleRatioResult",
     "OracleSummary",
     "RateFit",
-    "ReplicationBatch",
     "coverage_study",
     "min_penalized_risk",
     "oracle_level",
     "oracle_ratio_study",
     "oracle_summary",
     "rate_fit",
-    "replication_losses",
     "restricted_oracle_level",
     "risk_naive",
     "risk_penalized",
@@ -91,6 +91,16 @@ def sigma_sq_profile(spec: DgpSpec, K: int, n_draws: int = _ORACLE_DRAWS) -> np.
 
 class DegenerateFitError(ValueError):
     """Raised when a rate fit is requested on an unusable grid."""
+
+    argument = "n_grid"
+
+
+class _InputError(ValueError):
+    """A study input that breaks one of the study's rules; argument names that input."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
 
 
 def _risk_sums(phi: CoefficientVector, t: float, sigma_sq, m_max: int):
@@ -174,17 +184,6 @@ def _gap_risk(phi: CoefficientVector, t: float, sigma_sq, n: int, lower: int, m0
     return float(tail[before] - tail[m0] + (variance[m0] - variance[before]) / n)
 
 
-@dataclass(frozen=True)
-class ReplicationBatch:
-    """Per-replication outputs of a Monte Carlo run at one sample size."""
-
-    adaptive_loss: np.ndarray
-    naive_loss: np.ndarray
-    m_selected: np.ndarray
-    resolution: np.ndarray
-    oracle_m: int  # the oracle level m0, where every replication's naive estimator truncates
-
-
 def _mc_replication(payload):
     spec, config, master_seed, n, rep, m0 = payload
     sample = generate_sample(spec, n, seed=seeds.sequence(master_seed, "mc-risk", n, rep))
@@ -236,39 +235,50 @@ def _grid_rows(fn, head, n_grid, per_n, reps: int, jobs: int) -> np.ndarray:
     return np.asarray(_map_payloads(fn, payloads, jobs)).reshape(len(n_grid), reps, -1)
 
 
-def _checked_grid(n_grid) -> list[int]:
-    """n_grid as a list, if it is a 1-D, nonempty, strictly increasing sequence of ints."""
-    grid = np.asarray(n_grid)
-    if grid.ndim != 1 or grid.size == 0 or grid.dtype.kind != "i" or np.any(np.diff(grid) <= 0):
-        raise ValueError("n_grid must be a nonempty sequence of strictly increasing int sample sizes")
-    return grid.tolist()
+def _checked_grid(n_grid, min_n: int = 3) -> list[int]:
+    """n_grid as Python ints, if it is a nonempty, strictly increasing sequence of int sizes in min_n..max_n."""
+    max_n = np.iinfo(np.intp).max // 8  # 8 n bytes must fit numpy's array size (intp)
+    try:
+        grid = [operator.index(n) for n in n_grid]
+    except TypeError:
+        grid = []
+    bounded = [min_n - 1, *grid, max_n + 1]  # increasing exactly when grid is and lies in min_n..max_n
+    if not grid or any(type(n) is bool for n in n_grid) or any(b <= a for a, b in zip(bounded, bounded[1:])):
+        sizes = f"strictly increasing int sample sizes, at least {min_n} and at most {max_n}"
+        raise _InputError("n_grid", f"n_grid must be a nonempty sequence of {sizes}")
+    return grid
 
 
-def replication_losses(
-    spec: DgpSpec,
-    config: EstimatorConfig,
-    n: int,
-    reps: int,
-    master_seed: int,
-    jobs: int = 1,
-) -> ReplicationBatch:
-    """Adaptive and known-operator losses over derived replication streams.
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise _InputError("jobs", "jobs must be at least 1")
 
-    The one-point grid of oracle_ratio_study: results are aggregated in
-    replication order, so the output is identical for any parallelism
-    degree.
-    """
-    if reps < 1:
-        raise ValueError("need at least one replication")
-    m0 = oracle_level(spec.phi, spec.t, sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER), n)
-    [rows] = _grid_rows(_mc_replication, (spec, config, master_seed), [int(n)], [(m0,)], reps, jobs)
-    return ReplicationBatch(
-        adaptive_loss=rows[:, 0],
-        naive_loss=rows[:, 1],
-        m_selected=rows[:, 2].astype(np.int64),
-        resolution=rows[:, 3].astype(np.int64),
-        oracle_m=m0,
-    )
+
+def _check_penalty(config: EstimatorConfig, grid) -> None:
+    _each_n("config.penalty_log_exponent", config.penalty_weight, grid)
+
+
+def _each_n(argument: str, rule, grid) -> list:
+    """[rule(n) for n in grid], where a ValueError at some n becomes an _InputError naming argument."""
+    out = []
+    for n in grid:
+        try:
+            out.append(rule(n))
+        except ValueError as exc:
+            raise _InputError(argument, f"{exc} at n = {n}") from None
+    return out
+
+
+def _ratio_inputs(spec: DgpSpec, config: EstimatorConfig, n_grid, reps: int, jobs: int) -> list[int]:
+    """oracle_ratio_study's input check: its grid, or an _InputError for the first rule broken."""
+    grid = _checked_grid(n_grid)
+    if reps < 2:
+        raise _InputError("reps", "need at least two replications for standard errors")
+    _check_jobs(jobs)
+    if not np.any(spec.phi.coeffs):
+        raise _InputError("spec.phi", "the oracle ratio needs a nonzero phi: its oracle risk is 0 at m = 0")
+    _check_penalty(config, grid)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -298,13 +308,10 @@ def oracle_ratio_study(
 
     Every replication of the grid goes through one _grid_rows call, so
     a parallel study starts one process pool.  Each grid point reduces
-    its own row, so its mean and standard error reproduce those of a
-    standalone replication_losses call with the same n, reps and
-    master_seed.
+    its own row, so its mean and standard error reproduce those of the
+    one-point grid [n] with the same reps and master_seed.
     """
-    grid = _checked_grid(n_grid)
-    if reps < 2:
-        raise ValueError("need at least two replications for standard errors")
+    grid = _ratio_inputs(spec, config, n_grid, reps, jobs)
     sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
     levels, oracle_risks, log_sq = [], [], []
     for n in grid:
@@ -354,16 +361,20 @@ def _lsq_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, ym - slope * xm
 
 
+def _fit_grid(n_grid) -> None:
+    """rate_fit's grid rule: at least 4 points spanning at least one decade, else DegenerateFitError."""
+    n = np.asarray(n_grid, dtype=np.float64)
+    if n.size < 4 or n.max() / n.min() < 10.0:
+        raise DegenerateFitError("rate fit needs at least 4 grid points spanning at least one decade")
+
+
 def rate_fit(n_grid, mean_loss, s: float, t: float) -> RateFit:
     """Least-squares slope of log mean_loss over the grid on the log-corrected abscissa."""
     n = np.asarray(n_grid, dtype=np.float64)
     loss = np.asarray(mean_loss, dtype=np.float64)
     if loss.shape != n.shape or np.any(loss <= 0):
         raise ValueError("rate fit needs one positive mean loss per grid point")
-    if n.size < 4:
-        raise DegenerateFitError("rate fit needs at least 4 grid points")
-    if n.max() / n.min() < 10.0:
-        raise DegenerateFitError("rate fit needs a grid spanning at least one decade")
+    _fit_grid(n)
     gamma = 2.0 + 2.0 * s + 2.0 * t
     x = np.log(n) - 2.0 * gamma * np.log(np.log(n))
     y = np.log(loss)
@@ -521,6 +532,15 @@ def _clopper_pearson(hits: int, reps: int) -> tuple[float, float]:
     return low, high
 
 
+def _coverage_inputs(spec: DgpSpec, n_grid, reps: int, jobs: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """coverage_study's input check: its grid and the bracket at each n, or an _InputError."""
+    grid = _checked_grid(n_grid)
+    if not 1 <= reps <= _CP_MAX_REPS:
+        raise _InputError("reps", f"reps must lie in 1..{_CP_MAX_REPS}, got {reps}")
+    _check_jobs(jobs)
+    return grid, _each_n("spec.t", lambda n: deterministic_resolution_bounds(spec.t, n), grid)
+
+
 def coverage_study(
     spec: DgpSpec,
     config: EstimatorConfig,
@@ -536,10 +556,7 @@ def coverage_study(
     starts one process pool and each n counts the same hits as a
     one-point grid, for any parallelism degree.
     """
-    grid = _checked_grid(n_grid)
-    if not 1 <= reps <= _CP_MAX_REPS:
-        raise ValueError(f"reps must lie in 1..{_CP_MAX_REPS}, got {reps}")
-    brackets = [deterministic_resolution_bounds(spec.t, n) for n in grid]
+    grid, brackets = _coverage_inputs(spec, n_grid, reps, jobs)
     rows = _grid_rows(_coverage_replication, (spec, config, master_seed), grid, [()] * len(grid), reps, jobs)
     results = []
     for n, (lower, upper), row in zip(grid, brackets, rows):
@@ -575,6 +592,14 @@ class OracleSummary:
     penalized_risk_values: np.ndarray
 
 
+def _summary_inputs(spec: DgpSpec, n_grid) -> list[tuple[int, int]]:
+    """oracle_summary's input check over n_grid: the bracket at each n, of a response not identically 0."""
+    brackets = _each_n("spec.t", lambda n: deterministic_resolution_bounds(spec.t, n), _checked_grid(n_grid))
+    if not np.any(spec.phi.coeffs) and spec.eta_sd == 0 and (spec.a == 0 or not np.any(spec.g.coeffs)):
+        raise _InputError("spec", "oracle_summary needs a response that is not identically zero")
+    return brackets
+
+
 def oracle_summary(
     spec: DgpSpec,
     config: EstimatorConfig,
@@ -582,6 +607,7 @@ def oracle_summary(
     master_seed: int,
 ) -> OracleSummary:
     """Risk profiles plus a realized resolution bound from one derived sample."""
+    [(lower, upper)] = _summary_inputs(spec, [n])
     sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
     risk_values = _risk_scan(spec.phi, spec.t, sigma, n, risk_naive)
     penalized_values = _risk_scan(spec.phi, spec.t, sigma, n, risk_penalized)
@@ -589,7 +615,6 @@ def oracle_summary(
     sample = generate_sample(spec, n, seed=seeds.sequence(master_seed, "oracle-study", n, 0))
     resolution = estimate_resolution(sample, config)
     m1 = int(np.argmin(risk_values[: resolution + 1]))  # restricted_oracle_level, read off the profile
-    lower, upper = deterministic_resolution_bounds(spec.t, n)
     return OracleSummary(
         n=int(n),
         oracle_m=m0,

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ivadapt import cli, oracle_ratio_study, rate_fit
+from ivadapt import cli, oracle_ratio_study, rate_fit, risk
 from ivadapt.cli import STUDIES, CliError, emit_plot_data, load_config, main
+from ivadapt.estimator import resolution_threshold
 from ivadapt.serialize import to_plain
 
 BASE_CONFIG = {
@@ -627,6 +628,20 @@ JSON_VALUES = st.one_of(
 )
 
 
+# each study's input check, called as the library function that runs the study calls it
+LIBRARY_CHECKS = {
+    "simulate": lambda c: risk._checked_grid(c.n_grid, min_n=1),
+    "estimate": lambda c: [(resolution_threshold(n), c.estimator.penalty_weight(n)) for n in c.n_grid],
+    "risk-curve": lambda c: risk._ratio_inputs(c.dgp, c.estimator, c.n_grid, c.reps, c.jobs),
+    "rate-study": lambda c: (
+        risk._ratio_inputs(c.dgp, c.estimator, c.n_grid, c.reps, c.jobs),
+        rate_fit(c.n_grid, np.ones(len(c.n_grid)), 1.0, 1.0),
+    ),
+    "coverage-study": lambda c: risk._coverage_inputs(c.dgp, c.n_grid, c.reps, c.jobs),
+    "oracle-study": lambda c: [risk._summary_inputs(c.dgp, [n]) for n in c.n_grid],
+}
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     study=st.sampled_from(STUDIES),
@@ -660,6 +675,8 @@ def test_load_config_gives_a_config_or_a_cli_error(
     floats = (config.dgp.t, config.dgp.a, config.dgp.eta_sd, config.estimator.penalty_log_exponent)
     assert all(type(v) is float and math.isfinite(v) for v in floats + (spec.s, spec.q, spec.amplitude))
     assert type(config.estimator.allow_empty_model) is bool
+    # the CLI and the library cannot drift apart: every config it loads passes the study's own check
+    LIBRARY_CHECKS[config.study](config)
 
 
 def test_seed_override_changes_outputs(tmp_path):

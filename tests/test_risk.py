@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -23,7 +24,6 @@ from ivadapt import (
     oracle_summary,
     parseval_sq_distance,
     rate_fit,
-    replication_losses,
     restricted_oracle_level,
     risk_naive,
     risk_penalized,
@@ -33,6 +33,7 @@ from ivadapt import (
 )
 from ivadapt import risk
 from ivadapt.risk import _clopper_pearson, _map_payloads
+from ivadapt.serialize import to_plain
 
 ONES = np.ones(600)
 
@@ -181,37 +182,37 @@ def test_loss_is_parseval_distance():
 
 
 def test_mc_risk_pure_noise():
+    # the rate study rejects a zero phi (its ratio divides by a zero oracle risk), so its replications run directly
     spec = DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=0.1)
-    batch = replication_losses(spec, EstimatorConfig(), 256, 50, master_seed=31)
-    assert batch.oracle_m == 0  # a zero phi has no bias to trade
-    assert np.mean(batch.adaptive_loss) < 0.01
-    assert np.mean(batch.m_selected == 0) >= 0.9
+    m0 = oracle_level(spec.phi, spec.t, sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER), 256)
+    assert m0 == 0  # a zero phi has no bias to trade
+    [rows] = risk._grid_rows(risk._mc_replication, (spec, EstimatorConfig(), 31), [256], [(m0,)], 50, 1)
+    assert np.mean(rows[:, 0]) < 0.01
+    assert np.mean(rows[:, 2] == 0) >= 0.9
 
 
-def mc_risk(batch):
-    """Monte Carlo mean and standard error of the adaptive squared loss."""
-    losses = batch.adaptive_loss
-    return float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(losses.size))
+def mc_risk(spec, config, n, reps, master_seed, jobs=1):
+    """Monte Carlo mean and standard error of the adaptive squared loss: the one-point rate study at n."""
+    result = oracle_ratio_study(spec, config, [n], reps, master_seed, jobs=jobs)
+    return float(result.mean_loss[0]), float(result.stderr[0])
 
 
 def test_mc_risk_deterministic():
     spec = DgpSpec.default()
     config = EstimatorConfig()
-    a = mc_risk(replication_losses(spec, config, 2048, 10, master_seed=32))
-    b = mc_risk(replication_losses(spec, config, 2048, 10, master_seed=32))
+    a = mc_risk(spec, config, 2048, 10, master_seed=32)
+    b = mc_risk(spec, config, 2048, 10, master_seed=32)
     assert a == b
-    c = mc_risk(replication_losses(spec, config, 2048, 10, master_seed=33))
+    c = mc_risk(spec, config, 2048, 10, master_seed=33)
     assert a != c
 
 
 def test_mc_risk_matches_parallel_execution():
     spec = DgpSpec.default()
     config = EstimatorConfig()
-    seq = replication_losses(spec, config, 512, 8, master_seed=34, jobs=1)
-    par = replication_losses(spec, config, 512, 8, master_seed=34, jobs=2)
-    assert np.array_equal(seq.adaptive_loss, par.adaptive_loss)
-    assert np.array_equal(seq.naive_loss, par.naive_loss)
-    assert np.array_equal(seq.m_selected, par.m_selected)
+    seq = oracle_ratio_study(spec, config, [512], 8, master_seed=34, jobs=1)
+    par = oracle_ratio_study(spec, config, [512], 8, master_seed=34, jobs=2)
+    assert to_plain(seq) == to_plain(par)
 
 
 class _RecordingPool:
@@ -291,17 +292,65 @@ def test_coverage_study_counts_each_n_as_a_one_point_grid():
     assert [result.n for result in grid] == [300, 600]
 
 
-@pytest.mark.parametrize("study", [coverage_study, oracle_ratio_study], ids=["coverage-study", "rate-study"])
-@pytest.mark.parametrize("n_grid", [1000, [], [[1000]], [10000, 1000], [1000, 1000]])
-def test_a_study_rejects_a_grid_that_is_not_a_nonempty_increasing_list(monkeypatch, study, n_grid):
-    # the grid is checked before the sigma^2 oracle or any bracket is computed
-    def not_yet(*args, **kwargs):
-        raise AssertionError("the study did work before checking its grid")
+def not_yet(*args, **kwargs):
+    raise AssertionError("the study did work before checking its inputs")
 
+
+@pytest.mark.parametrize("study", [coverage_study, oracle_ratio_study], ids=["coverage-study", "rate-study"])
+@pytest.mark.parametrize(
+    "n_grid", [1000, [], [[1000]], [10000, 1000], [1000, 1000], [0, 1000], [2, 1000], [-5, 1000]]
+)
+def test_a_study_rejects_a_grid_that_is_not_a_nonempty_increasing_list(monkeypatch, study, n_grid):
+    # the grid, sizes included, is checked before the sigma^2 oracle or any bracket is computed
     monkeypatch.setattr(risk, "sigma_sq_profile", not_yet)
     monkeypatch.setattr(risk, "deterministic_resolution_bounds", not_yet)
-    with pytest.raises(ValueError, match="n_grid must be a nonempty sequence"):
+    with pytest.raises(ValueError, match="n_grid must be a nonempty sequence") as info:
         study(DgpSpec.default(), EstimatorConfig(), n_grid, 3, master_seed=37)
+    assert info.value.argument == "n_grid"
+
+
+ZERO_PHI_SPEC = dataclasses.replace(DgpSpec.default(), phi=CoefficientVector.zero())
+
+
+@pytest.mark.parametrize(
+    "study, spec, config, jobs, argument",
+    [
+        (oracle_ratio_study, ZERO_PHI_SPEC, EstimatorConfig(), 1, "spec.phi"),
+        (oracle_ratio_study, DgpSpec.default(), EstimatorConfig(penalty_log_exponent=400), 1,
+         "config.penalty_log_exponent"),
+        (oracle_ratio_study, DgpSpec.default(), EstimatorConfig(), 0, "jobs"),
+        (oracle_ratio_study, DgpSpec.default(), EstimatorConfig(), -3, "jobs"),
+        (coverage_study, DgpSpec.default(), EstimatorConfig(), 0, "jobs"),
+        (coverage_study, DgpSpec.default(), EstimatorConfig(), -3, "jobs"),
+    ],
+    ids=["rate-zero-phi", "rate-penalty-overflow", "rate-jobs-0", "rate-jobs-neg", "coverage-jobs-0",
+         "coverage-jobs-neg"],
+)
+def test_a_study_rejects_its_inputs_before_the_oracle_or_any_sample(monkeypatch, study, spec, config, jobs, argument):
+    # log(1000)^400 overflows a float; a zero phi has oracle risk 0 at m = 0, which the ratio divides by
+    monkeypatch.setattr(risk, "sigma_sq_profile", not_yet)
+    monkeypatch.setattr(risk, "generate_sample", not_yet)
+    with pytest.raises(ValueError) as info:
+        study(spec, config, [10, 1000], 3, master_seed=37, jobs=jobs)
+    assert info.value.argument == argument
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (dataclasses.replace(DgpSpec.default(), t=0.05), 1000),
+        (DgpSpec.default(), 2),
+        (DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=0.0), 1000),
+        (DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector([1.0]), a=0.0, eta_sd=0.0), 1000),
+    ],
+    ids=["no-bracket", "n-below-3", "zero-response", "zero-response-without-endogeneity"],
+)
+def test_oracle_summary_rejects_its_inputs_before_the_oracle_or_any_sample(monkeypatch, spec, n):
+    # at t = 0.05 the bracket does not exist, and a zero response has a flat risk profile
+    for name in ("sigma_sq_profile", "generate_sample", "estimate_resolution"):
+        monkeypatch.setattr(risk, name, not_yet)
+    with pytest.raises(ValueError):
+        oracle_summary(spec, EstimatorConfig(k_max=100), n, master_seed=38)
 
 
 def test_usable_cores_counts_the_affinity_mask(monkeypatch):
@@ -319,8 +368,8 @@ def test_usable_cores_counts_the_affinity_mask(monkeypatch):
 def test_mc_risk_stderr_scales_with_replications():
     spec = DgpSpec.default()
     config = EstimatorConfig()
-    _, se_100 = mc_risk(replication_losses(spec, config, 2048, 100, master_seed=35))
-    _, se_400 = mc_risk(replication_losses(spec, config, 2048, 400, master_seed=35))
+    _, se_100 = mc_risk(spec, config, 2048, 100, master_seed=35)
+    _, se_400 = mc_risk(spec, config, 2048, 400, master_seed=35)
     assert se_400 < 0.6 * se_100
 
 
@@ -333,13 +382,12 @@ def test_oracle_ratio_study_structure():
     assert np.all(result.ratio > 0)
     assert np.all(np.isfinite(result.ratio))
     assert result.reps == 10
-    # pointwise agreement with a standalone replication batch (same streams)
-    batch = replication_losses(spec, config, 512, 10, master_seed=36)
-    mean, stderr = mc_risk(batch)
-    assert result.mean_loss[1] == mean
-    assert result.stderr[1] == stderr
+    # pointwise agreement with the one-point grid (same streams)
+    point = oracle_ratio_study(spec, config, [512], 10, master_seed=36)
+    assert result.mean_loss[1] == point.mean_loss[0]
+    assert result.stderr[1] == point.stderr[0]
     sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
-    assert result.oracle_levels[1] == batch.oracle_m == oracle_level(spec.phi, spec.t, sigma, 512)
+    assert result.oracle_levels[1] == point.oracle_levels[0] == oracle_level(spec.phi, spec.t, sigma, 512)
     with pytest.raises(ValueError):
         oracle_ratio_study(spec, config, [512, 512], 10, master_seed=36)
 

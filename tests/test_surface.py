@@ -48,13 +48,13 @@ def test_shipped_configs_load(tmp_path, name):
 PUBLIC_NAMES = [
     "CoefficientVector", "CoverageResult", "DegenerateFitError", "DegenerateSampleError",
     "DgpSpec", "EstimateReport", "EstimatorConfig", "FunctionFamilySpec", "IvSample",
-    "ORACLE_SCAN_BUFFER", "OracleRatioResult", "OracleSummary", "RateFit", "ReplicationBatch",
+    "ORACLE_SCAN_BUFFER", "OracleRatioResult", "OracleSummary", "RateFit",
     "__version__", "adaptive_estimate", "basis_matrix", "coverage_study",
     "deterministic_resolution_bounds", "eigenvalue_profile", "estimate_eigenvalues",
     "estimate_r_coeffs", "estimate_resolution", "estimate_sigma_sq", "frequency",
     "generate_sample", "make_test_function", "min_penalized_risk", "naive_estimator",
     "oracle_level", "oracle_ratio_study", "oracle_summary", "parseval_sq_distance",
-    "penalized_criterion", "rate_fit", "replication_losses", "restricted_oracle_level",
+    "penalized_criterion", "rate_fit", "restricted_oracle_level",
     "risk_naive", "risk_penalized", "sample_noise", "select_level", "select_resolution",
     "sigma_sq_profile", "synthesize", "thresholded_estimator", "true_eigenvalue",
     "truncation_remainder",
@@ -62,7 +62,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 45
     assert sorted(ivadapt.__all__) == PUBLIC_NAMES
 
 

@@ -101,14 +101,14 @@ def test_sigma_oracle_draws_its_sample_through_the_dgp_module(monkeypatch):
     assert calls == ["dgp.generate_sample"]
 
 
-def test_replication_losses_reads_the_oracle_through_the_risk_module(monkeypatch):
+def test_a_rate_study_reads_the_oracle_through_the_risk_module(monkeypatch):
     # the tracer times these two by their names in risk (risk.oracle_levels, dgp.sigma_sq_profile)
     calls = []
     _counting(monkeypatch, risk, "sigma_sq_profile", calls, n_draws=2_000)
     _counting(monkeypatch, risk, "oracle_level", calls)
-    batch = risk.replication_losses(DgpSpec.default(), estimator.EstimatorConfig(), 64, 1, master_seed=5)
+    result = risk.oracle_ratio_study(DgpSpec.default(), estimator.EstimatorConfig(), [64], 2, master_seed=5)
     assert calls == ["risk.sigma_sq_profile", "risk.oracle_level"]
-    assert batch.oracle_m >= 0
+    assert result.oracle_levels[0] >= 0
     # a rate study reads the oracle once for its whole grid and each oracle level once per n
     calls.clear()
     risk.oracle_ratio_study(DgpSpec.default(), estimator.EstimatorConfig(), [64, 128], 2, master_seed=5)
