@@ -307,10 +307,7 @@ def _run_coverage_study(config: ExperimentConfig, out: Path):
 
 
 def _run_oracle_study(config: ExperimentConfig, out: Path):
-    summaries = [
-        oracle_summary(config.dgp, config.estimator, int(n), config.master_seed)
-        for n in config.n_grid
-    ]
+    summaries = oracle_summary(config.dgp, config.estimator, config.n_grid, config.master_seed)
     columns = _columns(
         summaries,
         ("n", "oracle_m", "restricted_oracle_m", "resolution", "lower_bound", "upper_bound", "remainder"),

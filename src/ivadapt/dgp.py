@@ -197,9 +197,6 @@ class IvSample:
     def n(self) -> int:
         return int(self.y.size)
 
-    def scaled_response(self, c: float) -> "IvSample":
-        return IvSample(y=float(c) * self.y, x=self.x, w=self.w)
-
     def to_csv(self, path) -> None:
         write_csv(path, {"y": self.y, "x": self.x, "w": self.w})
 

@@ -18,7 +18,7 @@ import orjson
 
 from .basis import _BLOCK_ROWS
 
-__all__ = ["to_plain", "dumps", "write_json", "write_csv"]
+__all__ = ["to_plain", "write_json", "write_csv"]
 
 
 def to_plain(obj):
@@ -40,12 +40,8 @@ def to_plain(obj):
     return obj
 
 
-def dumps(payload) -> str:
-    return json.dumps(to_plain(payload), sort_keys=True, indent=2)
-
-
 def write_json(path, payload) -> None:
-    Path(path).write_bytes((dumps(payload) + "\n").encode("utf-8"))
+    Path(path).write_bytes((json.dumps(to_plain(payload), sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _float_cells(block) -> list:

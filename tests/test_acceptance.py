@@ -14,10 +14,10 @@ import pytest
 
 from conftest import binned_means, cross_moment_stats, quad_grid, trapezoid_inner
 from ivadapt import (
-    ORACLE_SCAN_BUFFER,
     CoefficientVector,
     DgpSpec,
     EstimatorConfig,
+    IvSample,
     adaptive_estimate,
     basis_matrix,
     coverage_study,
@@ -56,7 +56,7 @@ def default_spec():
 
 @pytest.fixture(scope="module")
 def sigma_default(default_spec):
-    values = sigma_sq_profile(default_spec, default_spec.phi.support + ORACLE_SCAN_BUFFER)
+    values = sigma_sq_profile(default_spec, default_spec.phi.support)
     return values
 
 
@@ -179,7 +179,7 @@ def test_criterion_06_scaling_invariance(default_spec):
         sample = generate_sample(default_spec, 4096, seed=seeds.sequence(20240907, "scale", rep))
         base = adaptive_estimate(sample, config)
         for c in (0.1, 3.0, 10.0):
-            scaled = adaptive_estimate(sample.scaled_response(c), config)
+            scaled = adaptive_estimate(IvSample(y=c * sample.y, x=sample.x, w=sample.w), config)
             if scaled.m_selected != base.m_selected:
                 levels_match = False
                 continue

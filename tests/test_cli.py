@@ -410,8 +410,6 @@ ZERO_RESPONSE = [
     ("risk-curve", with_dgp(phi=ZERO_PHI), "dgp.phi", "nonzero phi"),
     ("risk-curve", with_dgp(phi=ZERO_PHI, eta_sd=0.0, a=0.0), "dgp.phi", "nonzero phi"),
     ("rate-study", {**with_phi(amplitude=0), "n_grid": [100, 300, 1000, 3000]}, "dgp.phi", "nonzero phi"),
-    ("oracle-study", with_dgp(phi=ZERO_PHI, eta_sd=0.0, a=0.0), "dgp", "identically zero"),
-    ("oracle-study", with_dgp(phi=ZERO_PHI, eta_sd=0.0, g={"coeffs": [0.0, 0.0]}), "dgp", "identically zero"),
 ]
 
 
@@ -477,6 +475,20 @@ def test_zero_phi_is_accepted_where_no_risk_is_divided_by(tmp_path, study, dgp):
     cfg = write_config(tmp_path, n_grid=[1000], **with_dgp(**dgp))
     config, _ = load_config(cfg, study=study, out=str(tmp_path / "out"))
     assert not config.dgp.phi.coeffs.any()
+
+
+@pytest.mark.parametrize(
+    "dgp",
+    [{"phi": ZERO_PHI, "eta_sd": 0.0, "a": 0.0}, {"phi": {"coeffs": []}, "eta_sd": 0.5}],
+    ids=["zero-response", "empty-phi"],
+)
+def test_oracle_study_of_a_zero_phi_finds_oracle_level_0(tmp_path, dgp):
+    # a zero response has a flat risk profile; an empty phi scans the one level m = 0
+    cfg = write_config(tmp_path, n_grid=[500, 1000], **with_dgp(**dgp))
+    out = tmp_path / "run"
+    assert main(["oracle-study", "--config", str(cfg), "--out", str(out)]) == 0
+    results = json.loads((out / "results.json").read_text())["results"]
+    assert [(r["n"], r["oracle_m"], r["remainder"]) for r in results] == [(500, 0, 0.0), (1000, 0, 0.0)]
 
 
 @pytest.mark.parametrize("study", ["simulate", "coverage-study", "oracle-study"])
@@ -638,7 +650,7 @@ LIBRARY_CHECKS = {
         rate_fit(c.n_grid, np.ones(len(c.n_grid)), 1.0, 1.0),
     ),
     "coverage-study": lambda c: risk._coverage_inputs(c.dgp, c.n_grid, c.reps, c.jobs),
-    "oracle-study": lambda c: [risk._summary_inputs(c.dgp, [n]) for n in c.n_grid],
+    "oracle-study": lambda c: risk._summary_inputs(c.dgp, c.n_grid),
 }
 
 

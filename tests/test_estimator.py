@@ -59,8 +59,10 @@ def test_r_coeffs_single_point():
 def test_r_coeffs_linearity():
     sample = _uniform_sample(200, 2)
     base = estimate_r_coeffs(sample, 8)
-    assert np.array_equal(estimate_r_coeffs(sample.scaled_response(2.0), 8), 2.0 * base)
-    assert np.allclose(estimate_r_coeffs(sample.scaled_response(3.7), 8), 3.7 * base, rtol=1e-14)
+    doubled = IvSample(y=2.0 * sample.y, x=sample.x, w=sample.w)
+    assert np.array_equal(estimate_r_coeffs(doubled, 8), 2.0 * base)
+    scaled = IvSample(y=3.7 * sample.y, x=sample.x, w=sample.w)
+    assert np.allclose(estimate_r_coeffs(scaled, 8), 3.7 * base, rtol=1e-14)
 
 
 def test_eigenvalues_identity_operator():
@@ -115,7 +117,8 @@ def test_sigma_sq_matches_two_pass_oracle():
 def test_sigma_sq_quadratic_scaling():
     sample = _uniform_sample(300, 5)
     base = estimate_sigma_sq(sample, 6)
-    assert np.allclose(estimate_sigma_sq(sample.scaled_response(3.0), 6), 9.0 * base, rtol=1e-12)
+    scaled = IvSample(y=3.0 * sample.y, x=sample.x, w=sample.w)
+    assert np.allclose(estimate_sigma_sq(scaled, 6), 9.0 * base, rtol=1e-12)
 
 
 def test_response_moments_across_the_chunk_boundary():
@@ -441,7 +444,7 @@ def test_adaptive_estimate_scaling_equivariance():
     sample = generate_sample(spec, 1024, seed=14)
     report = adaptive_estimate(sample, config)
     for c in (0.1, 3.0, 10.0):
-        scaled = adaptive_estimate(sample.scaled_response(c), config)
+        scaled = adaptive_estimate(IvSample(y=c * sample.y, x=sample.x, w=sample.w), config)
         assert scaled.resolution == report.resolution
         assert scaled.m_selected == report.m_selected
         assert np.allclose(scaled.criterion, c * c * report.criterion, rtol=1e-10, atol=1e-15)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from ivadapt import (
-    ORACLE_SCAN_BUFFER,
     CoefficientVector,
     DegenerateFitError,
     DgpSpec,
@@ -76,11 +75,17 @@ def test_oracle_level_matches_brute_force_scan():
             assert oracle_level(phi, 1.0, sig, n) == brute
 
 
+# the brute-force scans run this many levels past the support, where the oracle levels never look
+PAST_SUPPORT = 50
+
+
 def _random_case(seed):
     rng = np.random.default_rng(seed)
     support = int(rng.integers(1, 40))
     phi = CoefficientVector(rng.standard_normal(support) * np.arange(1, support + 1) ** -rng.uniform(0.3, 2.5))
-    sig = rng.uniform(0.05, 2.0, support + ORACLE_SCAN_BUFFER)
+    sig = rng.uniform(0.05, 2.0, support + PAST_SUPPORT)
+    if seed % 3 == 0:
+        sig[support:] = 0.0  # a flat risk past the support: every level there ties with the support
     return phi, float(rng.uniform(0.5, 3.0)), sig, int(2 ** rng.integers(2, 25))
 
 
@@ -93,7 +98,7 @@ def _direct_risk(phi, t, sig, n, m, factor=1.0):
 @pytest.mark.parametrize("seed", range(24))
 def test_oracle_levels_match_a_scan_of_the_scalar_risk(seed):
     phi, t, sig, n = _random_case(seed)
-    levels = range(phi.support + ORACLE_SCAN_BUFFER + 1)
+    levels = range(phi.support + PAST_SUPPORT + 1)
     naive = [risk_naive(phi, t, sig, n, m) for m in levels]
     penalized = [risk_penalized(phi, t, sig, n, m) for m in levels]
     # the array form is the scalar form, level by level and bit for bit
@@ -147,7 +152,7 @@ def test_risk_penalized_dominates_naive():
 def test_min_penalized_risk_matches_scan():
     phi = CoefficientVector([1.0, 0.5, 0.25])
     m_best, value = min_penalized_risk(phi, 1.0, ONES, 400)
-    values = [risk_penalized(phi, 1.0, ONES, 400, m) for m in range(phi.support + ORACLE_SCAN_BUFFER + 1)]
+    values = [risk_penalized(phi, 1.0, ONES, 400, m) for m in range(phi.support + PAST_SUPPORT + 1)]
     assert m_best == int(np.argmin(values))
     assert value == pytest.approx(min(values))
 
@@ -184,7 +189,7 @@ def test_loss_is_parseval_distance():
 def test_mc_risk_pure_noise():
     # the rate study rejects a zero phi (its ratio divides by a zero oracle risk), so its replications run directly
     spec = DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=0.1)
-    m0 = oracle_level(spec.phi, spec.t, sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER), 256)
+    m0 = oracle_level(spec.phi, spec.t, sigma_sq_profile(spec, spec.phi.support), 256)
     assert m0 == 0  # a zero phi has no bias to trade
     [rows] = risk._grid_rows(risk._mc_replication, (spec, EstimatorConfig(), 31), [256], [(m0,)], 50, 1)
     assert np.mean(rows[:, 0]) < 0.01
@@ -336,21 +341,40 @@ def test_a_study_rejects_its_inputs_before_the_oracle_or_any_sample(monkeypatch,
 
 
 @pytest.mark.parametrize(
-    "spec, n",
+    "spec, n_grid, argument",
     [
-        (dataclasses.replace(DgpSpec.default(), t=0.05), 1000),
-        (DgpSpec.default(), 2),
-        (DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=0.0), 1000),
-        (DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector([1.0]), a=0.0, eta_sd=0.0), 1000),
+        (dataclasses.replace(DgpSpec.default(), t=0.05), [1000], "spec.t"),
+        (DgpSpec.default(), [2, 1000], "n_grid"),
+        (DgpSpec.default(), [1000, 512], "n_grid"),
     ],
-    ids=["no-bracket", "n-below-3", "zero-response", "zero-response-without-endogeneity"],
+    ids=["no-bracket", "n-below-3", "not-increasing"],
 )
-def test_oracle_summary_rejects_its_inputs_before_the_oracle_or_any_sample(monkeypatch, spec, n):
-    # at t = 0.05 the bracket does not exist, and a zero response has a flat risk profile
+def test_oracle_summary_rejects_its_inputs_before_the_oracle_or_any_sample(monkeypatch, spec, n_grid, argument):
+    # at t = 0.05 the bracket does not exist
     for name in ("sigma_sq_profile", "generate_sample", "estimate_resolution"):
         monkeypatch.setattr(risk, name, not_yet)
-    with pytest.raises(ValueError):
-        oracle_summary(spec, EstimatorConfig(k_max=100), n, master_seed=38)
+    with pytest.raises(ValueError) as info:
+        oracle_summary(spec, EstimatorConfig(k_max=100), n_grid, master_seed=38)
+    assert info.value.argument == argument
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DgpSpec(t=1.0, phi=CoefficientVector([0.0]), g=CoefficientVector([1.0]), a=0.0, eta_sd=0.0),
+        DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=0.5),
+    ],
+    ids=["zero-response", "empty-phi"],
+)
+def test_oracle_summary_of_a_zero_phi_has_oracle_level_0(spec):
+    # a zero response has a flat risk profile, all 0, and an empty phi (K = 0) one level, m = 0
+    summaries = oracle_summary(spec, EstimatorConfig(), [500, 1000], master_seed=38)
+    assert [s.n for s in summaries] == [500, 1000]
+    for s in summaries:
+        assert (s.oracle_m, s.restricted_oracle_m, s.remainder) == (0, 0, 0.0)
+        assert s.risk_values.size == s.penalized_risk_values.size == spec.phi.support + 1
+    if spec.eta_sd == 0:
+        assert not summaries[0].risk_values.any()
 
 
 def test_usable_cores_counts_the_affinity_mask(monkeypatch):
@@ -386,7 +410,7 @@ def test_oracle_ratio_study_structure():
     point = oracle_ratio_study(spec, config, [512], 10, master_seed=36)
     assert result.mean_loss[1] == point.mean_loss[0]
     assert result.stderr[1] == point.stderr[0]
-    sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
+    sigma = sigma_sq_profile(spec, spec.phi.support)
     assert result.oracle_levels[1] == point.oracle_levels[0] == oracle_level(spec.phi, spec.t, sigma, 512)
     with pytest.raises(ValueError):
         oracle_ratio_study(spec, config, [512, 512], 10, master_seed=36)
@@ -457,22 +481,28 @@ def test_coverage_study_basics():
 def test_oracle_summary_consistency():
     spec = DgpSpec.default()
     config = EstimatorConfig()
-    summary = oracle_summary(spec, config, 2048, master_seed=38)
-    sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
-    assert summary.oracle_m == oracle_level(spec.phi, spec.t, sigma, 2048)
-    assert summary.restricted_oracle_m == restricted_oracle_level(spec.phi, spec.t, sigma, 2048, summary.resolution)
-    assert summary.restricted_oracle_m <= summary.resolution or summary.resolution == 0
-    assert summary.restricted_oracle_m <= summary.oracle_m
-    assert summary.risk_values[summary.oracle_m] == summary.risk_values.min()
-    assert summary.lower_bound <= summary.upper_bound
-    assert summary.remainder >= 0.0
+    sigma = sigma_sq_profile(spec, spec.phi.support)
+    summaries = oracle_summary(spec, config, [512, 2048], master_seed=38)
+    assert [s.n for s in summaries] == [512, 2048]
+    for summary in summaries:
+        n = summary.n
+        assert summary.oracle_m == oracle_level(spec.phi, spec.t, sigma, n)
+        assert summary.restricted_oracle_m == restricted_oracle_level(spec.phi, spec.t, sigma, n, summary.resolution)
+        assert summary.restricted_oracle_m <= summary.resolution or summary.resolution == 0
+        assert summary.restricted_oracle_m <= summary.oracle_m
+        assert summary.risk_values[summary.oracle_m] == summary.risk_values.min()
+        assert summary.risk_values.size == spec.phi.support + 1
+        assert summary.lower_bound <= summary.upper_bound
+        assert summary.remainder >= 0.0
+    # each n is the one-point grid [n]
+    assert to_plain(oracle_summary(spec, config, [2048], master_seed=38)) == to_plain(summaries[1:])
 
 
 def test_oracle_summary_scans_the_naive_risk_once(monkeypatch):
     # the remainder reads the m0 and bracket the summary already holds
     spec = DgpSpec.default()
     config = EstimatorConfig()
-    sigma = sigma_sq_profile(spec, spec.phi.support + ORACLE_SCAN_BUFFER)
+    sigma = sigma_sq_profile(spec, spec.phi.support)
     remainders = {n: truncation_remainder(spec.phi, spec.t, sigma, n) for n in (64, 2048)}
     assert remainders[64] > 0.0
     calls = []
@@ -482,11 +512,38 @@ def test_oracle_summary_scans_the_naive_risk_once(monkeypatch):
         return risk_naive(*args, **kwargs)
 
     monkeypatch.setattr(risk, "risk_naive", counting)
-    for n, remainder in remainders.items():
-        calls.clear()
-        summary = oracle_summary(spec, config, n, master_seed=38)
-        assert calls == [n]
-        assert summary.remainder.hex() == remainder.hex()
+    summaries = oracle_summary(spec, config, list(remainders), master_seed=38)
+    assert calls == list(remainders)
+    assert [s.remainder.hex() for s in summaries] == [r.hex() for r in remainders.values()]
+
+
+def test_oracle_summary_reads_the_oracle_once_up_to_the_support(monkeypatch):
+    spec = DgpSpec.default()
+    calls = []
+
+    def recording(spec, K, *args):
+        calls.append(K)
+        return sigma_sq_profile(spec, K, *args)
+
+    monkeypatch.setattr(risk, "sigma_sq_profile", recording)
+    oracle_summary(spec, EstimatorConfig(), [512, 1024], master_seed=38)
+    assert calls == [spec.phi.support]
+
+
+@pytest.mark.parametrize("support", [1, 7, 50])
+def test_sigma_sq_profile_past_the_support_extends_it_bitwise(support):
+    # the oracle's row blocks do not depend on K, so the short profile is the long one's prefix
+    spec = DgpSpec.default()
+    short = sigma_sq_profile(spec, support, n_draws=20_000)
+    long = sigma_sq_profile(spec, support + 50, n_draws=20_000)
+    assert short.tobytes() == long[:support].tobytes()
+
+
+def test_sigma_sq_profile_of_an_empty_phi_is_empty():
+    values = sigma_sq_profile(DgpSpec.default(), 0, n_draws=1000)
+    assert values.shape == (0,) and not values.flags.writeable
+    with pytest.raises(ValueError):
+        sigma_sq_profile(DgpSpec.default(), -1, n_draws=1000)
 
 
 @pytest.mark.parametrize("reps", [0, -1, 6])

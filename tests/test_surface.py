@@ -48,7 +48,7 @@ def test_shipped_configs_load(tmp_path, name):
 PUBLIC_NAMES = [
     "CoefficientVector", "CoverageResult", "DegenerateFitError", "DegenerateSampleError",
     "DgpSpec", "EstimateReport", "EstimatorConfig", "FunctionFamilySpec", "IvSample",
-    "ORACLE_SCAN_BUFFER", "OracleRatioResult", "OracleSummary", "RateFit",
+    "OracleRatioResult", "OracleSummary", "RateFit",
     "__version__", "adaptive_estimate", "basis_matrix", "coverage_study",
     "deterministic_resolution_bounds", "eigenvalue_profile", "estimate_eigenvalues",
     "estimate_r_coeffs", "estimate_resolution", "estimate_sigma_sq", "frequency",
@@ -62,7 +62,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 44
     assert sorted(ivadapt.__all__) == PUBLIC_NAMES
 
 
