@@ -28,11 +28,16 @@ pairs the change won, judged by the metric's ``better`` in
 BENCHMARK.json, and how many runs failed on each side.  ``claim_met``
 applies the rule for claiming a gain: the change wins at least nine
 tenths of all pairs, and its median is better than the base's by more
-than the base's interquartile range.  ``ratio`` is the median over
-pairs of change / base with a 95 % percentile bootstrap interval
-(pairs resampled with a fixed seed, so reruns give the same interval).
-The header gives machine, nproc, both commits and the numpy version
-the runs reported.
+than the base's interquartile range.  For a metric with a ``bound``
+in BENCHMARK.json, ``within_bound`` says the change's median is no
+worse than the base's by more than that fraction of the base median,
+and ``unresolved`` says the base's interquartile range exceeds that
+fraction while not every change run beats every base run, so a move
+of the bounded size cannot be told from the spread.  ``ratio`` is
+the median over pairs of change / base with a 95 % percentile
+bootstrap interval (pairs resampled with a fixed seed, so reruns give
+the same interval).  The header gives machine, nproc, both commits
+and the numpy version the runs reported.
 """
 
 from __future__ import annotations
@@ -139,7 +144,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     better, so a failed or incorrect run on either side counts against
     the change.  ``failed`` counts each side's runs that exited nonzero
     or were not correct.  The paired ratios skip pairs with a failed
-    side or a base of 0.
+    side or a base of 0.  A spec with a ``bound`` adds ``within_bound``
+    and ``unresolved``, both False when a side has no correct run.
     """
     failed = {side: sum(not correct(r) for r in runs if r["side"] == side) for side in ("base", "change")}
     out = {}
@@ -169,6 +175,13 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             "claim_met": gap is not None and wins >= 0.9 * len(pairs) and (-gap if lower else gap) > base["iqr"],
             "ratio": ratio_interval(ratios),
         }
+        if "bound" in spec:
+            sign = 1 if lower else -1  # sign * (change - base) > 0 when the change is worse
+            measured = gap is not None
+            allowed = spec["bound"] * base["median"] if measured else 0.0
+            beats_all = measured and max(sign * v for v in values["change"]) < min(sign * v for v in values["base"])
+            out[name]["within_bound"] = measured and sign * gap <= allowed
+            out[name]["unresolved"] = measured and base["iqr"] > allowed and not beats_all
     return out
 
 
@@ -222,6 +235,7 @@ def main(argv=None) -> int:
             ci = f"{ratio['median']:.3f} [{ratio['ci_low']:.3f}, {ratio['ci_high']:.3f}]" if ratio else "-"
             print(f"{workload:14s} {metric:12s} base {medians[0]} change {medians[1]} "
                   f"wins {stats['wins']}/{stats['pairs']} claim_met {stats['claim_met']} ratio {ci} "
+                  f"within_bound {stats.get('within_bound', '-')} unresolved {stats.get('unresolved', '-')} "
                   f"failed {stats['failed']}")
     print(path)
     return 0

@@ -27,6 +27,7 @@ its fixed-seed sample.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -247,26 +248,16 @@ def deterministic_resolution_bounds(t: float, n: int) -> tuple[int, int]:
 def _first_eigenvalue_crossing(t: float, threshold: float) -> int:
     """Smallest basis index k with true_eigenvalue(k, t) <= threshold.
 
-    (1 + j)^(-t) <= threshold exactly when j >= threshold^(-1/t) - 1, so
-    the crossing is the cosine index 2j - 1 of the first such frequency
-    j.  That frequency is then checked against true_eigenvalue at its
-    neighbours, so rounding in the power cannot move the result.
+    Found by bisection on the exact eigenvalues: they fall with the
+    frequency j, whose first index is the cosine index 2j - 1, so the
+    search bisects j = 1..(_BRACKET_CAP + 1) // 2 on the test
+    true_eigenvalue(2j - 1, t) <= threshold.
     """
-    if t <= 0:
-        raise ValueError("ill-posedness degree t must be positive")
-    if -math.log(threshold) / t <= math.log(_BRACKET_CAP):  # log(1 + j) at the crossing
-        j = max(1, math.ceil(threshold ** (-1.0 / t) - 1.0))
-        while True:
-            prev, cur = true_eigenvalue(np.array([max(1, 2 * j - 3), 2 * j - 1]), t)
-            if cur > threshold:
-                j += 1
-            elif j > 1 and prev <= threshold:
-                j -= 1
-            else:
-                break
-        if 2 * j - 1 <= _BRACKET_CAP:
-            return 2 * j - 1
-    raise ValueError(f"eigenvalues at t = {t:g} exceed {threshold:.3g} to basis index {_BRACKET_CAP}: no bracket")
+    frequencies = range(1, (_BRACKET_CAP + 1) // 2 + 1)
+    i = bisect.bisect_left(frequencies, True, key=lambda j: true_eigenvalue(2 * j - 1, t) <= threshold)
+    if i == len(frequencies):
+        raise ValueError(f"eigenvalues at t = {t:g} exceed {threshold:.3g} to basis index {_BRACKET_CAP}: no bracket")
+    return 2 * frequencies[i] - 1
 
 
 def naive_estimator(r_hat, t: float, m: int) -> CoefficientVector:

@@ -42,7 +42,6 @@ from .estimator import (
 
 __all__ = [
     "CoverageResult",
-    "DegenerateFitError",
     "OracleRatioResult",
     "OracleSummary",
     "RateFit",
@@ -72,24 +71,20 @@ def sigma_sq_profile(spec: DgpSpec, K: int, n_draws: int = _ORACLE_DRAWS) -> np.
     observations; read-only and cached per (spec, K, n_draws), so oracle
     risks are reproducible constants for a given spec.  It draws through
     dgp.generate_sample: the benchmark's tracer counts this module's as replications.
+    The empty profile (K = 0) draws nothing.
     """
     if K < 0:
         raise ValueError("need K >= 0")
     cache_key = (spec.key(), int(K), int(n_draws))
-    hit = _SIGMA_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    sample = dgp.generate_sample(spec, n_draws, seed=seeds.sequence(_ORACLE_SEED, "sigma-oracle"))
-    values = estimate_sigma_sq(sample, K)
-    values.setflags(write=False)
-    _SIGMA_CACHE[cache_key] = values
+    values = _SIGMA_CACHE.get(cache_key)
+    if values is None:
+        values = np.zeros(0)
+        if K:
+            sample = dgp.generate_sample(spec, n_draws, seed=seeds.sequence(_ORACLE_SEED, "sigma-oracle"))
+            values = estimate_sigma_sq(sample, K)
+        values.setflags(write=False)
+        _SIGMA_CACHE[cache_key] = values
     return values
-
-
-class DegenerateFitError(ValueError):
-    """Raised when a rate fit is requested on an unusable grid."""
-
-    argument = "n_grid"
 
 
 class _InputError(ValueError):
@@ -357,10 +352,10 @@ def _lsq_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def _fit_grid(n_grid) -> None:
-    """rate_fit's grid rule: at least 4 points spanning at least one decade, else DegenerateFitError."""
+    """rate_fit's grid rule: at least 4 points spanning at least one decade, else an _InputError."""
     n = np.asarray(n_grid, dtype=np.float64)
     if n.size < 4 or n.max() / n.min() < 10.0:
-        raise DegenerateFitError("rate fit needs at least 4 grid points spanning at least one decade")
+        raise _InputError("n_grid", "rate fit needs at least 4 grid points spanning at least one decade")
 
 
 def rate_fit(n_grid, mean_loss, s: float, t: float) -> RateFit:

@@ -1,4 +1,4 @@
-"""scripts/bench_pairs on synthetic runs: wins, ties, failures, spreads and each run's load average."""
+"""scripts/bench_pairs on synthetic runs: wins, ties, failures, spreads, bounds and each run's load average."""
 
 import importlib.util
 import json
@@ -186,3 +186,32 @@ def test_each_side_runs_with_its_own_fresh_bytecode_cache(monkeypatch, tmp_path)
         assert tmp_path not in Path(prefix).parents
     saved = json.loads((tmp_path / "change" / "BENCH_0123456.json").read_text())
     assert "PYTHONPYCACHEPREFIX" in saved["pycache"]
+
+
+BOUNDED = [{**spec, "bound": 0.25} for spec in END_TO_END]
+
+
+def test_within_bound_allows_a_worse_median_up_to_the_bound_of_the_base_median():
+    out = bench_pairs.summarize(_pairs([(10.0, 11.0)] * 3), END_TO_END)["wall_s"]
+    assert "within_bound" not in out and "unresolved" not in out  # no bound, no verdict
+    # base median 10: a change median of 12.5 is 25 % worse, 12.6 is past the bound
+    for change, within in ((9.0, True), (12.5, True), (12.6, False)):
+        out = bench_pairs.summarize(_pairs([(10.0, change)] * 3), BOUNDED)
+        assert out["wall_s"]["within_bound"] is within
+        assert out["reps_per_s"]["within_bound"] is (1 / change >= 0.75 * 0.1)
+    failed = [run(0, "base", 10.0, 0.1), run(0, "change", 10.0, 0.1, exit=1)]
+    assert bench_pairs.summarize(failed, BOUNDED)["wall_s"]["within_bound"] is False
+
+
+def test_unresolved_needs_a_base_spread_past_the_bound_and_overlapping_runs():
+    # the base's quartiles are 7.5 and 12.5: an IQR of 5 on a median of 10, past the 2.5 the bound allows
+    wide = [8.0, 12.0, 7.0, 13.0, 10.0]
+    out = bench_pairs.summarize(_pairs([(b, 9.0 + i) for i, b in enumerate(wide)]), BOUNDED)["wall_s"]
+    assert out["base"]["iqr"] == 5.0 and out["unresolved"]
+    # every change run beats every base run: resolved, however wide the base
+    out = bench_pairs.summarize(_pairs([(b, 6.0) for b in wide]), BOUNDED)["wall_s"]
+    assert not out["unresolved"]
+    # a base spread inside the bound: resolved, even with overlapping runs
+    tight = [10.0, 10.2, 9.8, 10.1, 9.9]
+    out = bench_pairs.summarize(_pairs([(b, 10.0) for b in tight]), BOUNDED)["wall_s"]
+    assert not out["unresolved"]

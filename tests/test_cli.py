@@ -124,6 +124,16 @@ def test_rate_study_results_are_the_study_fields(tmp_path):
     assert json.loads((out / "results.json").read_text()) == to_plain(expected)
 
 
+def test_risk_curve_is_the_rate_study_curve_without_the_fit(tmp_path):
+    cfg = write_config(tmp_path, n_grid=[128, 256, 512, 1024, 2048], reps=4)
+    curve, rate = tmp_path / "curve", tmp_path / "rate"
+    assert main(["risk-curve", "--config", str(cfg), "--out", str(curve)]) == 0
+    assert main(["rate-study", "--config", str(cfg), "--out", str(rate)]) == 0
+    assert data_files(curve) == ["results.json", "risk_curve.csv"]
+    assert (curve / "risk_curve.csv").read_bytes() == (rate / "risk_curve.csv").read_bytes()
+    assert json.loads((curve / "results.json").read_text())["study"] == "risk-curve"
+
+
 def test_rate_study_requires_family(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -227,6 +237,9 @@ def test_invalid_config_gives_machine_readable_error(tmp_path, capsys):
         ("rate-study", {"n_grid": [128, 512, 2048], "reps": 2}, "n_grid"),
         ("rate-study", {"n_grid": [128, 256, 512, 1024], "reps": 2}, "n_grid"),
         ("coverage-study", {"n_grid": [1000], "reps": 10**9 + 1}, "reps"),
+        ("simulate", {"reps": 0}, "reps"),
+        ("estimate", {"reps": 0}, "reps"),
+        ("oracle-study", {"reps": 0}, "reps"),
     ],
 )
 def test_study_preconditions_give_error_record(tmp_path, capsys, study, overrides, field):
@@ -713,6 +726,10 @@ def test_load_config_validation(tmp_path):
     bad.write_text('{"reps": ' + "1" * 5000 + "}")  # past the interpreter's int digit limit
     with pytest.raises(CliError):
         load_config(bad)
+    unknown = write_config(tmp_path, study="bootstrap")
+    with pytest.raises(CliError) as info:
+        load_config(unknown, out=str(tmp_path))
+    assert info.value.context == {"field": "study"}
     no_dgp = tmp_path / "no_dgp.json"
     no_dgp.write_text(json.dumps({"study": "simulate", "n_grid": [5], "master_seed": 1}))
     with pytest.raises(CliError):

@@ -282,6 +282,28 @@ def test_deterministic_bounds_monotone_and_ordered():
         deterministic_resolution_bounds(0.05, 1000)
 
 
+@pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 2.0, 3.7])
+def test_first_eigenvalue_crossing_matches_a_scan_at_and_beside_each_eigenvalue(t):
+    # thresholds at the eigenvalue of frequencies 1..299 and one ulp either side of it
+    cosines = 2 * np.arange(1, 300) - 1
+    exact = true_eigenvalue(cosines, t)
+    thresholds = np.concatenate([np.nextafter(exact, 0.0), exact, np.nextafter(exact, 1.0)])
+    scan = true_eigenvalue(np.arange(1, 602), t)
+    for thr in thresholds:
+        assert scan[-1] <= thr
+        assert estimator._first_eigenvalue_crossing(t, thr) == int(np.argmax(scan <= thr)) + 1
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_first_eigenvalue_crossing_reaches_the_bracket_cap_and_no_further(t):
+    last = true_eigenvalue(estimator._BRACKET_CAP - 1, t)  # the cosine index of frequency 5 * 10^7
+    assert estimator._first_eigenvalue_crossing(t, last) == 99_999_999
+    with pytest.raises(ValueError, match="no bracket"):
+        estimator._first_eigenvalue_crossing(t, np.nextafter(last, 0.0))
+    with pytest.raises(ValueError, match="ill-posedness degree t must be positive"):
+        estimator._first_eigenvalue_crossing(-t, last)
+
+
 # ---------------------------------------------------------------------------
 # projection estimators
 

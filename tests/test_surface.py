@@ -46,7 +46,7 @@ def test_shipped_configs_load(tmp_path, name):
 
 
 PUBLIC_NAMES = [
-    "CoefficientVector", "CoverageResult", "DegenerateFitError", "DegenerateSampleError",
+    "CoefficientVector", "CoverageResult", "DegenerateSampleError",
     "DgpSpec", "EstimateReport", "EstimatorConfig", "FunctionFamilySpec", "IvSample",
     "OracleRatioResult", "OracleSummary", "RateFit",
     "__version__", "adaptive_estimate", "basis_matrix", "coverage_study",
@@ -62,7 +62,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
     assert sorted(ivadapt.__all__) == PUBLIC_NAMES
 
 
