@@ -36,8 +36,10 @@ fraction while not every change run beats every base run, so a move
 of the bounded size cannot be told from the spread.  ``ratio`` is
 the median over pairs of change / base with a 95 % percentile
 bootstrap interval (pairs resampled with a fixed seed, so reruns give
-the same interval).  The header gives machine, nproc, both commits
-and the numpy version the runs reported.
+the same interval).  The header gives machine (with numpy's SIMD
+targets for float64 tan, cos and sin, ``numpy_simd``, or None where
+numpy cannot report them), nproc, both commits and the numpy version
+the runs reported.
 """
 
 from __future__ import annotations
@@ -75,6 +77,19 @@ def cpu_model() -> str:
     except OSError:
         pass
     return platform.processor()
+
+
+def simd_dispatch() -> dict | None:
+    """numpy's SIMD targets for float64 tan, cos and sin in this interpreter, or None where numpy lacks them.
+
+    The runs use the same interpreter, and the trig cost of a run
+    depends on these targets, so a gain is claimed for them only.
+    """
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    return opt_func_info(func_name="^(tan|cos|sin)$", signature="float64")
 
 
 def side_env(pycache: Path) -> dict:
@@ -218,7 +233,8 @@ def main(argv=None) -> int:
         "command": "python3 ivbench/run.py --workload W --seed N --seconds S --trace 0",
         "seconds": args.seconds,
         "pycache": "a fresh PYTHONPYCACHEPREFIX directory per side, PYTHONDONTWRITEBYTECODE unset",
-        "machine": {"cpu": cpu_model(), "arch": platform.machine(), "system": platform.platform()},
+        "machine": {"cpu": cpu_model(), "arch": platform.machine(), "system": platform.platform(),
+                    "numpy_simd": simd_dispatch()},
         "nproc": len(os.sched_getaffinity(0)),
         "numpy": sorted({r.get("numpy") for r in records if r.get("numpy")}),
         "base_commit": commit(sides["base"]),

@@ -26,7 +26,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_TWO_PI = 2.0 * math.pi
 #: Rows per row block: 8,192 rows of a 16-column float64 table are 1 MiB.
 _BLOCK_ROWS = 1 << 13
 
@@ -46,7 +45,7 @@ def basis_matrix(x, ks, out=None) -> np.ndarray:
     x is either the points, real and in [0, 1], or their rotations
     zeta = exp(2 pi i x) as a complex array (as basis._cis returns them,
     not checked), so a caller that needs several index sets over the
-    same points evaluates the trig once.  Real points are checked and
+    same points evaluates the rotation once.  Real points are checked and
     rotated here, and either form gives the same bits.
 
     One cos/sin table row per distinct frequency, in increasing order,
@@ -109,11 +108,24 @@ def _unit_points(x) -> np.ndarray:
 
 
 def _cis(x: np.ndarray) -> np.ndarray:
-    """exp(2 pi i x) as cos and sin of 2 pi x in one complex array: np.exp's bits (numpy 2.4), at less cost."""
-    ang = _TWO_PI * x
+    """exp(2 pi i x), x in [0, 1], as ((1 - tau^2) + 2 i tau) / (1 + tau^2) with tau = tan(pi r).
+
+    r = x - rint(x) lies in [-1/2, 1/2], so rounding pi r moves the angle by at most 1.6 eps:
+    each component is within 2 eps of the exact value and |z| within 3 eps of 1, and x = 0, 1
+    give 1 + 0j and x = 1/2 a real part of -1.0 exactly.  tau is the one float temporary.
+    """
+    tau = np.rint(x)
+    np.subtract(x, tau, out=tau)
+    tau *= np.pi
+    np.tan(tau, out=tau)
     z = np.empty(x.size, dtype=np.complex128)
-    np.cos(ang, out=z.real)
-    np.sin(ang, out=z.imag)
+    re, im = z.real, z.imag
+    np.square(tau, out=re)
+    np.add(re, 1.0, out=im)
+    np.subtract(1.0, re, out=re)
+    re /= im
+    tau *= 2.0
+    np.divide(tau, im, out=im)
     return z
 
 

@@ -14,7 +14,7 @@ with h = phi + a g and Z standard normal, so X is synthesized once.
 The rotations exp(2 pi i X) and exp(2 pi i W) are evaluated once per
 sample; up to _KEEP_ROTATIONS_UPTO points the sample keeps them, and
 the estimator's scan reads them instead of evaluating them again, so a
-replication makes one trig evaluation per point and variable.
+replication makes one rotation (one tan) per point and variable.
 The sigma_k^2 oracle, the estimator over a sample drawn here, lives in
 risk (sigma_sq_profile), so this module imports no estimator code.
 """
@@ -42,8 +42,8 @@ __all__ = [
 
 #: Largest sample that keeps its rotations exp(2 pi i X) and exp(2 pi i W)
 #: for the estimator: 32 B per point held from sampling until the sample
-#: is dropped, traded for the two trig evaluations per point (about
-#: 115 ns) the estimator would repeat.  Every Monte Carlo replication of
+#: is dropped, traded for the two rotations per point (one tan each,
+#: 20 ns in all) the estimator would repeat.  Every Monte Carlo replication of
 #: the studies stays below it, the 10^6-draw sample of the sigma^2 oracle
 #: (risk.sigma_sq_profile) above, so the oracle's memory does not grow.
 _KEEP_ROTATIONS_UPTO = 1 << 16

@@ -14,7 +14,7 @@ block's basis_matrix starts from the rotations exp(2 pi i W), and
 exp(2 pi i X) when it needs the eigenvalues.  A sample that
 generate_sample drew with at most dgp._KEEP_ROTATIONS_UPTO points
 carries the rotations its sampler made, and the walk slices them: one
-trig evaluation per point and variable per replication.  Any other
+rotation (one tan) per point and variable per replication.  Any other
 sample (above that size, or built from arrays) is rotated once per row
 block before the first index block, once per estimator call.  The walk
 also allocates its basis tables once, as a workspace of _SCAN_BLOCK
@@ -28,6 +28,7 @@ its fixed-seed sample.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -229,6 +230,7 @@ def estimate_resolution(sample: IvSample, config: EstimatorConfig | None = None)
     return resolution
 
 
+@functools.cache
 def deterministic_resolution_bounds(t: float, n: int) -> tuple[int, int]:
     """Deterministic bracket (lower, upper) for the random resolution bound.
 
@@ -236,7 +238,8 @@ def deterministic_resolution_bounds(t: float, n: int) -> tuple[int, int]:
     one; upper uses the deflated threshold log(n)^(3/4) / sqrt(n)
     without subtracting (the two thresholds sandwich the data-driven
     one, so lower <= M < upper with high probability).  Raises
-    ValueError when a crossing lies beyond basis index 10^8.
+    ValueError when a crossing lies beyond basis index 10^8.  Cached by
+    (t, n), so a study's input check and the study find each bracket once.
     """
     resolution_threshold(n)  # DegenerateSampleError below n = 3
     root_n = math.sqrt(n)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,12 +72,51 @@ def test_basis_matrix_any_index_set_matches_direct(ks):
     assert np.allclose(got, _direct_basis(x, ks), rtol=0.0, atol=1e-11)
 
 
+def _long_double_rotation(x, j):
+    """cos and sin of 2 pi j x in long double, the argument reduced mod 1 first."""
+    arg = 2 * np.longdouble("3.14159265358979323846264338327950288") * np.fmod(
+        np.multiply.outer(np.asarray(x).astype(np.longdouble), j), 1
+    )
+    return np.cos(arg), np.sin(arg)
+
+
 def _long_double_basis(x, ks):
     """sqrt(2) cos/sin(2 pi j x) in long double, the argument reduced mod 1 first."""
-    arg = 2 * np.longdouble("3.14159265358979323846264338327950288") * np.fmod(
-        np.multiply.outer(np.asarray(x).astype(np.longdouble), (ks + 1) // 2), 1
-    )
-    return (np.sqrt(np.longdouble(2)) * np.where(ks % 2 == 1, np.cos(arg), np.sin(arg))).astype(np.float64)
+    cos, sin = _long_double_rotation(x, (ks + 1) // 2)
+    return (np.sqrt(np.longdouble(2)) * np.where(ks % 2 == 1, cos, sin)).astype(np.float64)
+
+
+#: Where tau = tan(pi r) is 0 or passes its pole, and their neighbours.
+CIS_EDGES = [0.0, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0, *np.nextafter([0.5, 0.5, 1.0], [0.0, 1.0, 0.0])]
+
+
+def test_cis_is_within_2_eps_of_the_rotation():
+    x = np.concatenate([CIS_EDGES, np.random.default_rng(9).random(10**6)])
+    z = _cis(x)
+    cos, sin = _long_double_rotation(x, 1)
+    eps = np.finfo(np.float64).eps
+    assert np.abs(z.real - cos).max() <= 2 * eps
+    assert np.abs(z.imag - sin).max() <= 2 * eps
+    assert np.abs(np.abs(z.astype(np.clongdouble)) - 1).max() <= 3 * eps
+
+
+def test_cis_is_exact_at_whole_turns_and_real_at_a_half_turn():
+    z = _cis(np.array([0.0, 1.0, 0.5]))
+    assert z[:2].tolist() == [1 + 0j, 1 + 0j]
+    assert z.real[2] == -1.0
+
+
+def test_cis_peak_memory_is_its_result_and_one_float_temporary():
+    n = 1 << 16
+    x = np.random.default_rng(10).random(n)
+    _cis(x[:3])  # first-call set-up is not the rotation's
+    tracemalloc.start()
+    try:
+        _cis(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (16 + 8) * n + 2**12
 
 
 def test_basis_matrix_deep_block_start_within_argument_rounding():
@@ -101,10 +141,13 @@ def test_basis_matrix_block_matches_long_double_over_three_row_blocks(k0):
 
 
 def test_basis_matrix_first_frequency_is_sqrt2_times_cos_and_sin():
-    # 2 pi x 0.25 rounds to fl(pi / 2), whose cosine is 6.1e-17: the
-    # only entry that is not sqrt(2) or 0
+    # cos(2 pi x 0.25) is exactly 0, but tan(fl(pi / 4)) is 1 - eps/2,
+    # so the half-angle form gives (1 - tau^2) / (1 + tau^2) = eps/2
+    # there: the one entry that is not exact, held to sqrt(2) eps,
+    # twice the sqrt(2) eps/2 = 1.57e-16 it reads
     got = basis_matrix([0.0, 0.25], [1, 2])
-    assert got.tolist() == [[ROOT2, 0.0], [ROOT2 * math.cos(math.pi / 2), ROOT2]]
+    assert [got[0, 0], got[0, 1], got[1, 1]] == [ROOT2, 0.0, ROOT2]
+    assert abs(got[1, 0]) <= ROOT2 * np.finfo(float).eps
 
 
 def test_basis_matrix_prefix_columns_are_bitwise_stable():

@@ -1,9 +1,10 @@
-"""scripts/bench_pairs on synthetic runs: wins, ties, failures, spreads, bounds and each run's load average."""
+"""scripts/bench_pairs on synthetic runs: wins, ties, failures, spreads, bounds, load averages and the SIMD header."""
 
 import importlib.util
 import json
 import statistics
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,7 @@ def test_each_run_records_the_load_average_before_and_after(monkeypatch, tmp_pat
         {"before": 1.0, "after": 0.75}, {"before": 4.0, "after": 4.5},
     ]
     assert [(r["pair"], r["side"]) for r in runs] == [(0, "base"), (0, "change"), (1, "change"), (1, "base")]
+    assert saved["machine"]["numpy_simd"] == bench_pairs.simd_dispatch()
     lines = capsys.readouterr().err.splitlines()
     assert lines[0] == "rate-ref pair 0 seed 3 base: exit 0 wall_s 2.0 load_1m 0.50 -> 1.25"
     assert lines[3].endswith("load_1m 4.00 -> 4.50")
@@ -186,6 +188,15 @@ def test_each_side_runs_with_its_own_fresh_bytecode_cache(monkeypatch, tmp_path)
         assert tmp_path not in Path(prefix).parents
     saved = json.loads((tmp_path / "change" / "BENCH_0123456.json").read_text())
     assert "PYTHONPYCACHEPREFIX" in saved["pycache"]
+
+
+def test_the_header_records_numpys_trig_dispatch_or_none(monkeypatch):
+    pytest.importorskip("numpy.lib.introspect")
+    simd = bench_pairs.simd_dispatch()
+    assert set(simd) == {"tan", "cos", "sin"}
+    assert all(set(entry) == {"dd"} and "current" in entry["dd"] for entry in simd.values())
+    monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)  # a numpy without the introspection
+    assert bench_pairs.simd_dispatch() is None
 
 
 BOUNDED = [{**spec, "bound": 0.25} for spec in END_TO_END]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ivadapt import cli, oracle_ratio_study, rate_fit, risk
+from ivadapt import cli, estimator, oracle_ratio_study, rate_fit, risk
 from ivadapt.cli import STUDIES, CliError, emit_plot_data, load_config, main
 from ivadapt.estimator import resolution_threshold
 from ivadapt.serialize import to_plain
@@ -182,6 +182,24 @@ def test_oracle_study_outputs(tmp_path):
     assert len(lines) == 3
     results = json.loads((out / "results.json").read_text())
     assert len(results["results"]) == 2
+
+
+@pytest.mark.parametrize("study", ["coverage-study", "oracle-study"])
+def test_a_bracket_study_finds_each_bracket_once(tmp_path, monkeypatch, study):
+    # the load check and the study read one bracket per n: two crossings
+    # (lower and upper) per n and run
+    crossing = estimator._first_eigenvalue_crossing
+    thresholds = []
+
+    def counting(t, threshold):
+        thresholds.append(threshold)
+        return crossing(t, threshold)
+
+    monkeypatch.setattr(estimator, "_first_eigenvalue_crossing", counting)
+    estimator.deterministic_resolution_bounds.cache_clear()
+    cfg = write_config(tmp_path, n_grid=[500, 1000, 2000], reps=2)
+    assert main([study, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert len(thresholds) == 2 * 3
 
 
 def test_manifest_checksums_match(tmp_path):
