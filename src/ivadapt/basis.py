@@ -46,7 +46,8 @@ def basis_matrix(x, ks, out=None) -> np.ndarray:
     zeta = exp(2 pi i x) as a complex array (as basis._cis returns them,
     not checked), so a caller that needs several index sets over the
     same points evaluates the rotation once.  Real points are checked and
-    rotated here, and either form gives the same bits.
+    rotated here; either form gives the same bits, and must be a scalar or
+    1-D array (else ValueError).
 
     One cos/sin table row per distinct frequency, in increasing order,
     read off z = sqrt(2) zeta^f.  The first frequency of each run of
@@ -71,10 +72,9 @@ def basis_matrix(x, ks, out=None) -> np.ndarray:
     """
     ks = np.asarray(ks, dtype=np.int64)
     j = frequency(ks)
-    if np.iscomplexobj(x):
-        zeta = np.asarray(x, dtype=np.complex128)
-    else:
-        zeta = _cis(_unit_points(x))
+    zeta = np.atleast_1d(_unit_points(x))
+    if not np.iscomplexobj(zeta):
+        zeta = _cis(zeta)
     freqs = sorted(set(j.tolist()))
     shape = (len(freqs), 2, zeta.size)  # cos and sin row per frequency
     size = math.prod(shape)
@@ -100,9 +100,12 @@ def basis_matrix(x, ks, out=None) -> np.ndarray:
 
 
 def _unit_points(x) -> np.ndarray:
-    """x as a float64 array, checked to lie in [0, 1]; NaN and infinities fail too."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+    """x, a scalar or 1-D array, as complex128 rotations (not checked) or float64 points in [0, 1] (NaN fails too)."""
+    rotated = np.iscomplexobj(x)
+    x = np.asarray(x, dtype=np.complex128 if rotated else np.float64)
+    if x.ndim > 1:
+        raise ValueError(f"evaluation points must be a scalar or 1-D array, not {x.ndim}-D")
+    if not rotated and x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
     return x
 
@@ -194,7 +197,7 @@ class CoefficientVector:
 
 
 def synthesize(f: CoefficientVector, x):
-    """Pointwise value sum_k coeffs[k] e_k(x); x scalar or array in [0, 1] (else ValueError).
+    """Pointwise value sum_k coeffs[k] e_k(x); x a scalar or 1-D array in [0, 1] (else ValueError).
 
     Horner evaluation of sqrt(2) Re sum_j (c_{2j-1} - i c_{2j}) zeta^j
     with zeta = exp(2 pi i x), j = 1..J: O(n J) work and O(n) memory,
@@ -208,8 +211,8 @@ def synthesize(f: CoefficientVector, x):
     no rotation.
     """
     scalar = np.ndim(x) == 0
-    rotated = np.iscomplexobj(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=np.complex128) if rotated else _unit_points(x))
+    xs = np.atleast_1d(_unit_points(x))
+    rotated = np.iscomplexobj(xs)
     c = f.padded(f.support + f.support % 2)
     a = c[0::2] - 1j * c[1::2]  # a[j - 1] pairs cos and sin at frequency j
     vals = np.zeros(xs.size)

@@ -11,10 +11,11 @@ identically while E[U | X] != 0 whenever a != 0 and g != 0, so the
 regressor is endogenous and W is a valid instrument by construction.
 The response Y = phi(X) + U is synthesized as h(X) - a (Tg)(W) + eta Z
 with h = phi + a g and Z standard normal, so X is synthesized once.
-The rotations exp(2 pi i X) and exp(2 pi i W) are evaluated once per
-sample; up to _KEEP_ROTATIONS_UPTO points the sample keeps them, and
-the estimator's scan reads them instead of evaluating them again, so a
-replication makes one rotation (one tan) per point and variable.
+Both synthesize calls take one pair of point forms: up to
+_KEEP_ROTATIONS_UPTO points the rotations exp(2 pi i X) and
+exp(2 pi i W), which the sample then keeps for the estimator's walk, so
+a replication rotates each point of each variable once; above it the
+points, which synthesize rotates one row block at a time.
 The sigma_k^2 oracle, the estimator over a sample drawn here, lives in
 risk (sigma_sq_profile), so this module imports no estimator code.
 """
@@ -213,12 +214,12 @@ def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
     size = max(spec.phi.support, spec.g.support)
     h = CoefficientVector(spec.phi.padded(size) + spec.a * spec.g.padded(size))
     tg = CoefficientVector(eigenvalue_profile(spec.g.support, spec.t) * spec.g.coeffs)
-    rotations = (_cis(x), _cis(w)) if n <= _KEEP_ROTATIONS_UPTO else None
+    zx, zw = (_cis(x), _cis(w)) if n <= _KEEP_ROTATIONS_UPTO else (x, w)
     # y = h(X) - a (Tg)(W) + eta_sd Z, in that order and in place; Z is
     # drawn only when it is needed (synthesize draws nothing from rng)
     with np.errstate(over="raise", invalid="raise"):  # FloatingPointError when the spec's magnitudes overflow
-        y = synthesize(h, x if rotations is None else rotations[0])
-        tgw = synthesize(tg, w if rotations is None else rotations[1])
+        y = synthesize(h, zx)
+        tgw = synthesize(tg, zw)
         tgw *= spec.a
         y -= tgw
         del tgw
@@ -226,8 +227,8 @@ def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
         z *= spec.eta_sd
         y += z
     sample = IvSample(y=y, x=x, w=w)
-    if rotations is not None:
-        for zeta in rotations:
-            zeta.setflags(write=False)
-        object.__setattr__(sample, "_rotations", rotations)
+    if np.iscomplexobj(zx):
+        zx.setflags(write=False)
+        zw.setflags(write=False)
+        object.__setattr__(sample, "_rotations", (zx, zw))
     return sample

@@ -7,22 +7,23 @@ index where the estimate drops below log(n) / sqrt(n); minimizes a
 penalized contrast over truncation levels m; and inverts the retained
 coefficients to produce the adaptive estimate.
 
-Every sum over the sample is taken in blocks of _SCAN_BLOCK basis
-indices (_blocks) and, within a block, of 8,192 rows (basis._chunks), so
-a basis block stays near 1 MiB whatever n and K are.  Every index
-block's basis_matrix starts from the rotations exp(2 pi i W), and
-exp(2 pi i X) when it needs the eigenvalues.  A sample that
-generate_sample drew with at most dgp._KEEP_ROTATIONS_UPTO points
-carries the rotations its sampler made, and the walk slices them: one
-rotation (one tan) per point and variable per replication.  Any other
-sample (above that size, or built from arrays) is rotated once per row
-block before the first index block, once per estimator call.  The walk
-also allocates its basis tables once, as a workspace of _SCAN_BLOCK
-columns by the largest row block, one table for psi(W) and one more
-for psi(X) when it needs the eigenvalues, and every basis_matrix call
-writes into it (out=), so no index block allocates or frees a table.
-The sigma_k^2 oracle, risk.sigma_sq_profile, runs estimate_sigma_sq over
-its fixed-seed sample.
+The sample is read through three sums over its points for each basis
+index k: psi_k(X) psi_k(W), Y psi_k(W) and (Y psi_k(W))^2.  One walk,
+_blocks, takes all three, in blocks of _SCAN_BLOCK indices and, within
+an index block, in row blocks of 8,192 points (basis._chunks), so a
+basis table stays near 1 MiB whatever n and K are; it yields each index
+block's (lambda_hat, r_hat, sigma_sq_hat).  The lazy resolution scan
+stops the walk at the first block whose lambda_hat crosses the
+threshold, and the standalone estimates run it to K.  The walk starts
+from the rotations exp(2 pi i W), and exp(2 pi i X) when it needs the
+eigenvalues: slices of the rotations the sampler kept
+(dgp._KEEP_ROTATIONS_UPTO), or, for any other sample, rotations it
+makes one row block at a time before the first index block, once per
+call.  It allocates its basis tables once, as a workspace of
+_SCAN_BLOCK columns by the largest row block, and every basis_matrix
+call writes into it (out=).  The sigma_k^2 oracle,
+risk.sigma_sq_profile, runs estimate_sigma_sq over its fixed-seed
+sample.
 """
 
 from __future__ import annotations
@@ -97,57 +98,46 @@ class EstimatorConfig:
             raise ValueError(f"penalty weight log(n)^{self.penalty_log_exponent:g} overflows a float") from None
 
 
-def _block_sums(row_blocks: list, ks: np.ndarray, eigen: bool, moments: bool, work: np.ndarray) -> np.ndarray:
-    """Sums over the sample for the basis indices ks: three rows, one column per index.
-
-    row_blocks holds (Y, exp(2 pi i X) or None, exp(2 pi i W)) per row
-    block of the sample.  With eigen, row 0 sums psi_k(X) psi_k(W); with
-    moments, rows 1 and 2 sum Y psi_k(W) and (Y psi_k(W))^2, and a
-    FloatingPointError reports a product or sum that overflows.  Rows
-    not asked for stay 0.  Each row block builds psi(W) once into
-    work[0], and psi(X) only with eigen, into work[1].  Row blocks do not
-    depend on len(ks), so an index gets the same sums in a short block
-    as in a full one.
-    """
-    sums = np.zeros((3, ks.size))
-    for y, zx, zw in row_blocks:
-        bw = basis_matrix(zw, ks, out=work[0]).T
-        if eigen:
-            sums[0] += np.einsum("ij,ij->i", basis_matrix(zx, ks, out=work[1]).T, bw)
-        if moments:
-            with np.errstate(over="raise"):
-                bw *= y
-                sums[1] += bw.sum(axis=1)
-                bw *= bw
-                sums[2] += bw.sum(axis=1)
-    return sums
-
-
-def _estimates(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda_hat, r_hat, sigma_sq_hat) from the rows of _block_sums."""
-    r_hat = sums[1] / n
-    return sums[0] / n, r_hat, np.maximum(sums[2] / n - r_hat * r_hat, 0.0)
-
-
 def _blocks(sample: IvSample, cap: int, eigen: bool, moments: bool):
-    """_block_sums for k = 1..cap, _SCAN_BLOCK indices at a time, the last block cut at cap.
+    """Rows (lambda_hat, r_hat, sigma_sq_hat) of one array per block of k = 1..cap, the last cut at cap.
 
-    The rotations and the basis-table workspace are made once, before
-    the first block, and every block reuses them; with cap = 0 neither
-    is.  The rotations are slices of the sample's own when it carries
-    them.  Each block starts at a cosine index, so its tables fill at
-    most _SCAN_BLOCK rows of the workspace.
+    The walk the module docstring describes; with cap = 0 it rotates and
+    allocates nothing.  Each row block builds psi(W) once into work[0],
+    and psi(X) only with eigen, into work[1].  Each index block starts at
+    a cosine index, so its tables fill at most _SCAN_BLOCK rows of the
+    workspace, and row blocks do not depend on the index block, so an
+    index gets the same bits in a short block as in a full one.  Rows not
+    asked for (lambda_hat without eigen, the moments without moments)
+    are 0, and a FloatingPointError reports a moment product or sum that
+    overflows.  sigma_sq_hat is uncentred: the mean of (Y psi_k(W))^2 minus
+    r_hat^2, clipped at 0.
     """
     if cap < 1:
         return
-    chunks = _chunks(sample.n)
+    n = sample.n
+    chunks = _chunks(n)
     zx, zw = sample._rotations or (None, None)
     row_blocks = [
         (sample.y[sl], _rotate(sample.x, zx, sl) if eigen else None, _rotate(sample.w, zw, sl)) for sl in chunks
     ]
     work = np.empty((1 + eigen, _SCAN_BLOCK * max(sl.stop - sl.start for sl in chunks)))
     for k0 in range(1, cap + 1, _SCAN_BLOCK):
-        yield _block_sums(row_blocks, np.arange(k0, min(k0 + _SCAN_BLOCK, cap + 1)), eigen, moments, work)
+        ks = np.arange(k0, min(k0 + _SCAN_BLOCK, cap + 1))
+        sums = np.zeros((3, ks.size))
+        for y, zeta_x, zeta_w in row_blocks:
+            bw = basis_matrix(zeta_w, ks, out=work[0]).T
+            if eigen:
+                sums[0] += np.einsum("ij,ij->i", basis_matrix(zeta_x, ks, out=work[1]).T, bw)
+            if moments:
+                with np.errstate(over="raise"):
+                    bw *= y
+                    sums[1] += bw.sum(axis=1)
+                    bw *= bw
+                    sums[2] += bw.sum(axis=1)
+        sums /= n  # the sums become the estimates in place
+        sums[2] -= sums[1] * sums[1]
+        np.maximum(sums[2], 0.0, out=sums[2])
+        yield sums
 
 
 def _rotate(points: np.ndarray, zeta: np.ndarray | None, sl: slice) -> np.ndarray:
@@ -155,14 +145,11 @@ def _rotate(points: np.ndarray, zeta: np.ndarray | None, sl: slice) -> np.ndarra
     return _cis(points[sl]) if zeta is None else zeta[sl]
 
 
-def _estimates_upto(
-    sample: IvSample, K: int, eigen: bool, moments: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_estimates for k = 1..K over the scan's blocks."""
+def _estimates_upto(sample: IvSample, K: int, eigen: bool, moments: bool) -> np.ndarray:
+    """The rows (lambda_hat, r_hat, sigma_sq_hat) for k = 1..K: _blocks's blocks joined."""
     if K < 0:
         raise ValueError("K must be nonnegative")
-    blocks = [np.zeros((3, 0)), *_blocks(sample, K, eigen, moments)]
-    return _estimates(np.concatenate(blocks, axis=1), sample.n)
+    return np.concatenate([np.zeros((3, 0)), *_blocks(sample, K, eigen, moments)], axis=1)
 
 
 def estimate_r_coeffs(sample: IvSample, K: int) -> np.ndarray:
@@ -206,28 +193,29 @@ def select_resolution(lambda_hat, n: int, config: EstimatorConfig | None = None)
     return int(below[0]) if below.size else int(horizon)
 
 
-def _resolution_scan(sample: IvSample, config: EstimatorConfig, moments: bool):
+def _resolution_scan(sample: IvSample, config: EstimatorConfig, moments: bool) -> tuple[np.ndarray, bool]:
     """Lazy eigenvalue scan up to the threshold crossing or the cap.
 
-    Each block of indices is cut by select_resolution, so the scan
-    applies the rule that function states.  Returns (resolution,
-    _block_sums rows for k = 1..resolution, cap_reached).
+    Each block's lambda_hat is cut by select_resolution, so the scan
+    applies the rule that function states.  Returns the rows
+    (lambda_hat, r_hat, sigma_sq_hat) for k = 1..resolution, one column
+    per index, and cap_reached.
     """
     cap = config.resolution_cap(sample.n)
-    collected: list[np.ndarray] = []
-    for sums in _blocks(sample, cap, eigen=True, moments=moments):
-        kept = select_resolution(sums[0] / sample.n, sample.n, config)
-        collected.append(sums[:, :kept])
-        if kept < sums.shape[1]:
+    kept: list[np.ndarray] = []
+    for estimates in _blocks(sample, cap, eigen=True, moments=moments):
+        resolution = select_resolution(estimates[0], sample.n, config)
+        kept.append(estimates[:, :resolution])
+        if resolution < estimates.shape[1]:
             break
-    sums = np.concatenate(collected, axis=1)
-    return sums.shape[1], sums, sums.shape[1] == cap
+    estimates = np.concatenate(kept, axis=1)
+    return estimates, estimates.shape[1] == cap
 
 
 def estimate_resolution(sample: IvSample, config: EstimatorConfig | None = None) -> int:
     """Data-driven resolution bound via the lazy eigenvalue scan (no moments)."""
-    resolution, _, _ = _resolution_scan(sample, config or EstimatorConfig(), moments=False)
-    return resolution
+    estimates, _ = _resolution_scan(sample, config or EstimatorConfig(), moments=False)
+    return estimates.shape[1]
 
 
 @functools.cache
@@ -275,6 +263,8 @@ def thresholded_estimator(r_hat, lambda_hat, m: int, resolution: int) -> Coeffic
     """Estimated-operator projection r_hat_k / lambda_hat_k, support <= min(m, resolution)."""
     if m < 0:
         raise ValueError("truncation level m must be nonnegative")
+    if resolution < 0:
+        raise ValueError("resolution must be nonnegative")
     r = np.asarray(r_hat, dtype=np.float64)
     lam = np.asarray(lambda_hat, dtype=np.float64)
     mm = min(m, resolution, r.size, lam.size)
@@ -350,8 +340,8 @@ def adaptive_estimate(sample: IvSample, config: EstimatorConfig | None = None) -
     n = sample.n
     resolution_threshold(n)  # DegenerateSampleError below n = 3
     weight = config.penalty_weight(n)  # before the scan, so that an overflowing weight fails first
-    resolution, sums, cap_reached = _resolution_scan(sample, config, moments=True)
-    lambda_hat, r_hat, sigma_sq_hat = _estimates(sums, n)
+    (lambda_hat, r_hat, sigma_sq_hat), cap_reached = _resolution_scan(sample, config, moments=True)
+    resolution = r_hat.size
     criterion = _criterion_values(r_hat, lambda_hat, sigma_sq_hat, weight, resolution)
     m_selected = select_level(criterion, allow_empty=config.allow_empty_model)
     phi_hat = thresholded_estimator(r_hat, lambda_hat, m_selected, resolution)

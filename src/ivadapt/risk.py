@@ -109,6 +109,8 @@ def _risk(phi: CoefficientVector, t: float, sigma_sq, n: int, m, penalized: bool
     if n < 1:
         raise ValueError("sample size must be positive")
     levels = np.asarray(m)
+    if levels.dtype.kind not in "iu":  # bool, float and object levels would index or fail oddly
+        raise ValueError(f"truncation level m must be an int or an array of ints, not {m!r}")
     if np.any(levels < 0):
         raise ValueError("truncation level m must be nonnegative")
     tail, variance = _risk_sums(phi, t, sigma_sq, int(np.max(levels, initial=0)))

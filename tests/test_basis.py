@@ -184,6 +184,26 @@ def test_basis_matrix_still_checks_real_points(bad):
             synthesize(f, points)
 
 
+_EVALUATORS = {
+    "basis_matrix": lambda points: basis_matrix(points, [1, 2]),
+    "synthesize": lambda points: synthesize(CoefficientVector([1.0, -0.5, 0.25]), points),
+}
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["points", "rotations"])
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+def test_points_of_more_than_one_dimension_are_rejected(name, rotated):
+    x = np.array([[0.1, 0.2], [0.3, 0.4]])
+    points = _cis(x.ravel()).reshape(x.shape) if rotated else x
+    with pytest.raises(ValueError, match=r"^evaluation points must be a scalar or 1-D array, not 2-D$"):
+        _EVALUATORS[name](points)
+    with pytest.raises(ValueError, match="scalar or 1-D"):
+        _EVALUATORS[name](points[None])
+    # a scalar point is one point, in either form
+    scalar, row = _EVALUATORS[name](points[0, 1]), _EVALUATORS[name](points[0, 1:])
+    assert np.asarray(scalar).tobytes() == np.asarray(row).reshape(np.shape(scalar)).tobytes()
+
+
 @pytest.mark.parametrize("ks", [[0], [1, 0, 2], [-3], np.arange(-1, 5)])
 def test_basis_matrix_rejects_an_index_below_one_before_reading_the_points(ks):
     # the index rule is frequency's, raised before the points are checked

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,30 @@ def test_block_walk_writes_every_table_into_one_workspace(monkeypatch, name, tab
     assert len(set(data)) == tables
 
 
+@pytest.mark.parametrize(
+    "name, rotated", [("estimate_sigma_sq", 1), ("estimate_resolution", 2), ("adaptive_estimate", 2)]
+)
+def test_block_walk_peak_memory_is_its_rotations_and_tables(name, rotated):
+    # an array-built sample is rotated one row block at a time: the walk
+    # holds 16 B per point for each rotated variable (W, and X for the
+    # eigenvalues), one 1 MiB basis table for each, and little more.  A
+    # whole-array rotation would add an n-point float temporary.
+    n = 1 << 19
+    drawn = generate_sample(DgpSpec.default(), n, seed=19)
+    sample = IvSample(y=drawn.y, x=drawn.x, w=drawn.w)
+    del drawn
+    args = (sample, 16) if name == "estimate_sigma_sq" else (sample,)
+    fn = getattr(estimator, name)
+    fn(IvSample(y=sample.y[:3], x=sample.x[:3], w=sample.w[:3]), *args[1:])  # first-call set-up
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mib = 1 << 20
+    assert peak <= rotated * (16 * n + mib) + mib
+
 def test_select_resolution_threshold_crossing():
     # threshold log(100)/10 ~ 0.4605; first crossing at k=3
     assert select_resolution([0.9, 0.5, 0.01], 100) == 2
@@ -326,6 +351,13 @@ def test_thresholded_estimator():
     assert thresholded_estimator(r, lam, 5, 2) == thresholded_estimator(r, lam, 2, 2)
     one = thresholded_estimator([0.2], [0.4], 1, 1)
     assert np.allclose(one.coeffs, [0.5])
+
+
+@pytest.mark.parametrize("m, resolution, name", [(-1, 3, "truncation level m"), (3, -1, "resolution")])
+def test_thresholded_estimator_rejects_a_negative_level(m, resolution, name):
+    # a negative resolution would slice from the end: [1., 2.] for these
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+        thresholded_estimator([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], m, resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,15 @@ from ivadapt.serialize import to_plain
 ONES = np.ones(600)
 
 
+@pytest.mark.parametrize("fn", [risk_naive, risk_penalized])
+@pytest.mark.parametrize("m", [2.5, True, np.False_, [1.0, 2.0], [], [1, None]], ids=repr)
+def test_risk_rejects_a_level_that_is_no_int(fn, m):
+    phi = CoefficientVector([1.0, 0.5])
+    with pytest.raises(ValueError, match=r"^truncation level m must be an int or an array of ints, not "):
+        fn(phi, 1.0, ONES, 100, m)
+    # ints of any width still count
+    assert fn(phi, 1.0, ONES, 100, np.uint8(2)) == fn(phi, 1.0, ONES, 100, 2)
+
 def test_risk_naive_values():
     zero = CoefficientVector.zero()
     assert risk_naive(zero, 1.0, ONES, 100, 0) == 0.0

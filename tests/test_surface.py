@@ -1,9 +1,12 @@
-"""The shipped configs load, the public names stay as listed, the modules import in layers, and only numpy and orjson are needed."""
+"""The shipped configs load, the public names stay as listed, the modules import in layers, only numpy and orjson are needed, and the private names the docs mention exist."""
 
 import ast
+import importlib
+import io
 import json
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,50 @@ def test_each_module_imports_only_the_layers_below_it():
     for name, path in sources.items():
         for target in _relative_imports(path):
             assert LAYERS.index(target) < LAYERS.index(name), (name, target)
+
+
+def _private_names():
+    """Module globals, class attributes and dataclass fields of the package whose names start with _."""
+    names = {}
+    for layer in LAYERS:
+        module = importlib.import_module(f"ivadapt.{layer}")
+        found = set(vars(module))
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                found |= set(vars(value)) | set(getattr(value, "__dataclass_fields__", ()))
+        names[layer] = {name for name in found if name.startswith("_")}
+    return names
+
+
+def _docstrings_and_comments(path):
+    source = path.read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source, filename=str(path))):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield ast.get_docstring(node) or ""
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.string
+
+
+def test_every_private_name_the_docs_mention_exists():
+    # module._name in README.md and src/, and a bare _name in a src/
+    # docstring or comment, must name something the package defines
+    names = _private_names()
+    qualified = re.compile(rf"\b({'|'.join(LAYERS)})\.(_[A-Za-z]\w*)")
+    sources = sorted((ROOT / "src" / "ivadapt").glob("*.py"))
+    stale = [
+        (path.name, f"{layer}.{name}")
+        for path in [ROOT / "README.md", *sources]
+        for layer, name in qualified.findall(path.read_text(encoding="utf-8"))
+        if name not in names[layer]
+    ]
+    defined = set().union(*names.values())
+    bare = re.compile(r"(?<![\w.])_[A-Za-z]\w*")
+    stale += [
+        (path.name, name)
+        for path in sources
+        for text in _docstrings_and_comments(path)
+        for name in bare.findall(text)
+        if name not in defined
+    ]
+    assert not stale
