@@ -231,17 +231,18 @@ def test_block_walk_peak_memory_is_its_rotations_and_tables(name, rotated):
     drawn = generate_sample(DgpSpec.default(), n, seed=19)
     sample = IvSample(y=drawn.y, x=drawn.x, w=drawn.w)
     del drawn
-    args = (sample, 16) if name == "estimate_sigma_sq" else (sample,)
     fn = getattr(estimator, name)
-    fn(IvSample(y=sample.y[:3], x=sample.x[:3], w=sample.w[:3]), *args[1:])  # first-call set-up
+    K = (16,) if name == "estimate_sigma_sq" else ()
+    fn(IvSample(y=sample.y[:3], x=sample.x[:3], w=sample.w[:3]), *K)  # first-call set-up
     tracemalloc.start()
     try:
-        fn(*args)
+        fn(sample, *K)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     mib = 1 << 20
     assert peak <= rotated * (16 * n + mib) + mib
+
 
 def test_select_resolution_threshold_crossing():
     # threshold log(100)/10 ~ 0.4605; first crossing at k=3

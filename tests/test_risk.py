@@ -45,6 +45,7 @@ def test_risk_rejects_a_level_that_is_no_int(fn, m):
     # ints of any width still count
     assert fn(phi, 1.0, ONES, 100, np.uint8(2)) == fn(phi, 1.0, ONES, 100, 2)
 
+
 def test_risk_naive_values():
     zero = CoefficientVector.zero()
     assert risk_naive(zero, 1.0, ONES, 100, 0) == 0.0
