@@ -2,10 +2,12 @@
 
 Each subcommand reads a single JSON config document, runs the study,
 and writes CSV/JSON outputs plus a manifest.json with per-file SHA-256
-checksums.  Data files contain no timestamps, so a rerun with the same
-config and seed is byte-identical regardless of the parallelism degree
-(timestamps live only in the manifest).  At load, the library checks the
-study's inputs (_INPUT_CHECKS); the argument an error names is its field.
+checksums and numpy's version and dispatch targets.  Data files contain
+no timestamps, so a rerun with the same config and seed is
+byte-identical regardless of the parallelism degree (timestamps live
+only in the manifest), for one numpy version and dispatch target.  At
+load, the library checks the study's inputs (_INPUT_CHECKS); the
+argument an error names is its field.
 """
 
 from __future__ import annotations
@@ -344,6 +346,21 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _numpy_record() -> dict:
+    """numpy's version and its float64 dispatch targets for tan, arctan, exp and power (None where numpy lacks them).
+
+    The data files' floats can move in their last bits with these, so a
+    rerun is byte-identical for one version and one set of targets.
+    """
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        dispatch = None
+    else:
+        dispatch = opt_func_info(func_name="^(tan|arctan|exp|power)$", signature="float64")
+    return {"version": np.__version__, "dispatch": dispatch}
+
+
 def run(config: ExperimentConfig, adjustments=()) -> dict:
     """Execute the configured study; returns the manifest payload."""
     out = Path(config.output_dir)
@@ -368,6 +385,7 @@ def run(config: ExperimentConfig, adjustments=()) -> dict:
         "started_at": started,
         "finished_at": finished,
         "adjustments": list(adjustments),
+        "numpy": _numpy_record(),
         "outputs": {
             name: {"sha256": _sha256(out / name), "bytes": (out / name).stat().st_size}
             for name in sorted(files)

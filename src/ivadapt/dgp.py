@@ -11,11 +11,14 @@ identically while E[U | X] != 0 whenever a != 0 and g != 0, so the
 regressor is endogenous and W is a valid instrument by construction.
 The response Y = phi(X) + U is synthesized as h(X) - a (Tg)(W) + eta Z
 with h = phi + a g and Z standard normal, so X is synthesized once.
-Both synthesize calls take one pair of point forms: up to
-_KEEP_ROTATIONS_UPTO points the rotations exp(2 pi i X) and
-exp(2 pi i W), which the sample then keeps for the estimator's walk, so
-a replication rotates each point of each variable once; above it the
-points, which synthesize rotates one row block at a time.
+The last two terms go one row block at a time (basis._chunks), Z drawn
+per row block from the same stream, so a draw holds the sample's three
+arrays and row-block scratch.  Both synthesize calls take one pair of
+point forms: up to _KEEP_ROTATIONS_UPTO points the rotations
+exp(2 pi i X) and exp(2 pi i W), which the sample then keeps for the
+estimator's walk, so a replication rotates each point of each variable
+once; above it the points, which synthesize rotates one row block at a
+time.
 The sigma_k^2 oracle, the estimator over a sample drawn here, lives in
 risk (sigma_sq_profile), so this module imports no estimator code.
 """
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
-from .basis import CoefficientVector, FunctionFamilySpec, _cis, frequency, make_test_function, synthesize
+from .basis import CoefficientVector, FunctionFamilySpec, _chunks, _cis, frequency, make_test_function, synthesize
 from .basis import basis_matrix  # noqa: F401  (unused here, but the benchmark's tracer rebinds dgp.basis_matrix)
 from .serialize import write_csv
 
@@ -215,17 +218,19 @@ def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
     h = CoefficientVector(spec.phi.padded(size) + spec.a * spec.g.padded(size))
     tg = CoefficientVector(eigenvalue_profile(spec.g.support, spec.t) * spec.g.coeffs)
     zx, zw = (_cis(x), _cis(w)) if n <= _KEEP_ROTATIONS_UPTO else (x, w)
-    # y = h(X) - a (Tg)(W) + eta_sd Z, in that order and in place; Z is
-    # drawn only when it is needed (synthesize draws nothing from rng)
+    # y = h(X) - a (Tg)(W) + eta_sd Z, in that order and in place, the last
+    # two terms one row block at a time, so no whole-array temporary is
+    # made; Z follows X in the stream (synthesize draws nothing from rng),
+    # and standard_normal's row blocks are the bits of one whole-array draw
     with np.errstate(over="raise", invalid="raise"):  # FloatingPointError when the spec's magnitudes overflow
         y = synthesize(h, zx)
-        tgw = synthesize(tg, zw)
-        tgw *= spec.a
-        y -= tgw
-        del tgw
-        z = rng.standard_normal(n)
-        z *= spec.eta_sd
-        y += z
+        for sl in _chunks(n):
+            tgw = synthesize(tg, zw[sl])
+            tgw *= spec.a
+            y[sl] -= tgw
+            z = rng.standard_normal(tgw.size)
+            z *= spec.eta_sd
+            y[sl] += z
     sample = IvSample(y=y, x=x, w=w)
     if np.iscomplexobj(zx):
         zx.setflags(write=False)

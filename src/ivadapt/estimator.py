@@ -9,21 +9,22 @@ coefficients to produce the adaptive estimate.
 
 The sample is read through three sums over its points for each basis
 index k: psi_k(X) psi_k(W), Y psi_k(W) and (Y psi_k(W))^2.  One walk,
-_blocks, takes all three, in blocks of _SCAN_BLOCK indices and, within
-an index block, in row blocks of 8,192 points (basis._chunks), so a
-basis table stays near 1 MiB whatever n and K are; it yields each index
-block's (lambda_hat, r_hat, sigma_sq_hat).  The lazy resolution scan
-stops the walk at the first block whose lambda_hat crosses the
-threshold, and the standalone estimates run it to K.  The walk starts
-from the rotations exp(2 pi i W), and exp(2 pi i X) when it needs the
-eigenvalues: slices of the rotations the sampler kept
-(dgp._KEEP_ROTATIONS_UPTO), or, for any other sample, rotations it
-makes one row block at a time before the first index block, once per
-call.  It allocates its basis tables once, as a workspace of
-_SCAN_BLOCK columns by the largest row block, and every basis_matrix
-call writes into it (out=).  The sigma_k^2 oracle,
-risk.sigma_sq_profile, runs estimate_sigma_sq over its fixed-seed
-sample.
+_blocks, takes all three over pairs of an index block (_SCAN_BLOCK
+indices) and a row block (8,192 points, basis._chunks), so a basis table
+stays near 1 MiB whatever n and K are.  The lazy resolution scan goes
+index block first and stops at the first block whose lambda_hat crosses
+the threshold; the standalone estimates, whose K is known up front, go
+row block first in one pass.  The walk starts from the rotations
+exp(2 pi i W), and exp(2 pi i X) when it needs the eigenvalues: slices
+of the rotations the sampler kept (dgp._KEEP_ROTATIONS_UPTO), or, for
+any other sample, rotations it makes one row block at a time, once per
+call.  The lazy scan makes them all before its first index block and
+keeps them, 16 B per point per variable; the one pass drops each row
+block's after its last index block, so it holds one row block's.  The
+walk allocates its basis tables once, as a workspace of _SCAN_BLOCK
+columns by the largest row block, and every basis_matrix call writes
+into it (out=).  The sigma_k^2 oracle, risk.sigma_sq_profile, runs
+estimate_sigma_sq over its fixed-seed sample.
 """
 
 from __future__ import annotations
@@ -98,42 +99,54 @@ class EstimatorConfig:
             raise ValueError(f"penalty weight log(n)^{self.penalty_log_exponent:g} overflows a float") from None
 
 
-def _blocks(sample: IvSample, cap: int, eigen: bool, moments: bool):
-    """Rows (lambda_hat, r_hat, sigma_sq_hat) of one array per block of k = 1..cap, the last cut at cap.
+def _blocks(sample: IvSample, cap: int, eigen: bool, moments: bool, lazy: bool):
+    """Rows (lambda_hat, r_hat, sigma_sq_hat) of k = 1..cap: one array per index block, or one in all.
 
     The walk the module docstring describes; with cap = 0 it rotates and
-    allocates nothing.  Each row block builds psi(W) once into work[0],
-    and psi(X) only with eigen, into work[1].  Each index block starts at
-    a cosine index, so its tables fill at most _SCAN_BLOCK rows of the
-    workspace, and row blocks do not depend on the index block, so an
-    index gets the same bits in a short block as in a full one.  Rows not
-    asked for (lambda_hat without eigen, the moments without moments)
-    are 0, and a FloatingPointError reports a moment product or sum that
-    overflows.  sigma_sq_hat is uncentred: the mean of (Y psi_k(W))^2 minus
-    r_hat^2, clipped at 0.
+    allocates nothing.  Lazy, it goes index block first and yields each
+    block's array, the last cut at cap, before it builds the next block's
+    tables; otherwise it goes row block first and yields one array for
+    k = 1..cap.  Either way each (row block, index block) pair runs the
+    same body: psi(W) once into work[0], and psi(X) only with eigen, into
+    work[1], their sums added in row-block order, so an index gets the
+    same bits in either order.  Each index block starts at a cosine index,
+    so its tables fill at most _SCAN_BLOCK rows of the workspace, and row
+    blocks do not depend on the index block, so an index gets the same
+    bits in a short block as in a full one.  Rows not asked for
+    (lambda_hat without eigen, the moments without moments) are 0, and a
+    FloatingPointError reports a moment product or sum that overflows.
+    sigma_sq_hat is uncentred: the mean of (Y psi_k(W))^2 minus r_hat^2,
+    clipped at 0.
     """
     if cap < 1:
         return
     n = sample.n
     chunks = _chunks(n)
     zx, zw = sample._rotations or (None, None)
-    row_blocks = [
+    row_blocks = (
         (sample.y[sl], _rotate(sample.x, zx, sl) if eigen else None, _rotate(sample.w, zw, sl)) for sl in chunks
-    ]
+    )
+    if lazy:  # every row block rotated before the first index block, and kept for the next
+        row_blocks = list(row_blocks)
+        spans = ((k0, min(k0 + _SCAN_BLOCK, cap + 1)) for k0 in range(1, cap + 1, _SCAN_BLOCK))
+    else:  # one pass: each row block rotated, used for every index block, then dropped
+        spans = [(1, cap + 1)]
     work = np.empty((1 + eigen, _SCAN_BLOCK * max(sl.stop - sl.start for sl in chunks)))
-    for k0 in range(1, cap + 1, _SCAN_BLOCK):
-        ks = np.arange(k0, min(k0 + _SCAN_BLOCK, cap + 1))
-        sums = np.zeros((3, ks.size))
+    for first, stop in spans:
+        sums = np.zeros((3, stop - first))
         for y, zeta_x, zeta_w in row_blocks:
-            bw = basis_matrix(zeta_w, ks, out=work[0]).T
-            if eigen:
-                sums[0] += np.einsum("ij,ij->i", basis_matrix(zeta_x, ks, out=work[1]).T, bw)
-            if moments:
-                with np.errstate(over="raise"):
-                    bw *= y
-                    sums[1] += bw.sum(axis=1)
-                    bw *= bw
-                    sums[2] += bw.sum(axis=1)
+            for k0 in range(first, stop, _SCAN_BLOCK):
+                ks = np.arange(k0, min(k0 + _SCAN_BLOCK, stop))
+                block = sums[:, k0 - first : k0 - first + ks.size]
+                bw = basis_matrix(zeta_w, ks, out=work[0]).T
+                if eigen:
+                    block[0] += np.einsum("ij,ij->i", basis_matrix(zeta_x, ks, out=work[1]).T, bw)
+                if moments:
+                    with np.errstate(over="raise"):
+                        bw *= y
+                        block[1] += bw.sum(axis=1)
+                        bw *= bw
+                        block[2] += bw.sum(axis=1)
         sums /= n  # the sums become the estimates in place
         sums[2] -= sums[1] * sums[1]
         np.maximum(sums[2], 0.0, out=sums[2])
@@ -146,10 +159,10 @@ def _rotate(points: np.ndarray, zeta: np.ndarray | None, sl: slice) -> np.ndarra
 
 
 def _estimates_upto(sample: IvSample, K: int, eigen: bool, moments: bool) -> np.ndarray:
-    """The rows (lambda_hat, r_hat, sigma_sq_hat) for k = 1..K: _blocks's blocks joined."""
+    """The rows (lambda_hat, r_hat, sigma_sq_hat) for k = 1..K: _blocks's one row-first pass."""
     if K < 0:
         raise ValueError("K must be nonnegative")
-    return np.concatenate([np.zeros((3, 0)), *_blocks(sample, K, eigen, moments)], axis=1)
+    return next(_blocks(sample, K, eigen, moments, lazy=False), np.zeros((3, 0)))
 
 
 def estimate_r_coeffs(sample: IvSample, K: int) -> np.ndarray:
@@ -203,7 +216,7 @@ def _resolution_scan(sample: IvSample, config: EstimatorConfig, moments: bool) -
     """
     cap = config.resolution_cap(sample.n)
     kept: list[np.ndarray] = []
-    for estimates in _blocks(sample, cap, eigen=True, moments=moments):
+    for estimates in _blocks(sample, cap, eigen=True, moments=moments, lazy=True):
         resolution = select_resolution(estimates[0], sample.n, config)
         kept.append(estimates[:, :resolution])
         if resolution < estimates.shape[1]:
@@ -251,20 +264,29 @@ def _first_eigenvalue_crossing(t: float, threshold: float) -> int:
     return 2 * frequencies[i] - 1
 
 
+def _levels(m, name: str = "truncation level m", arrays: bool = False):
+    """m as an int, or with arrays as an int array; ValueError for a negative level, a bool or any non-integer."""
+    levels = np.asarray(m)
+    if levels.dtype.kind not in "iu" or (levels.ndim and not arrays):  # a bool or a float would index oddly
+        raise ValueError(f"{name} must be an int{' or an array of ints' if arrays else ''}, not {m!r}")
+    if np.any(levels < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    return levels if arrays else int(levels)
+
+
 def naive_estimator(r_hat, t: float, m: int) -> CoefficientVector:
     """Known-operator projection estimate r_hat_k / lambda_k for k <= m."""
+    m = _levels(m)
     r = np.asarray(r_hat, dtype=np.float64)
-    if m < 0 or m > r.size:
+    if m > r.size:
         raise ValueError("truncation level m exceeds the available coefficients")
     return CoefficientVector(r[:m] / eigenvalue_profile(m, t))
 
 
 def thresholded_estimator(r_hat, lambda_hat, m: int, resolution: int) -> CoefficientVector:
     """Estimated-operator projection r_hat_k / lambda_hat_k, support <= min(m, resolution)."""
-    if m < 0:
-        raise ValueError("truncation level m must be nonnegative")
-    if resolution < 0:
-        raise ValueError("resolution must be nonnegative")
+    m = _levels(m)
+    resolution = _levels(resolution, "resolution")
     r = np.asarray(r_hat, dtype=np.float64)
     lam = np.asarray(lambda_hat, dtype=np.float64)
     mm = min(m, resolution, r.size, lam.size)
@@ -282,8 +304,7 @@ def penalized_criterion(
 ) -> float:
     """Contrast -sum_k lambda_hat^-2 r_hat^2 + (log^p n / n) sum_k lambda_hat^-2 sigma_hat^2."""
     config = config or EstimatorConfig()
-    if m < 0:
-        raise ValueError("truncation level m must be nonnegative")
+    m = _levels(m)
     if m > min(np.size(a) for a in (r_hat, lambda_hat, sigma_sq_hat)):
         raise ValueError("truncation level m exceeds the available coefficients")
     return float(_criterion_values(r_hat, lambda_hat, sigma_sq_hat, config.penalty_weight(n), m)[m])

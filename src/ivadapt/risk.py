@@ -32,6 +32,7 @@ from .basis import CoefficientVector, parseval_sq_distance
 from .dgp import DgpSpec, eigenvalue_profile, generate_sample
 from .estimator import (
     EstimatorConfig,
+    _levels,
     adaptive_estimate,
     deterministic_resolution_bounds,
     estimate_r_coeffs,
@@ -108,11 +109,7 @@ def _risk_sums(phi: CoefficientVector, t: float, sigma_sq, m_max: int):
 def _risk(phi: CoefficientVector, t: float, sigma_sq, n: int, m, penalized: bool):
     if n < 1:
         raise ValueError("sample size must be positive")
-    levels = np.asarray(m)
-    if levels.dtype.kind not in "iu":  # bool, float and object levels would index or fail oddly
-        raise ValueError(f"truncation level m must be an int or an array of ints, not {m!r}")
-    if np.any(levels < 0):
-        raise ValueError("truncation level m must be nonnegative")
+    levels = _levels(m, arrays=True)
     tail, variance = _risk_sums(phi, t, sigma_sq, int(np.max(levels, initial=0)))
     factor = math.log(n) ** 2 if penalized else 1.0
     values = tail[levels] + factor * variance[levels] / n

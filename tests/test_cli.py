@@ -215,6 +215,18 @@ def test_manifest_checksums_match(tmp_path):
         assert entry["bytes"] == (out / name).stat().st_size
 
 
+def test_manifest_records_numpy_and_its_dispatch_targets(tmp_path):
+    # the data files are byte-identical for one numpy version and dispatch target
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    record = json.loads((out / "manifest.json").read_text())["numpy"]
+    assert set(record) == {"version", "dispatch"}
+    assert record["version"] == np.__version__
+    dispatch = record["dispatch"]
+    assert dispatch is None or set(dispatch) == {"tan", "arctan", "exp", "power"}
+
+
 def test_manifest_checksum_reads_an_output_in_blocks(tmp_path):
     # a several-MiB output (a 2^18-row sample.csv is 15 MB) is never held whole
     path = tmp_path / "sample.csv"

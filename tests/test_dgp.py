@@ -136,15 +136,35 @@ def test_mod_one_is_bitwise_numpy_remainder():
 
 
 def test_oracle_sample_peak_memory():
-    # the three n-draw arrays of the result and one temporary: 32 MiB at
-    # 10^6 draws (the out-of-place formula peaks at 54 MiB)
+    # the three n-draw arrays of the result (22.9 MiB at 10^6 draws) and
+    # row-block scratch: the noise and the a (Tg)(W) term are made one
+    # row block at a time (a whole-array a (Tg)(W) peaks at 32 MiB, the
+    # out-of-place formula at 54 MiB)
+    n = risk._ORACLE_DRAWS
     tracemalloc.start()
     try:
-        generate_sample(DgpSpec.default(), risk._ORACLE_DRAWS, seed=seeds.sequence(risk._ORACLE_SEED, "sigma-oracle"))
+        generate_sample(DgpSpec.default(), n, seed=seeds.sequence(risk._ORACLE_SEED, "sigma-oracle"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 45 * 2**20
+    assert peak < 3 * 8 * n + 2 * 2**20
+
+
+@pytest.mark.parametrize("n", [8193, 8194, 3 * 8192 + 5, 2**16 + 1])
+def test_sampler_tail_matches_the_whole_array_formula(n):
+    # y's last two terms go in row blocks, with the noise drawn a row
+    # block at a time: the bits of one whole-array pass and one draw
+    spec = DgpSpec.default()
+    sample = generate_sample(spec, n, seed=n)
+    rng = seeds.rng_from(n)
+    rng.random(n)  # w
+    sample_noise(spec.t, n, rng)
+    z = rng.standard_normal(n)
+    size = max(spec.phi.support, spec.g.support)
+    h = CoefficientVector(spec.phi.padded(size) + spec.a * spec.g.padded(size))
+    tg = CoefficientVector(eigenvalue_profile(spec.g.support, spec.t) * spec.g.coeffs)
+    y = synthesize(h, sample.x) - spec.a * synthesize(tg, sample.w) + spec.eta_sd * z
+    assert sample.y.tobytes() == y.tobytes()
 
 
 def test_sample_at_the_rotation_cut_peak_memory():

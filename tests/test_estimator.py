@@ -28,7 +28,7 @@ from ivadapt import (
     thresholded_estimator,
     true_eigenvalue,
 )
-from ivadapt import dgp, estimator, seeds
+from ivadapt import basis, dgp, estimator, seeds
 from ivadapt.estimator import _chunks, _criterion_values
 
 ROOT2 = math.sqrt(2.0)
@@ -244,6 +244,33 @@ def test_block_walk_peak_memory_is_its_rotations_and_tables(name, rotated):
     assert peak <= rotated * (16 * n + mib) + mib
 
 
+@pytest.mark.parametrize(
+    "name, tables", [("estimate_sigma_sq", 1), ("estimate_r_coeffs", 1), ("estimate_eigenvalues", 2)]
+)
+def test_standalone_estimate_peak_memory_does_not_grow_with_n(name, tables):
+    # a known K is one row-first pass: each row block of an array-built
+    # sample is rotated (16 B per point per variable, and an 8 B
+    # temporary), used for every index block and dropped, so the walk
+    # holds one row block's rotations and one 1 MiB basis table per
+    # variable, whatever n is
+    fn = getattr(estimator, name)
+    peaks = []
+    for n in (1 << 17, 1 << 19):
+        drawn = generate_sample(DgpSpec.default(), n, seed=n)
+        sample = IvSample(y=drawn.y, x=drawn.x, w=drawn.w)
+        del drawn
+        fn(IvSample(y=sample.y[:3], x=sample.x[:3], w=sample.w[:3]), 50)  # first-call set-up
+        tracemalloc.start()
+        try:
+            fn(sample, 50)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    row_block = 32 * basis._BLOCK_ROWS
+    assert max(peaks) <= tables * (row_block + (1 << 20)) + row_block
+    assert peaks[1] - peaks[0] < 1 << 16
+
+
 def test_select_resolution_threshold_crossing():
     # threshold log(100)/10 ~ 0.4605; first crossing at k=3
     assert select_resolution([0.9, 0.5, 0.01], 100) == 2
@@ -352,6 +379,25 @@ def test_thresholded_estimator():
     assert thresholded_estimator(r, lam, 5, 2) == thresholded_estimator(r, lam, 2, 2)
     one = thresholded_estimator([0.2], [0.4], 1, 1)
     assert np.allclose(one.coeffs, [0.5])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: naive_estimator([0.1, 0.2], 1.0, m),
+        lambda m: thresholded_estimator([1.0, 2.0], [1.0, 1.0], m, 2),
+        lambda m: thresholded_estimator([1.0, 2.0], [1.0, 1.0], 2, m),
+        lambda m: penalized_criterion([1.0, 2.0], [1.0, 1.0], [1.0, 1.0], m, 100),
+    ],
+    ids=["naive", "thresholded-m", "thresholded-resolution", "penalized"],
+)
+@pytest.mark.parametrize("m", [1.5, 2.5, True, np.True_, 1.0, [1]], ids=repr)
+def test_level_must_be_an_int(call, m):
+    # a float level sliced oddly or failed in a slice, and True counted as 1
+    with pytest.raises(ValueError, match=r"^(truncation level m|resolution) must be an int, not "):
+        call(m)
+    # ints of any width still count
+    assert call(np.uint8(1)) == call(1)
 
 
 @pytest.mark.parametrize("m, resolution, name", [(-1, 3, "truncation level m"), (3, -1, "resolution")])
