@@ -138,8 +138,8 @@ def test_mod_one_is_bitwise_numpy_remainder():
 def test_oracle_sample_peak_memory():
     # the three n-draw arrays of the result (22.9 MiB at 10^6 draws) and
     # row-block scratch: the noise and the a (Tg)(W) term are made one
-    # row block at a time (a whole-array a (Tg)(W) peaks at 32 MiB, the
-    # out-of-place formula at 54 MiB)
+    # row block at a time, where a whole-array term would add an n-point
+    # temporary (8 MiB)
     n = risk._ORACLE_DRAWS
     tracemalloc.start()
     try:

@@ -223,10 +223,11 @@ def test_block_walk_writes_every_table_into_one_workspace(monkeypatch, name, tab
     "name, rotated", [("estimate_sigma_sq", 1), ("estimate_resolution", 2), ("adaptive_estimate", 2)]
 )
 def test_block_walk_peak_memory_is_its_rotations_and_tables(name, rotated):
-    # an array-built sample is rotated one row block at a time: the walk
-    # holds 16 B per point for each rotated variable (W, and X for the
-    # eigenvalues), one 1 MiB basis table for each, and little more.  A
-    # whole-array rotation would add an n-point float temporary.
+    # an array-built sample is rotated one row block at a time: the lazy
+    # scan keeps them all, 16 B per point for each rotated variable (W,
+    # and X for the eigenvalues), plus one 1 MiB basis table for each, and
+    # little more; the standalone estimate holds one row block's (pinned
+    # below).  A whole-array rotation would add an n-point float temporary.
     n = 1 << 19
     drawn = generate_sample(DgpSpec.default(), n, seed=19)
     sample = IvSample(y=drawn.y, x=drawn.x, w=drawn.w)
