@@ -30,12 +30,39 @@ _SQRT2 = math.sqrt(2.0)
 _BLOCK_ROWS = 1 << 13
 
 
+class _InputError(ValueError):
+    """An argument that breaks one of its function's rules; argument names it (the CLI reports it as the field)."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
+
+
+def _count(argument: str, value, low: int = 0, arrays: bool = False):
+    """value as an int of at least low, or with arrays as an int array; else an _InputError naming argument.
+
+    An int is a Python or numpy int of any size, never a bool.  The
+    arrays form (truncation levels, basis indices) takes what numpy holds
+    in an int dtype, so a float, a bool or an empty list fails there too.
+    """
+    if arrays:
+        counts = np.asarray(value)
+        is_int = counts.dtype.kind in "iu"
+    else:
+        is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not is_int:
+        kind = "an int or an array of ints" if arrays else "an int"
+        raise _InputError(argument, f"{argument} must be {kind}, not {value!r}")
+    least = counts.min(initial=low) if arrays else value  # min() builds no temporary
+    if least < low:
+        raise _InputError(argument, f"{argument} must be at least {low}, not {least}")
+    return counts if arrays else int(value)
+
+
 def frequency(k):
-    """Frequency j(k) = ceil(k / 2) of basis index k (scalar or array)."""
-    karr = np.asarray(k)
-    if karr.size and karr.min() < 1:  # basis_matrix calls this per index block; min() builds no temporary
-        raise ValueError("basis index must satisfy k >= 1")
-    j = (karr + 1) // 2
+    """Frequency j(k) = ceil(k / 2) of basis index k >= 1, an int or int array (else ValueError)."""
+    karr = _count("k", k, 1, arrays=True)
+    j = karr // 2 + karr % 2  # (k + 1) // 2 would wrap at the top of a narrow dtype
     return int(j) if karr.ndim == 0 else j
 
 
@@ -70,7 +97,7 @@ def basis_matrix(x, ks, out=None) -> np.ndarray:
     other out raises ValueError.  A ks that is not a run of consecutive
     indices from a cosine index is gathered into a new array.
     """
-    ks = np.asarray(ks, dtype=np.int64)
+    ks = np.asarray(ks) if np.size(ks) else np.empty(0, dtype=np.int64)  # [] is the empty index set
     j = frequency(ks)
     zeta = np.atleast_1d(_unit_points(x))
     if not np.iscomplexobj(zeta):
@@ -183,8 +210,8 @@ class CoefficientVector:
         return int(self.coeffs.size)
 
     def padded(self, size: int) -> np.ndarray:
-        """Writable copy of the coefficients, zero-padded to >= size."""
-        out = np.zeros(max(int(size), self.support))
+        """Writable copy of the coefficients, zero-padded to >= size (an int >= 0)."""
+        out = np.zeros(max(_count("size", size), self.support))
         out[: self.support] = self.coeffs
         return out
 
@@ -254,9 +281,7 @@ class FunctionFamilySpec:
 
 def make_test_function(spec: FunctionFamilySpec) -> CoefficientVector:
     """Build the coefficient vector described by a FunctionFamilySpec."""
-    if spec.k_support < 1:
-        raise ValueError("k_support must be a positive integer")
-    k = np.arange(1, spec.k_support + 1, dtype=np.float64)
+    k = np.arange(1, _count("k_support", spec.k_support, 1) + 1, dtype=np.float64)
     if spec.kind == "sobolev":
         if spec.s is None or spec.s <= 0:
             raise ValueError("sobolev family needs a smoothness index s > 0")

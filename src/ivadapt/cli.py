@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, risk, seeds
-from .basis import CoefficientVector, FunctionFamilySpec, make_test_function
+from .basis import CoefficientVector, FunctionFamilySpec, _count, make_test_function
 from .dgp import DgpSpec, generate_sample
 from .estimator import EstimatorConfig, adaptive_estimate
 from .risk import CoverageResult, RateFit, coverage_study, oracle_ratio_study, oracle_summary, rate_fit
@@ -58,9 +58,9 @@ class ExperimentConfig:
             raise CliError(f"unknown study {self.study!r}", field="study")
         if self.study == "rate-study" and getattr(self.phi_family, "kind", None) != "sobolev":
             raise CliError("rate-study needs dgp.phi as a sobolev family, for its smoothness s", field="dgp.phi")
-        if self.study in ("simulate", "estimate", "oracle-study") and self.reps < 1:
-            raise CliError(f"{self.study} needs reps >= 1", field="reps")
         try:
+            if self.study in ("simulate", "estimate", "oracle-study"):  # these ignore reps, but it is still a count
+                _count("reps", self.reps, 1)
             _INPUT_CHECKS[self.study](self)
         except ValueError as exc:
             head, dot, rest = exc.argument.partition(".")

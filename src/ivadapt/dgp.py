@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
-from .basis import CoefficientVector, FunctionFamilySpec, _chunks, _cis, frequency, make_test_function, synthesize
+from .basis import CoefficientVector, FunctionFamilySpec, frequency, make_test_function, synthesize
+from .basis import _chunks, _cis, _count
 from .basis import basis_matrix  # noqa: F401  (unused here, but the benchmark's tracer rebinds dgp.basis_matrix)
 from .serialize import write_csv
 
@@ -76,8 +77,8 @@ def true_eigenvalue(k, t):
 
 
 def eigenvalue_profile(K: int, t: float) -> np.ndarray:
-    """Eigenvalues for k = 1..K."""
-    return true_eigenvalue(np.arange(1, K + 1), t)
+    """Eigenvalues for k = 1..K, K an int >= 0."""
+    return true_eigenvalue(np.arange(1, _count("K", K) + 1), t)
 
 
 def sample_noise(t: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -98,8 +99,7 @@ def sample_noise(t: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if t <= 0:
         raise ValueError("ill-posedness degree t must be positive")
-    if n < 1:
-        raise ValueError("need at least one draw")
+    n = _count("n", n, 1)
     rho = rng.gamma(shape=t, scale=1.0, size=n)
     np.negative(rho, out=rho)
     np.exp(rho, out=rho)
@@ -206,9 +206,8 @@ class IvSample:
 
 
 def generate_sample(spec: DgpSpec, n: int, seed) -> IvSample:
-    """Exact draw of n observation triples; deterministic given the seed."""
-    if n < 1:
-        raise ValueError("sample size must be positive")
+    """Exact draw of n observation triples, n an int >= 1; deterministic given the seed."""
+    n = _count("n", n, 1)
     rng = seeds.rng_from(seed)
     w = rng.random(n)
     x = sample_noise(spec.t, n, rng)  # eps, then x = (w + eps) mod 1 in place

@@ -36,12 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoefficientVector, _chunks, _cis, basis_matrix
+from .basis import CoefficientVector, _chunks, _cis, _count, basis_matrix
 from .dgp import IvSample, eigenvalue_profile, true_eigenvalue
 from .serialize import to_plain, write_csv
 
 __all__ = [
-    "DegenerateSampleError",
     "EstimateReport",
     "EstimatorConfig",
     "adaptive_estimate",
@@ -62,10 +61,6 @@ _SCAN_BLOCK = 16
 _BRACKET_CAP = 10**8
 
 
-class DegenerateSampleError(ValueError):
-    """Raised when the sample is too small for the resolution threshold."""
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Tuning knobs of the adaptive estimator.
@@ -81,18 +76,18 @@ class EstimatorConfig:
     allow_empty_model: bool = True
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError("k_max must be positive")
+        _count("k_max", self.k_max, 1)
         if not math.isfinite(self.penalty_log_exponent):
             raise ValueError("penalty_log_exponent must be finite")
         if self.penalty_log_exponent < 0:
             raise ValueError("penalty_log_exponent must be nonnegative")
 
     def resolution_cap(self, n: int) -> int:
-        return min(int(n) ** 4, self.k_max)
+        return min(_count("n", n, 1) ** 4, self.k_max)
 
     def penalty_weight(self, n: int) -> float:
-        """Penalty weight log(n)^p / n; ValueError when log(n)^p overflows a float."""
+        """Penalty weight log(n)^p / n, n an int >= 1; ValueError when log(n)^p overflows a float."""
+        n = _count("n", n, 1)
         try:
             return math.log(n) ** self.penalty_log_exponent / n
         except OverflowError:
@@ -159,10 +154,8 @@ def _rotate(points: np.ndarray, zeta: np.ndarray | None, sl: slice) -> np.ndarra
 
 
 def _estimates_upto(sample: IvSample, K: int, eigen: bool, moments: bool) -> np.ndarray:
-    """The rows (lambda_hat, r_hat, sigma_sq_hat) for k = 1..K: _blocks's one row-first pass."""
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    return next(_blocks(sample, K, eigen, moments, lazy=False), np.zeros((3, 0)))
+    """The rows (lambda_hat, r_hat, sigma_sq_hat) for k = 1..K, K an int >= 0: _blocks's one row-first pass."""
+    return next(_blocks(sample, _count("K", K), eigen, moments, lazy=False), np.zeros((3, 0)))
 
 
 def estimate_r_coeffs(sample: IvSample, K: int) -> np.ndarray:
@@ -186,9 +179,8 @@ def estimate_sigma_sq(sample: IvSample, K: int) -> np.ndarray:
 
 
 def resolution_threshold(n: int) -> float:
-    """Noise level log(n) / sqrt(n) below which estimated eigenvalues are cut."""
-    if n < 3:
-        raise DegenerateSampleError("need n >= 3 so that log n exceeds 1")
+    """Noise level log(n) / sqrt(n) below which estimated eigenvalues are cut; n an int >= 3 (so log n exceeds 1)."""
+    n = _count("n", n, 3)
     return math.log(n) / math.sqrt(n)
 
 
@@ -242,7 +234,7 @@ def deterministic_resolution_bounds(t: float, n: int) -> tuple[int, int]:
     ValueError when a crossing lies beyond basis index 10^8.  Cached by
     (t, n), so a study's input check and the study find each bracket once.
     """
-    resolution_threshold(n)  # DegenerateSampleError below n = 3
+    resolution_threshold(n)  # ValueError unless n is an int >= 3
     root_n = math.sqrt(n)
     lower = _first_eigenvalue_crossing(t, math.log(n) ** 2 / root_n) - 1
     upper = _first_eigenvalue_crossing(t, math.log(n) ** 0.75 / root_n)
@@ -264,19 +256,9 @@ def _first_eigenvalue_crossing(t: float, threshold: float) -> int:
     return 2 * frequencies[i] - 1
 
 
-def _levels(m, name: str = "truncation level m", arrays: bool = False):
-    """m as an int, or with arrays as an int array; ValueError for a negative level, a bool or any non-integer."""
-    levels = np.asarray(m)
-    if levels.dtype.kind not in "iu" or (levels.ndim and not arrays):  # a bool or a float would index oddly
-        raise ValueError(f"{name} must be an int{' or an array of ints' if arrays else ''}, not {m!r}")
-    if np.any(levels < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    return levels if arrays else int(levels)
-
-
 def naive_estimator(r_hat, t: float, m: int) -> CoefficientVector:
     """Known-operator projection estimate r_hat_k / lambda_k for k <= m."""
-    m = _levels(m)
+    m = _count("m", m)
     r = np.asarray(r_hat, dtype=np.float64)
     if m > r.size:
         raise ValueError("truncation level m exceeds the available coefficients")
@@ -285,8 +267,8 @@ def naive_estimator(r_hat, t: float, m: int) -> CoefficientVector:
 
 def thresholded_estimator(r_hat, lambda_hat, m: int, resolution: int) -> CoefficientVector:
     """Estimated-operator projection r_hat_k / lambda_hat_k, support <= min(m, resolution)."""
-    m = _levels(m)
-    resolution = _levels(resolution, "resolution")
+    m = _count("m", m)
+    resolution = _count("resolution", resolution)
     r = np.asarray(r_hat, dtype=np.float64)
     lam = np.asarray(lambda_hat, dtype=np.float64)
     mm = min(m, resolution, r.size, lam.size)
@@ -304,7 +286,7 @@ def penalized_criterion(
 ) -> float:
     """Contrast -sum_k lambda_hat^-2 r_hat^2 + (log^p n / n) sum_k lambda_hat^-2 sigma_hat^2."""
     config = config or EstimatorConfig()
-    m = _levels(m)
+    m = _count("m", m)
     if m > min(np.size(a) for a in (r_hat, lambda_hat, sigma_sq_hat)):
         raise ValueError("truncation level m exceeds the available coefficients")
     return float(_criterion_values(r_hat, lambda_hat, sigma_sq_hat, config.penalty_weight(n), m)[m])
@@ -359,7 +341,7 @@ def adaptive_estimate(sample: IvSample, config: EstimatorConfig | None = None) -
     """Run the full pipeline: scan, coefficients, contrast, selection, inversion."""
     config = config or EstimatorConfig()
     n = sample.n
-    resolution_threshold(n)  # DegenerateSampleError below n = 3
+    resolution_threshold(n)  # ValueError below n = 3
     weight = config.penalty_weight(n)  # before the scan, so that an overflowing weight fails first
     (lambda_hat, r_hat, sigma_sq_hat), cap_reached = _resolution_scan(sample, config, moments=True)
     resolution = r_hat.size

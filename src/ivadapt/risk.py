@@ -11,8 +11,10 @@ estimator over derived seed streams and summarize losses, oracle ratios,
 rate slopes, and the bracketing frequency of the random resolution
 bound with its 95 % Clopper-Pearson interval (reps <= 10^9).  Each study
 first checks all its inputs by arithmetic alone (_ratio_inputs,
-_coverage_inputs, _summary_inputs, _fit_grid, which the CLI runs at load),
-one ValueError per rule naming the input.  Both grid studies map every
+_coverage_inputs, _summary_inputs, _fit_grid, which the CLI runs at load):
+each broken rule raises a basis._InputError, a ValueError whose argument
+names the input, and every count (n_grid's sizes, reps, jobs) goes
+through basis._count.  Both grid studies map every
 (n, rep) replication of their grid through one _grid_rows call: one
 process pool at jobs > 1, and results in (n, rep) order for any jobs.
 """
@@ -20,7 +22,6 @@ process pool at jobs > 1, and results in (n, rep) order for any jobs.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -28,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dgp, seeds
-from .basis import CoefficientVector, parseval_sq_distance
+from .basis import CoefficientVector, _count, _InputError, parseval_sq_distance
 from .dgp import DgpSpec, eigenvalue_profile, generate_sample
 from .estimator import (
     EstimatorConfig,
-    _levels,
     adaptive_estimate,
     deterministic_resolution_bounds,
     estimate_r_coeffs,
@@ -72,11 +72,9 @@ def sigma_sq_profile(spec: DgpSpec, K: int, n_draws: int = _ORACLE_DRAWS) -> np.
     observations; read-only and cached per (spec, K, n_draws), so oracle
     risks are reproducible constants for a given spec.  It draws through
     dgp.generate_sample: the benchmark's tracer counts this module's as replications.
-    The empty profile (K = 0) draws nothing.
+    The empty profile (K = 0) draws nothing; K and n_draws are checked either way.
     """
-    if K < 0:
-        raise ValueError("need K >= 0")
-    cache_key = (spec.key(), int(K), int(n_draws))
+    cache_key = (spec.key(), _count("K", K), _count("n_draws", n_draws, 1))
     values = _SIGMA_CACHE.get(cache_key)
     if values is None:
         values = np.zeros(0)
@@ -86,14 +84,6 @@ def sigma_sq_profile(spec: DgpSpec, K: int, n_draws: int = _ORACLE_DRAWS) -> np.
         values.setflags(write=False)
         _SIGMA_CACHE[cache_key] = values
     return values
-
-
-class _InputError(ValueError):
-    """A study input that breaks one of the study's rules; argument names that input."""
-
-    def __init__(self, argument: str, message: str):
-        super().__init__(message)
-        self.argument = argument
 
 
 def _risk_sums(phi: CoefficientVector, t: float, sigma_sq, m_max: int):
@@ -107,9 +97,8 @@ def _risk_sums(phi: CoefficientVector, t: float, sigma_sq, m_max: int):
 
 
 def _risk(phi: CoefficientVector, t: float, sigma_sq, n: int, m, penalized: bool):
-    if n < 1:
-        raise ValueError("sample size must be positive")
-    levels = _levels(m, arrays=True)
+    _count("n", n, 1)
+    levels = _count("m", m, arrays=True)
     tail, variance = _risk_sums(phi, t, sigma_sq, int(np.max(levels, initial=0)))
     factor = math.log(n) ** 2 if penalized else 1.0
     values = tail[levels] + factor * variance[levels] / n
@@ -140,8 +129,7 @@ def restricted_oracle_level(
     phi: CoefficientVector, t: float, sigma_sq, n: int, resolution: int
 ) -> int:
     """Smallest minimizer of the naive risk restricted to m <= resolution."""
-    if resolution < 0:
-        raise ValueError("resolution must be nonnegative")
+    resolution = _count("resolution", resolution)
     return int(np.argmin(_risk_scan(phi, t, sigma_sq, n, risk_naive)[: resolution + 1]))
 
 
@@ -228,19 +216,13 @@ def _checked_grid(n_grid, min_n: int = 3) -> list[int]:
     """n_grid as Python ints, if it is a nonempty, strictly increasing sequence of int sizes in min_n..max_n."""
     max_n = np.iinfo(np.intp).max // 8  # 8 n bytes must fit numpy's array size (intp)
     try:
-        grid = [operator.index(n) for n in n_grid]
-    except TypeError:
+        grid = [_count("n_grid", n, min_n) for n in n_grid]
+    except (TypeError, ValueError):  # not a sequence, or a size that is no int or below min_n
         grid = []
-    bounded = [min_n - 1, *grid, max_n + 1]  # increasing exactly when grid is and lies in min_n..max_n
-    if not grid or any(type(n) is bool for n in n_grid) or any(b <= a for a, b in zip(bounded, bounded[1:])):
+    if not grid or grid[-1] > max_n or any(b <= a for a, b in zip(grid, grid[1:])):
         sizes = f"strictly increasing int sample sizes, at least {min_n} and at most {max_n}"
         raise _InputError("n_grid", f"n_grid must be a nonempty sequence of {sizes}")
     return grid
-
-
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise _InputError("jobs", "jobs must be at least 1")
 
 
 def _check_penalty(config: EstimatorConfig, grid) -> None:
@@ -261,9 +243,8 @@ def _each_n(argument: str, rule, grid) -> list:
 def _ratio_inputs(spec: DgpSpec, config: EstimatorConfig, n_grid, reps: int, jobs: int) -> list[int]:
     """oracle_ratio_study's input check: its grid, or an _InputError for the first rule broken."""
     grid = _checked_grid(n_grid)
-    if reps < 2:
-        raise _InputError("reps", "need at least two replications for standard errors")
-    _check_jobs(jobs)
+    _count("reps", reps, 2)  # two, for the standard errors
+    _count("jobs", jobs, 1)
     if not np.any(spec.phi.coeffs):
         raise _InputError("spec.phi", "the oracle ratio needs a nonzero phi: its oracle risk is 0 at m = 0")
     _check_penalty(config, grid)
@@ -524,9 +505,9 @@ def _clopper_pearson(hits: int, reps: int) -> tuple[float, float]:
 def _coverage_inputs(spec: DgpSpec, n_grid, reps: int, jobs: int) -> tuple[list[int], list[tuple[int, int]]]:
     """coverage_study's input check: its grid and the bracket at each n, or an _InputError."""
     grid = _checked_grid(n_grid)
-    if not 1 <= reps <= _CP_MAX_REPS:
-        raise _InputError("reps", f"reps must lie in 1..{_CP_MAX_REPS}, got {reps}")
-    _check_jobs(jobs)
+    if _count("reps", reps, 1) > _CP_MAX_REPS:
+        raise _InputError("reps", f"reps must be at most {_CP_MAX_REPS}, not {reps}")
+    _count("jobs", jobs, 1)
     return grid, _each_n("spec.t", lambda n: deterministic_resolution_bounds(spec.t, n), grid)
 
 

@@ -207,10 +207,11 @@ def test_points_of_more_than_one_dimension_are_rejected(name, rotated):
 @pytest.mark.parametrize("ks", [[0], [1, 0, 2], [-3], np.arange(-1, 5)])
 def test_basis_matrix_rejects_an_index_below_one_before_reading_the_points(ks):
     # the index rule is frequency's, raised before the points are checked
+    message = f"^k must be at least 1, not {min(ks)}$"
     for points in ([0.25, 0.5], [2.0]):
-        with pytest.raises(ValueError, match=r"^basis index must satisfy k >= 1$"):
+        with pytest.raises(ValueError, match=message):
             basis_matrix(np.array(points), ks)
-    with pytest.raises(ValueError, match=r"^basis index must satisfy k >= 1$"):
+    with pytest.raises(ValueError, match=message):
         frequency(ks)
 
 

@@ -9,10 +9,14 @@ from conftest import binned_means, cross_moment_stats
 from ivadapt import (
     CoefficientVector,
     DgpSpec,
+    FunctionFamilySpec,
     IvSample,
+    basis_matrix,
     eigenvalue_profile,
     estimate_sigma_sq,
     generate_sample,
+    make_test_function,
+    oracle_level,
     sample_noise,
     sigma_sq_profile,
     synthesize,
@@ -319,6 +323,89 @@ def test_sigma_oracle_is_the_estimators_sigma_sq_bitwise():
     sample = generate_sample(spec, 70_000, seed=seeds.sequence(risk._ORACLE_SEED, "sigma-oracle"))
     oracle = sigma_sq_profile(spec, 19, n_draws=70_000)
     assert oracle.tobytes() == estimate_sigma_sq(sample, 19).tobytes()
+
+
+def _two_sided(coeffs, J):
+    """F(p), p = -J..J, of sum_k c_k psi_k: F(+-j) = (c_{2j-1} -+ i c_{2j}) / sqrt(2), F(0) = 0."""
+    c = np.zeros(2 * J)
+    c[: coeffs.size] = coeffs
+    f = (c[0::2] - 1j * c[1::2]) / math.sqrt(2.0)
+    return np.concatenate((np.conj(f[::-1]), [0.0], f))
+
+
+def _exact_sigma_sq(spec, K):
+    """sigma_k^2 = Var(Y psi_k(W)) = eta^2 + M(0) +- Re M(2j) - (lambda_k phi_k)^2, k = 1..K, in closed form.
+
+    With l(p) = (1 + |p|)^-t, E[exp(2 pi i (pX + qW))] = 1{p + q = 0} l(p).
+    Y = V + eta Z with V = h(X) - a (Tg)(W) and h = phi + a g, so
+    E[Y psi_k(W)] = lambda_k phi_k, and psi_k(W)^2 = 1 +- cos(4 pi j W)
+    (+ for a cosine index) gives E[Y^2 psi_k(W)^2] = eta^2 + M(0) +- Re M(2j)
+    with M(m) = E[V^2 exp(2 pi i m W)] = l(m) (H*H)(-m) - 2a ((lH)*G)(-m)
+    + a^2 (G*G)(-m), over the two-sided coefficients H of h and G of Tg.
+    """
+    J = max(spec.phi.support, spec.g.support, K + 1) // 2 + 1  # so that 2j <= 2J for every k <= K
+    ell = (1.0 + np.abs(np.arange(-J, J + 1))) ** -spec.t
+    ell_sq = (1.0 + np.abs(np.arange(-2 * J, 2 * J + 1))) ** -spec.t  # l over the convolutions' -2J..2J
+    H = _two_sided(spec.phi.padded(2 * J) + spec.a * spec.g.padded(2 * J), J)
+    G = ell * _two_sided(spec.g.coeffs, J)
+    M = (ell_sq * np.convolve(H, H) - 2 * spec.a * np.convolve(ell * H, G) + spec.a**2 * np.convolve(G, G))[::-1]
+    k = np.arange(1, K + 1)
+    sign = np.where(k % 2 == 1, 1.0, -1.0)
+    mean = eigenvalue_profile(K, spec.t) * spec.phi.padded(K)[:K]
+    return spec.eta_sd**2 + M[2 * J].real + sign * M[2 * J + k + k % 2].real - mean**2  # m = 2j at 2J + 2j
+
+
+def _oracle_stderr(spec, K, n_draws):
+    """Standard error of each sigma_k^2 oracle value, from the oracle's own sample.
+
+    The oracle is mean(Z^2) - mean(Z)^2 with Z = Y psi_k(W), whose
+    influence function is Z^2 - 2 mu Z; its variance comes from the first
+    four power sums of Z, taken one row block at a time.
+    """
+    sample = generate_sample(spec, n_draws, seed=seeds.sequence(risk._ORACLE_SEED, "sigma-oracle"))
+    sums = np.zeros((4, K))
+    for sl in basis._chunks(n_draws):
+        z = basis_matrix(sample.w[sl], np.arange(1, K + 1)) * sample.y[sl, None]
+        power = z.copy()
+        for row in sums:
+            row += power.sum(axis=0)
+            power *= z
+    m1, m2, m3, m4 = sums / n_draws
+    variance = m4 - 4 * m1 * m3 + 4 * m1**2 * m2 - (m2 - 2 * m1**2) ** 2
+    return np.sqrt(variance / n_draws)
+
+
+# the README spec with the oracle's 10^6 draws, and one at 2 10^5 draws whose
+# a (Tg)(W) term is large enough that dropping Tg's eigenvalues fails by 17 SEs
+EXACT_CASES = [
+    (DgpSpec.default(), 50, risk._ORACLE_DRAWS),
+    (
+        DgpSpec(
+            t=0.5,
+            phi=make_test_function(FunctionFamilySpec(kind="sobolev", s=1.0, k_support=20)),
+            g=CoefficientVector([0.8, -0.6, 0.4, 0.3]),
+            a=0.7,
+            eta_sd=0.3,
+        ),
+        20,
+        200_000,
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, K, n_draws", EXACT_CASES, ids=["default", "t0.5-g4"])
+def test_sigma_oracle_lies_within_4_stderrs_of_the_exact_sigma_sq(spec, K, n_draws):
+    oracle = sigma_sq_profile(spec, K, n_draws=n_draws)
+    exact = _exact_sigma_sq(spec, K)
+    assert np.all(np.abs(oracle - exact) <= 4 * _oracle_stderr(spec, K, n_draws))
+    # and both give the same oracle level at every n of 2^9..2^23
+    for n in [2**e for e in range(9, 24)]:
+        assert oracle_level(spec.phi, spec.t, oracle, n) == oracle_level(spec.phi, spec.t, exact, n)
+
+
+def test_exact_sigma_sq_of_pure_noise_is_eta_sq():
+    spec = DgpSpec(t=1.0, phi=CoefficientVector.zero(), g=CoefficientVector.zero(), a=0.0, eta_sd=1.5)
+    assert _exact_sigma_sq(spec, 7).tolist() == [2.25] * 7
 
 
 def test_model_conditions_up_to_k50():

@@ -49,7 +49,7 @@ def test_shipped_configs_load(tmp_path, name):
 
 
 PUBLIC_NAMES = [
-    "CoefficientVector", "CoverageResult", "DegenerateSampleError",
+    "CoefficientVector", "CoverageResult",
     "DgpSpec", "EstimateReport", "EstimatorConfig", "FunctionFamilySpec", "IvSample",
     "OracleRatioResult", "OracleSummary", "RateFit",
     "__version__", "adaptive_estimate", "basis_matrix", "coverage_study",
@@ -65,7 +65,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 42
     assert sorted(ivadapt.__all__) == PUBLIC_NAMES
 
 
