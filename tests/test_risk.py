@@ -561,15 +561,8 @@ def test_sigma_sq_profile_of_an_empty_phi_is_empty_and_draws_nothing(monkeypatch
         sigma_sq_profile(DgpSpec.default(), 1, n_draws=1000)
 
 
-@pytest.mark.parametrize(
-    "reps, message",
-    [
-        (0, "^reps must be at least 1, not 0$"),
-        (-1, "^reps must be at least 1, not -1$"),
-        (6, "^reps must be at most 5, not 6$"),
-    ],
-)
-def test_coverage_study_rejects_reps_before_drawing_a_sample(monkeypatch, reps, message):
+@pytest.mark.parametrize("reps", [0, -1, 6])
+def test_coverage_study_rejects_reps_before_drawing_a_sample(monkeypatch, reps):
     # the bound is lowered to 5, so without the check 6 reps fail at the first draw
     # instead of building 10^9 payloads and running every replication
     def no_sample(*args, **kwargs):
@@ -577,7 +570,8 @@ def test_coverage_study_rejects_reps_before_drawing_a_sample(monkeypatch, reps, 
 
     monkeypatch.setattr(risk, "_CP_MAX_REPS", 5)
     monkeypatch.setattr(risk, "generate_sample", no_sample)
-    with pytest.raises(ValueError, match=message):
+    message = f"reps must be at most 5, not {reps}" if reps > 5 else f"reps must be at least 1, not {reps}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         coverage_study(DgpSpec.default(), EstimatorConfig(), [1000], reps, master_seed=37)
 
 
