@@ -11,6 +11,7 @@ has mean zero on [0, 1] and the index k is in bijection with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ def _count(argument: str, value, low: int = 0, arrays: bool = False):
     if arrays:
         counts = np.asarray(value)
         is_int = counts.dtype.kind in "iu"
+        if counts.dtype == object and all(type(c) is int for c in counts.flat):  # Python ints numpy cannot hold
+            raise _InputError(argument, f"{argument} must lie in numpy's int range -2**63..2**64-1, not {value!r}")
     else:
         is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if not is_int:
@@ -57,6 +60,17 @@ def _count(argument: str, value, low: int = 0, arrays: bool = False):
     if least < low:
         raise _InputError(argument, f"{argument} must be at least {low}, not {least}")
     return counts if arrays else int(value)
+
+
+def _real(argument: str, value, low: float = -math.inf, strict: bool = False) -> float:
+    """value as a float if a finite int or float (Python or numpy, no bool) >= low (> low if strict); else an error."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    # a Python int is compared exactly (math.isfinite would overflow), so one past float range fails
+    if not (number and (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value))):
+        raise _InputError(argument, f"{argument} must be a finite int or float, not {value!r}")
+    if not (value > low if strict else value >= low):
+        raise _InputError(argument, f"{argument} must be {'above' if strict else 'at least'} {low:g}, not {value}")
+    return float(value)
 
 
 def frequency(k):
@@ -264,10 +278,10 @@ def parseval_sq_distance(f: CoefficientVector, g: CoefficientVector) -> float:
 class FunctionFamilySpec:
     """Parameters of a canonical test-function family.
 
-    kind "sobolev": coeffs[k] = amplitude (1 + k)^(-q), requiring
+    kind "sobolev": coeffs[k] = amplitude (1 + k)^(-q), requiring s > 0 and
     q > s + 1/2 so the function sits strictly inside the smoothness-s
-    ellipsoid; q defaults to s + 1.  kind "supersmooth":
-    coeffs[k] = amplitude exp(-gamma k^t_exp).
+    ellipsoid; q defaults to s + 1.  kind "supersmooth": coeffs[k] =
+    amplitude exp(-gamma k^t_exp), gamma >= 0, t_exp > 0.  Each real is finite.
     """
 
     kind: str
@@ -280,21 +294,17 @@ class FunctionFamilySpec:
 
 
 def make_test_function(spec: FunctionFamilySpec) -> CoefficientVector:
-    """Build the coefficient vector described by a FunctionFamilySpec."""
+    """Build the coefficient vector described by a FunctionFamilySpec; ValueError names a parameter out of its range."""
     k = np.arange(1, _count("k_support", spec.k_support, 1) + 1, dtype=np.float64)
+    amplitude = _real("amplitude", spec.amplitude)
     if spec.kind == "sobolev":
-        if spec.s is None or spec.s <= 0:
-            raise ValueError("sobolev family needs a smoothness index s > 0")
-        q = spec.s + 1.0 if spec.q is None else float(spec.q)
-        if q <= spec.s + 0.5:
+        s = _real("s", spec.s, 0, strict=True)
+        q = s + 1.0 if spec.q is None else _real("q", spec.q)
+        if q <= s + 0.5:
             raise ValueError("sobolev decay exponent must satisfy q > s + 1/2")
-        coeffs = spec.amplitude * (1.0 + k) ** (-q)
+        coeffs = amplitude * (1.0 + k) ** (-q)
     elif spec.kind == "supersmooth":
-        if spec.gamma is None or spec.gamma < 0:
-            raise ValueError("supersmooth family needs gamma >= 0")
-        if spec.t_exp is None or spec.t_exp <= 0:
-            raise ValueError("supersmooth family needs t_exp > 0")
-        coeffs = spec.amplitude * np.exp(-spec.gamma * k**spec.t_exp)
+        coeffs = amplitude * np.exp(-_real("gamma", spec.gamma, 0) * k ** _real("t_exp", spec.t_exp, 0, strict=True))
     else:
         raise ValueError(f"unknown function family: {spec.kind!r}")
     return CoefficientVector(coeffs)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import seeds
 from .basis import CoefficientVector, FunctionFamilySpec, frequency, make_test_function, synthesize
-from .basis import _chunks, _cis, _count
+from .basis import _chunks, _cis, _count, _real
 from .basis import basis_matrix  # noqa: F401  (unused here, but the benchmark's tracer rebinds dgp.basis_matrix)
 from .serialize import write_csv
 
@@ -68,11 +68,10 @@ def _mod_one(v: np.ndarray) -> np.ndarray:
 
 
 def true_eigenvalue(k, t):
-    """Operator eigenvalue (1 + j(k))^(-t) at basis index k (scalar or array)."""
-    if t <= 0:
-        raise ValueError("ill-posedness degree t must be positive")
+    """Operator eigenvalue (1 + j(k))^(-t) at basis index k (scalar or array), t a finite real > 0."""
+    t = _real("t", t, 0, strict=True)
     j = np.atleast_1d(np.asarray(frequency(k), dtype=np.float64))
-    out = (1.0 + j) ** (-float(t))
+    out = (1.0 + j) ** (-t)
     return float(out[0]) if np.ndim(k) == 0 else out
 
 
@@ -82,7 +81,7 @@ def eigenvalue_profile(K: int, t: float) -> np.ndarray:
 
 
 def sample_noise(t: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n circular noise values with cosine moments (1 + j)^(-t).
+    """Draw n circular noise values with cosine moments (1 + j)^(-t), t a finite real > 0, n an int >= 1.
 
     Construction: mix a wrapped Cauchy through a Gamma subordinator.
     With G ~ Gamma(t, 1) and rho = exp(-G), a wrapped Cauchy angle with
@@ -97,8 +96,7 @@ def sample_noise(t: float, n: int, rng: np.random.Generator) -> np.ndarray:
     the same operations in the same order, done in place so that at most
     three arrays of n draws are alive at once.
     """
-    if t <= 0:
-        raise ValueError("ill-posedness degree t must be positive")
+    t = _real("t", t, 0, strict=True)
     n = _count("n", n, 1)
     rho = rng.gamma(shape=t, scale=1.0, size=n)
     np.negative(rho, out=rho)
@@ -122,10 +120,10 @@ def sample_noise(t: float, n: int, rng: np.random.Generator) -> np.ndarray:
 class DgpSpec:
     """Full description of the simulated joint law of (Y, X, W).
 
-    t is the eigenvalue decay degree, phi the true regression function,
-    g the endogeneity carrier, a the endogeneity strength, and eta_sd
+    t > 0 is the eigenvalue decay degree, phi the true regression function,
+    g the endogeneity carrier, a the endogeneity strength, and eta_sd >= 0
     the standard deviation of the exogenous Gaussian noise (0 gives the
-    degenerate noiseless case used in algebraic tests).
+    degenerate noiseless case used in algebraic tests); each a finite real.
     """
 
     t: float
@@ -135,13 +133,9 @@ class DgpSpec:
     eta_sd: float
 
     def __post_init__(self):
-        for name in ("t", "a", "eta_sd"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.t <= 0:
-            raise ValueError("ill-posedness degree t must be positive")
-        if self.eta_sd < 0:
-            raise ValueError("eta_sd must be nonnegative")
+        _real("t", self.t, 0, strict=True)
+        _real("a", self.a)
+        _real("eta_sd", self.eta_sd, 0)
 
     @classmethod
     def default(cls) -> "DgpSpec":

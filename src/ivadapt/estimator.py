@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoefficientVector, _chunks, _cis, _count, basis_matrix
+from .basis import CoefficientVector, _chunks, _cis, _count, _real, basis_matrix
 from .dgp import IvSample, eigenvalue_profile, true_eigenvalue
 from .serialize import to_plain, write_csv
 
@@ -66,8 +66,8 @@ class EstimatorConfig:
     """Tuning knobs of the adaptive estimator.
 
     k_max caps the eigenvalue scan: the horizon is min(n^4, k_max).
-    penalty_log_exponent is the power p in the penalty weight
-    log(n)^p / n (default 2).
+    penalty_log_exponent is the power p >= 0, a finite real, in the
+    penalty weight log(n)^p / n (default 2).
     allow_empty_model admits m = 0.
     """
 
@@ -77,10 +77,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _count("k_max", self.k_max, 1)
-        if not math.isfinite(self.penalty_log_exponent):
-            raise ValueError("penalty_log_exponent must be finite")
-        if self.penalty_log_exponent < 0:
-            raise ValueError("penalty_log_exponent must be nonnegative")
+        _real("penalty_log_exponent", self.penalty_log_exponent, 0)
 
     def resolution_cap(self, n: int) -> int:
         return min(_count("n", n, 1) ** 4, self.k_max)
@@ -223,7 +220,6 @@ def estimate_resolution(sample: IvSample, config: EstimatorConfig | None = None)
     return estimates.shape[1]
 
 
-@functools.cache
 def deterministic_resolution_bounds(t: float, n: int) -> tuple[int, int]:
     """Deterministic bracket (lower, upper) for the random resolution bound.
 
@@ -231,10 +227,15 @@ def deterministic_resolution_bounds(t: float, n: int) -> tuple[int, int]:
     one; upper uses the deflated threshold log(n)^(3/4) / sqrt(n)
     without subtracting (the two thresholds sandwich the data-driven
     one, so lower <= M < upper with high probability).  Raises
-    ValueError when a crossing lies beyond basis index 10^8.  Cached by
-    (t, n), so a study's input check and the study find each bracket once.
+    ValueError unless t is a finite real > 0 and n an int >= 3 (checked
+    before the cache), or when a crossing lies beyond basis index 10^8.
+    Cached by (t, n), so a study's input check and the study find each bracket once.
     """
-    resolution_threshold(n)  # ValueError unless n is an int >= 3
+    return _bracket(_real("t", t, 0, strict=True), _count("n", n, 3))
+
+
+@functools.cache
+def _bracket(t: float, n: int) -> tuple[int, int]:
     root_n = math.sqrt(n)
     lower = _first_eigenvalue_crossing(t, math.log(n) ** 2 / root_n) - 1
     upper = _first_eigenvalue_crossing(t, math.log(n) ** 0.75 / root_n)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dgp, seeds
-from .basis import CoefficientVector, _count, _InputError, parseval_sq_distance
+from .basis import CoefficientVector, _count, _InputError, _real, parseval_sq_distance
 from .dgp import DgpSpec, eigenvalue_profile, generate_sample
 from .estimator import (
     EstimatorConfig,
@@ -339,7 +339,8 @@ def _fit_grid(n_grid) -> None:
 
 
 def rate_fit(n_grid, mean_loss, s: float, t: float) -> RateFit:
-    """Least-squares slope of log mean_loss over the grid on the log-corrected abscissa."""
+    """Least-squares slope of log mean_loss over the grid on the log-corrected abscissa; s, t finite reals > 0."""
+    s, t = _real("s", s, 0, strict=True), _real("t", t, 0, strict=True)
     n = np.asarray(n_grid, dtype=np.float64)
     loss = np.asarray(mean_loss, dtype=np.float64)
     if loss.shape != n.shape or np.any(loss <= 0):

@@ -196,7 +196,7 @@ def test_a_bracket_study_finds_each_bracket_once(tmp_path, monkeypatch, study):
         return crossing(t, threshold)
 
     monkeypatch.setattr(estimator, "_first_eigenvalue_crossing", counting)
-    estimator.deterministic_resolution_bounds.cache_clear()
+    estimator._bracket.cache_clear()
     cfg = write_config(tmp_path, n_grid=[500, 1000, 2000], reps=2)
     assert main([study, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert len(thresholds) == 2 * 3
@@ -425,9 +425,10 @@ COEFFS_OR_FAMILY = [
 
 # a range rule is checked by the object that owns it, and its error names that object
 OUT_OF_RANGE = [
-    ("estimate", with_dgp(t=-1.0), "dgp", "positive"),
-    ("estimate", with_estimator(penalty_log_exponent=-1), "estimator", "nonnegative"),
-    ("estimate", with_phi(s=-3), "dgp.phi", "s > 0"),
+    ("estimate", with_dgp(t=-1.0), "dgp", "t must be above 0, not -1.0"),
+    ("estimate", with_estimator(penalty_log_exponent=-1), "estimator",
+     "penalty_log_exponent must be at least 0, not -1.0"),
+    ("estimate", with_phi(s=-3), "dgp.phi", "s must be above 0, not -3.0"),
     ("estimate", with_phi(family="holder"), "dgp.phi", "unknown function family"),
 ]
 

@@ -1,6 +1,12 @@
-"""One count rule: every integer argument is an int (Python or numpy, of any size), not a bool, and at least its
-lower bound, checked by basis._count before any work; a study input still names its argument."""
+"""One count rule and one real-number rule, each checked before any work; a study input still names its argument.
 
+Every integer argument is an int (Python or numpy, of any size), not a bool, and at least its lower bound
+(basis._count).  Every real parameter is a finite Python or numpy int or float, not a bool, and at least (or
+above) its lower bound (basis._real)."""
+
+import dataclasses
+import functools
+import math
 import re
 
 import numpy as np
@@ -13,19 +19,24 @@ from ivadapt import (
     FunctionFamilySpec,
     basis_matrix,
     coverage_study,
+    deterministic_resolution_bounds,
     eigenvalue_profile,
     estimate_r_coeffs,
     estimate_sigma_sq,
     frequency,
     generate_sample,
     make_test_function,
+    oracle_level,
     oracle_ratio_study,
     penalized_criterion,
+    rate_fit,
     restricted_oracle_level,
     risk_naive,
+    sample_noise,
     sigma_sq_profile,
+    true_eigenvalue,
 )
-from ivadapt import risk
+from ivadapt import estimator, risk
 
 SPEC = DgpSpec.default()
 SAMPLE = generate_sample(SPEC, 64, seed=5)
@@ -41,6 +52,29 @@ def _sobolev(k_support):
 def _not_int(argument, value, arrays=False):
     kind = "an int or an array of ints" if arrays else "an int"
     return f"^{argument} must be {kind}, not {re.escape(repr(value))}$"
+
+
+def _beyond_numpy(argument, value):
+    return f"^{argument} must lie in numpy's int range {re.escape('-2**63..2**64-1')}, not {value}$"
+
+
+def _not_real(argument, value):
+    return f"^{argument} must be a finite int or float, not {re.escape(repr(value))}$"
+
+
+def _supersmooth(gamma=1.0, t_exp=1.0, amplitude=1.0):
+    return make_test_function(
+        FunctionFamilySpec(kind="supersmooth", gamma=gamma, t_exp=t_exp, amplitude=amplitude, k_support=3)
+    )
+
+
+def _bracket_after_its_valid_twin(t, n):
+    deterministic_resolution_bounds(1.0, 1000)  # the entry a hit would read
+    return deterministic_resolution_bounds(t, n)
+
+
+NAN, INF = math.nan, math.inf
+LOSSES = [1.0, 0.5, 0.25, 0.125]
 
 
 # (call, the full message); each of these was accepted, or failed inside numpy, before the one rule
@@ -65,7 +99,48 @@ REJECTED = {
     "penalized_criterion-float-n": (lambda: penalized_criterion(SIGMA, SIGMA, SIGMA, 1, 99.5), _not_int("n", 99.5)),
     "resolution_cap-bool": (lambda: EstimatorConfig().resolution_cap(True), _not_int("n", True)),
     "padded-float": (lambda: PHI.padded(4.5), _not_int("size", 4.5)),
+    # a Python int beyond numpy's 64-bit range is named by the range rule
+    "frequency-beyond-uint64": (lambda: frequency(10**20), _beyond_numpy("k", 10**20)),
+    "true_eigenvalue-beyond-uint64": (lambda: true_eigenvalue(2**64, 1.0), _beyond_numpy("k", 2**64)),
+    # the real-number rule: each of these returned a value, or failed another way, before it
+    "oracle_level-nan-t": (lambda: oracle_level(PHI, NAN, SIGMA, 100), _not_real("t", NAN)),
+    "risk_naive-nan-t": (lambda: risk_naive(PHI, NAN, SIGMA, 100, 2), _not_real("t", NAN)),
+    "true_eigenvalue-nan-t": (lambda: true_eigenvalue(3, NAN), _not_real("t", NAN)),
+    "true_eigenvalue-bool-t": (lambda: true_eigenvalue(3, True), _not_real("t", True)),
+    "sample_noise-nan-t": (lambda: sample_noise(NAN, 5, None), _not_real("t", NAN)),  # before the draw: no rng needed
+    "bracket-inf-t": (lambda: deterministic_resolution_bounds(INF, 1000), _not_real("t", INF)),
+    "bracket-cached-float-n": (lambda: _bracket_after_its_valid_twin(1.0, 1000.0), _not_int("n", 1000.0)),
+    "bracket-cached-bool-t": (lambda: _bracket_after_its_valid_twin(True, 1000), _not_real("t", True)),
+    "rate_fit-t-zeroes-the-slope": (lambda: rate_fit([10, 100, 1000, 10000], LOSSES, s=0.25, t=-0.75),
+                                    "^t must be above 0, not -0.75$"),
+    "rate_fit-nan-s": (lambda: rate_fit([10, 100, 1000, 10000], LOSSES, s=NAN, t=1.0), _not_real("s", NAN)),
+    "sobolev-nan-s": (lambda: make_test_function(FunctionFamilySpec(kind="sobolev", s=NAN, k_support=3)),
+                      _not_real("s", NAN)),
+    "sobolev-zero-s": (lambda: make_test_function(FunctionFamilySpec(kind="sobolev", s=0.0, k_support=3)),
+                       "^s must be above 0, not 0.0$"),
+    "sobolev-nan-q": (lambda: make_test_function(FunctionFamilySpec(kind="sobolev", s=1.0, q=NAN, k_support=3)),
+                      _not_real("q", NAN)),
+    "supersmooth-nan-t_exp": (lambda: _supersmooth(t_exp=NAN), _not_real("t_exp", NAN)),
+    "supersmooth-zero-t_exp": (lambda: _supersmooth(t_exp=0), "^t_exp must be above 0, not 0$"),
+    "supersmooth-negative-gamma": (lambda: _supersmooth(gamma=-1.0), "^gamma must be at least 0, not -1.0$"),
+    "supersmooth-nan-amplitude": (lambda: _supersmooth(amplitude=NAN), _not_real("amplitude", NAN)),
+    "dgp-negative-eta_sd": (lambda: dataclasses.replace(SPEC, eta_sd=-0.5), "^eta_sd must be at least 0, not -0.5$"),
+    "dgp-nan-a": (lambda: dataclasses.replace(SPEC, a=NAN), _not_real("a", NAN)),
 }
+
+# NaN, an infinity, a bool, a string and an int beyond float range, for t, eta_sd, the penalty exponent and gamma
+NOT_FINITE_REALS = {"nan": NAN, "inf": INF, "bool": True, "str": "1.0", "huge-int": 10**400}
+REAL_PARAMETERS = {
+    "t": lambda value: dataclasses.replace(SPEC, t=value),
+    "eta_sd": lambda value: dataclasses.replace(SPEC, eta_sd=value),
+    "penalty_log_exponent": lambda value: EstimatorConfig(penalty_log_exponent=value),
+    "gamma": lambda value: _supersmooth(gamma=value),
+}
+REJECTED.update(
+    (f"{argument}-{label}", (functools.partial(make, value), _not_real(argument, value)))
+    for argument, make in REAL_PARAMETERS.items()
+    for label, value in NOT_FINITE_REALS.items()
+)
 
 
 @pytest.mark.parametrize("case", REJECTED)
@@ -96,6 +171,27 @@ def test_a_study_checks_reps_and_jobs_before_the_oracle_and_the_brackets(monkeyp
     with pytest.raises(ValueError, match=_not_int(argument, value)) as info:
         study(SPEC, EstimatorConfig(), [1000], counts["reps"], master_seed=37, jobs=counts["jobs"])
     assert info.value.argument == argument
+
+
+@pytest.mark.parametrize("t, n, argument", [(NAN, 1000, "t"), (True, 1000, "t"), (1.0, 1000.0, "n"), (1.0, 2, "n")])
+def test_the_bracket_checks_t_and_n_before_its_cache_and_its_bisection(monkeypatch, t, n, argument):
+    monkeypatch.setattr(estimator, "_bracket", _no_work)
+    monkeypatch.setattr(estimator, "_first_eigenvalue_crossing", _no_work)
+    with pytest.raises(ValueError) as info:
+        deterministic_resolution_bounds(t, n)
+    assert info.value.argument == argument
+
+
+def test_a_real_may_be_a_python_int_or_a_numpy_float():
+    third = true_eigenvalue(3, 1.0)
+    assert true_eigenvalue(3, 1) == true_eigenvalue(3, np.float32(1.0)) == true_eigenvalue(3, np.float64(1.0)) == third
+    assert generate_sample(dataclasses.replace(SPEC, t=1), 64, seed=5) == SAMPLE
+    assert dataclasses.replace(SPEC, a=-0.5, eta_sd=np.float64(0.0)).a == -0.5  # a takes any finite value
+    assert _supersmooth(amplitude=0) == CoefficientVector(np.zeros(3))
+    assert _supersmooth(gamma=0, t_exp=np.float32(2.0)) == CoefficientVector(np.ones(3))
+    assert EstimatorConfig(penalty_log_exponent=np.float64(0.0)).penalty_weight(100) == 1 / 100
+    assert deterministic_resolution_bounds(np.float64(1.0), np.int64(1000)) == deterministic_resolution_bounds(1, 1000)
+    assert rate_fit([10, 100, 1000, 10000], LOSSES, s=1, t=np.float32(1.0)).expected_slope == -2 / 5
 
 
 def test_numpy_ints_of_any_width_count_as_ints():
