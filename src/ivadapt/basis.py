@@ -281,7 +281,8 @@ class FunctionFamilySpec:
     kind "sobolev": coeffs[k] = amplitude (1 + k)^(-q), requiring s > 0 and
     q > s + 1/2 so the function sits strictly inside the smoothness-s
     ellipsoid; q defaults to s + 1.  kind "supersmooth": coeffs[k] =
-    amplitude exp(-gamma k^t_exp), gamma >= 0, t_exp > 0.  Each real is finite.
+    amplitude exp(-gamma k^t_exp), gamma >= 0, t_exp > 0, and 0 where
+    gamma k^t_exp passes float range.  Each real is finite.
     """
 
     kind: str
@@ -294,17 +295,19 @@ class FunctionFamilySpec:
 
 
 def make_test_function(spec: FunctionFamilySpec) -> CoefficientVector:
-    """Build the coefficient vector described by a FunctionFamilySpec; ValueError names a parameter out of its range."""
+    """The coefficient vector a FunctionFamilySpec describes; a ValueError names the parameter (kind as family)."""
     k = np.arange(1, _count("k_support", spec.k_support, 1) + 1, dtype=np.float64)
     amplitude = _real("amplitude", spec.amplitude)
     if spec.kind == "sobolev":
         s = _real("s", spec.s, 0, strict=True)
         q = s + 1.0 if spec.q is None else _real("q", spec.q)
         if q <= s + 0.5:
-            raise ValueError("sobolev decay exponent must satisfy q > s + 1/2")
+            raise _InputError("q", "sobolev decay exponent must satisfy q > s + 1/2")
         coeffs = amplitude * (1.0 + k) ** (-q)
     elif spec.kind == "supersmooth":
-        coeffs = amplitude * np.exp(-_real("gamma", spec.gamma, 0) * k ** _real("t_exp", spec.t_exp, 0, strict=True))
+        gamma, t_exp = _real("gamma", spec.gamma, 0), _real("t_exp", spec.t_exp, 0, strict=True)
+        with np.errstate(over="ignore"):  # gamma k^t_exp past float range is inf, and exp(-inf) its limit 0
+            coeffs = amplitude * np.exp(-gamma * k**t_exp) if gamma else np.full(k.size, amplitude)
     else:
-        raise ValueError(f"unknown function family: {spec.kind!r}")
+        raise _InputError("family", f"unknown function family: {spec.kind!r}")
     return CoefficientVector(coeffs)

@@ -6,8 +6,9 @@ checksums and numpy's version and dispatch targets.  Data files contain
 no timestamps, so a rerun with the same config and seed is
 byte-identical regardless of the parallelism degree (timestamps live
 only in the manifest), for one numpy version and dispatch target.  At
-load, the library checks the study's inputs (_INPUT_CHECKS); the
-argument an error names is its field.
+load, the library checks every config value and the study's inputs
+(_INPUT_CHECKS), and an error names the value's dotted field (_build),
+whichever layer checks it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, risk, seeds
-from .basis import CoefficientVector, FunctionFamilySpec, _count, make_test_function
+from .basis import CoefficientVector, FunctionFamilySpec, _count, _InputError, make_test_function
 from .dgp import DgpSpec, generate_sample
 from .estimator import EstimatorConfig, adaptive_estimate
 from .risk import CoverageResult, RateFit, coverage_study, oracle_ratio_study, oracle_summary, rate_fit
@@ -58,13 +59,9 @@ class ExperimentConfig:
             raise CliError(f"unknown study {self.study!r}", field="study")
         if self.study == "rate-study" and getattr(self.phi_family, "kind", None) != "sobolev":
             raise CliError("rate-study needs dgp.phi as a sobolev family, for its smoothness s", field="dgp.phi")
-        try:
-            if self.study in ("simulate", "estimate", "oracle-study"):  # these ignore reps, but it is still a count
-                _count("reps", self.reps, 1)
-            _INPUT_CHECKS[self.study](self)
-        except ValueError as exc:
-            head, dot, rest = exc.argument.partition(".")
-            raise CliError(str(exc), field=_FIELDS.get(head, head) + dot + rest) from exc
+        if self.study in ("simulate", "estimate", "oracle-study"):  # these ignore reps, but it is still a count
+            _build(_count, "", "reps", self.reps, 1)
+        _build(_INPUT_CHECKS[self.study], "", self)
 
     def to_json_dict(self, run_params: bool = True) -> dict:
         """Config echo; run_params=False drops the fields (output_dir,
@@ -80,12 +77,12 @@ class ExperimentConfig:
 _INPUT_CHECKS = {
     "simulate": lambda c: risk._checked_grid(c.n_grid, min_n=1),
     "estimate": lambda c: risk._check_penalty(c.estimator, risk._checked_grid(c.n_grid)),
-    "risk-curve": lambda c: risk._ratio_inputs(c.dgp, c.estimator, c.n_grid, c.reps, c.jobs),
-    "rate-study": lambda c: risk._fit_grid(risk._ratio_inputs(c.dgp, c.estimator, c.n_grid, c.reps, c.jobs)),
-    "coverage-study": lambda c: risk._coverage_inputs(c.dgp, c.n_grid, c.reps, c.jobs),
-    "oracle-study": lambda c: risk._summary_inputs(c.dgp, c.n_grid),
+    "risk-curve": lambda c: risk._ratio_inputs(c.dgp, c.estimator, c.n_grid, c.reps, c.master_seed, c.jobs),
+    "rate-study": lambda c: risk._fit_grid(_INPUT_CHECKS["risk-curve"](c)),
+    "coverage-study": lambda c: risk._coverage_inputs(c.dgp, c.n_grid, c.reps, c.master_seed, c.jobs),
+    "oracle-study": lambda c: risk._summary_inputs(c.dgp, c.n_grid, c.master_seed),
 }
-_FIELDS = {"spec": "dgp", "config": "estimator"}  # a study argument's config field
+_FIELDS = {"spec": "dgp", "config": "estimator"}  # a study check's arguments, as config fields
 
 # A field's kind is int, float (a finite number), bool or str, a one-kind
 # tuple for a JSON list of that kind, or a nested table for a nested object.
@@ -156,12 +153,16 @@ def _read(node, schema, label):
     return fields
 
 
-def _build(make, label, **fields):
-    """make(**fields); a range error names label, the object that owns the rule."""
+def _build(make, owner: str, *args, **kwargs):
+    """make(*args, **kwargs); an argument's error names its dotted config field, owner.argument.
+
+    A study check is built with owner "": its spec and config arguments are the fields dgp and estimator.
+    """
     try:
-        return make(**fields)
-    except ValueError as exc:
-        raise CliError(str(exc), field=label) from exc
+        return make(*args, **kwargs)
+    except _InputError as exc:
+        head, dot, rest = (f"{owner}.{exc.argument}" if owner else exc.argument).partition(".")
+        raise CliError(str(exc), field=_FIELDS.get(head, head) + dot + rest) from exc
 
 
 def _function(fields, label):
@@ -244,20 +245,13 @@ def _columns(records, names) -> dict:
     return {name: [getattr(r, name) for r in records] for name in names}
 
 
-def _run_simulate(config: ExperimentConfig, out: Path):
+def _run_sample(config: ExperimentConfig, out: Path):
+    """simulate, and estimate: one sample of n = n_grid[0] from the stream (master_seed, study, n, 0)."""
     n = int(config.n_grid[0])
-    sample = generate_sample(
-        config.dgp, n, seed=seeds.sequence(config.master_seed, "simulate", n, 0)
-    )
-    sample.to_csv(out / "sample.csv")
-    return ["sample.csv"], {"study": "simulate", "n": n, "rows": n}
-
-
-def _run_estimate(config: ExperimentConfig, out: Path):
-    n = int(config.n_grid[0])
-    sample = generate_sample(
-        config.dgp, n, seed=seeds.sequence(config.master_seed, "estimate", n, 0)
-    )
+    sample = generate_sample(config.dgp, n, seed=seeds.sequence(config.master_seed, config.study, n, 0))
+    if config.study == "simulate":
+        sample.to_csv(out / "sample.csv")
+        return ["sample.csv"], {"study": "simulate", "n": n, "rows": n}
     report = adaptive_estimate(sample, config.estimator)
     write_json(out / "estimate_report.json", report.to_json_dict())
     report.write_phi_csv(out / "phi_hat.csv")
@@ -321,8 +315,8 @@ def _run_oracle_study(config: ExperimentConfig, out: Path):
 
 
 _DISPATCH = {
-    "simulate": _run_simulate,
-    "estimate": _run_estimate,
+    "simulate": _run_sample,
+    "estimate": _run_sample,
     "risk-curve": _run_risk_curve,
     "rate-study": _run_risk_curve,
     "coverage-study": _run_coverage_study,

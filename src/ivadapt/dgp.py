@@ -32,7 +32,7 @@ import numpy as np
 
 from . import seeds
 from .basis import CoefficientVector, FunctionFamilySpec, frequency, make_test_function, synthesize
-from .basis import _chunks, _cis, _count, _real
+from .basis import _chunks, _cis, _count, _InputError, _real
 from .basis import basis_matrix  # noqa: F401  (unused here, but the benchmark's tracer rebinds dgp.basis_matrix)
 from .serialize import write_csv
 
@@ -121,9 +121,10 @@ class DgpSpec:
     """Full description of the simulated joint law of (Y, X, W).
 
     t > 0 is the eigenvalue decay degree, phi the true regression function,
-    g the endogeneity carrier, a the endogeneity strength, and eta_sd >= 0
-    the standard deviation of the exogenous Gaussian noise (0 gives the
-    degenerate noiseless case used in algebraic tests); each a finite real.
+    g the endogeneity carrier (each a CoefficientVector), a the endogeneity
+    strength, and eta_sd >= 0 the standard deviation of the exogenous
+    Gaussian noise (0 gives the degenerate noiseless case used in algebraic
+    tests); each real finite.  A broken rule raises a ValueError naming its field.
     """
 
     t: float
@@ -134,6 +135,9 @@ class DgpSpec:
 
     def __post_init__(self):
         _real("t", self.t, 0, strict=True)
+        for name in ("phi", "g"):
+            if not isinstance(getattr(self, name), CoefficientVector):
+                raise _InputError(name, f"{name} must be a CoefficientVector, not {getattr(self, name)!r}")
         _real("a", self.a)
         _real("eta_sd", self.eta_sd, 0)
 

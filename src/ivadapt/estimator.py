@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoefficientVector, _chunks, _cis, _count, _real, basis_matrix
+from .basis import CoefficientVector, _chunks, _cis, _count, _InputError, _real, basis_matrix
 from .dgp import IvSample, eigenvalue_profile, true_eigenvalue
 from .serialize import to_plain, write_csv
 
@@ -65,10 +65,11 @@ _BRACKET_CAP = 10**8
 class EstimatorConfig:
     """Tuning knobs of the adaptive estimator.
 
-    k_max caps the eigenvalue scan: the horizon is min(n^4, k_max).
+    k_max, an int >= 1, caps the eigenvalue scan: the horizon is min(n^4, k_max).
     penalty_log_exponent is the power p >= 0, a finite real, in the
     penalty weight log(n)^p / n (default 2).
-    allow_empty_model admits m = 0.
+    allow_empty_model, a Python or numpy bool, admits m = 0.
+    A broken rule raises a ValueError naming its field.
     """
 
     k_max: int = 10**6
@@ -78,6 +79,8 @@ class EstimatorConfig:
     def __post_init__(self):
         _count("k_max", self.k_max, 1)
         _real("penalty_log_exponent", self.penalty_log_exponent, 0)
+        if not isinstance(self.allow_empty_model, (bool, np.bool_)):
+            raise _InputError("allow_empty_model", f"allow_empty_model must be a bool, not {self.allow_empty_model!r}")
 
     def resolution_cap(self, n: int) -> int:
         return min(_count("n", n, 1) ** 4, self.k_max)
@@ -294,7 +297,9 @@ def penalized_criterion(
 
 
 def select_level(criterion_values, allow_empty: bool = True) -> int:
-    """Smallest minimizer of the contrast over m = 0..len-1 (ties go small)."""
+    """Smallest minimizer of the contrast over m = 0..len-1 (ties go small); allow_empty a Python or numpy bool."""
+    if not isinstance(allow_empty, (bool, np.bool_)):
+        raise _InputError("allow_empty", f"allow_empty must be a bool, not {allow_empty!r}")
     values = np.asarray(criterion_values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("criterion values must be nonempty")

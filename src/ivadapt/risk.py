@@ -13,8 +13,8 @@ bound with its 95 % Clopper-Pearson interval (reps <= 10^9).  Each study
 first checks all its inputs by arithmetic alone (_ratio_inputs,
 _coverage_inputs, _summary_inputs, _fit_grid, which the CLI runs at load):
 each broken rule raises a basis._InputError, a ValueError whose argument
-names the input, and every count (n_grid's sizes, reps, jobs) goes
-through basis._count.  Both grid studies map every
+names the input, and every count (n_grid's sizes, reps, jobs, the
+master seed) goes through basis._count.  Both grid studies map every
 (n, rep) replication of their grid through one _grid_rows call: one
 process pool at jobs > 1, and results in (n, rep) order for any jobs.
 """
@@ -149,11 +149,6 @@ def truncation_remainder(phi: CoefficientVector, t: float, sigma_sq, n: int) -> 
     """
     m0 = oracle_level(phi, t, sigma_sq, n)
     lower, _ = deterministic_resolution_bounds(t, n)
-    return _gap_risk(phi, t, sigma_sq, n, lower, m0)
-
-
-def _gap_risk(phi: CoefficientVector, t: float, sigma_sq, n: int, lower: int, m0: int) -> float:
-    """Sum of phi_k^2 + (1/n) lambda_k^-2 sigma_k^2 over k = max(lower, 1)..m0; 0 when lower >= m0."""
     if lower >= m0:
         return 0.0
     tail, variance = _risk_sums(phi, t, sigma_sq, m0)
@@ -240,11 +235,12 @@ def _each_n(argument: str, rule, grid) -> list:
     return out
 
 
-def _ratio_inputs(spec: DgpSpec, config: EstimatorConfig, n_grid, reps: int, jobs: int) -> list[int]:
+def _ratio_inputs(spec: DgpSpec, config: EstimatorConfig, n_grid, reps: int, master_seed: int, jobs: int) -> list[int]:
     """oracle_ratio_study's input check: its grid, or an _InputError for the first rule broken."""
     grid = _checked_grid(n_grid)
     _count("reps", reps, 2)  # two, for the standard errors
     _count("jobs", jobs, 1)
+    _count("master_seed", master_seed, -math.inf)  # any int: seeds masks it to 64 bits
     if not np.any(spec.phi.coeffs):
         raise _InputError("spec.phi", "the oracle ratio needs a nonzero phi: its oracle risk is 0 at m = 0")
     _check_penalty(config, grid)
@@ -281,7 +277,7 @@ def oracle_ratio_study(
     its own row, so its mean and standard error reproduce those of the
     one-point grid [n] with the same reps and master_seed.
     """
-    grid = _ratio_inputs(spec, config, n_grid, reps, jobs)
+    grid = _ratio_inputs(spec, config, n_grid, reps, master_seed, jobs)
     sigma = sigma_sq_profile(spec, spec.phi.support)
     levels, oracle_risks, log_sq = [], [], []
     for n in grid:
@@ -331,21 +327,24 @@ def _lsq_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, ym - slope * xm
 
 
-def _fit_grid(n_grid) -> None:
-    """rate_fit's grid rule: at least 4 points spanning at least one decade, else an _InputError."""
-    n = np.asarray(n_grid, dtype=np.float64)
-    if n.size < 4 or n.max() / n.min() < 10.0:
+def _fit_grid(n_grid) -> list[int]:
+    """rate_fit's grid: a study grid (_checked_grid) of at least 4 points spanning a decade, else an _InputError."""
+    grid = _checked_grid(n_grid) if np.size(n_grid) >= 4 else []
+    if len(grid) < 4 or grid[-1] < 10 * grid[0]:
         raise _InputError("n_grid", "rate fit needs at least 4 grid points spanning at least one decade")
+    return grid
 
 
 def rate_fit(n_grid, mean_loss, s: float, t: float) -> RateFit:
-    """Least-squares slope of log mean_loss over the grid on the log-corrected abscissa; s, t finite reals > 0."""
+    """Least-squares slope of log mean_loss over the grid on the log-corrected abscissa.
+
+    s and t are finite reals > 0, n_grid a grid _fit_grid takes, and mean_loss one positive finite loss per point.
+    """
     s, t = _real("s", s, 0, strict=True), _real("t", t, 0, strict=True)
-    n = np.asarray(n_grid, dtype=np.float64)
+    n = np.asarray(_fit_grid(n_grid), dtype=np.float64)
     loss = np.asarray(mean_loss, dtype=np.float64)
-    if loss.shape != n.shape or np.any(loss <= 0):
-        raise ValueError("rate fit needs one positive mean loss per grid point")
-    _fit_grid(n)
+    if loss.shape != n.shape or not np.all((loss > 0) & (loss < math.inf)):  # NaN fails too
+        raise ValueError("rate fit needs one positive mean loss per grid point, each finite")
     gamma = 2.0 + 2.0 * s + 2.0 * t
     x = np.log(n) - 2.0 * gamma * np.log(np.log(n))
     y = np.log(loss)
@@ -503,13 +502,13 @@ def _clopper_pearson(hits: int, reps: int) -> tuple[float, float]:
     return low, high
 
 
-def _coverage_inputs(spec: DgpSpec, n_grid, reps: int, jobs: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """coverage_study's input check: its grid and the bracket at each n, or an _InputError."""
+def _coverage_inputs(spec: DgpSpec, n_grid, reps: int, master_seed: int, jobs: int) -> tuple[list[int], list]:
+    """coverage_study's input check: its grid and the bracket at each n (_summary_inputs), or an _InputError."""
     grid = _checked_grid(n_grid)
     if _count("reps", reps, 1) > _CP_MAX_REPS:
         raise _InputError("reps", f"reps must be at most {_CP_MAX_REPS}, not {reps}")
     _count("jobs", jobs, 1)
-    return grid, _each_n("spec.t", lambda n: deterministic_resolution_bounds(spec.t, n), grid)
+    return _summary_inputs(spec, grid, master_seed)
 
 
 def coverage_study(
@@ -527,7 +526,7 @@ def coverage_study(
     starts one process pool and each n counts the same hits as a
     one-point grid, for any parallelism degree.
     """
-    grid, brackets = _coverage_inputs(spec, n_grid, reps, jobs)
+    grid, brackets = _coverage_inputs(spec, n_grid, reps, master_seed, jobs)
     rows = _grid_rows(_coverage_replication, (spec, config, master_seed), grid, [()] * len(grid), reps, jobs)
     results = []
     for n, (lower, upper), row in zip(grid, brackets, rows):
@@ -563,9 +562,10 @@ class OracleSummary:
     penalized_risk_values: np.ndarray
 
 
-def _summary_inputs(spec: DgpSpec, n_grid) -> tuple[list[int], list[tuple[int, int]]]:
+def _summary_inputs(spec: DgpSpec, n_grid, master_seed: int) -> tuple[list[int], list[tuple[int, int]]]:
     """oracle_summary's input check: its grid and the bracket at each n, or an _InputError."""
     grid = _checked_grid(n_grid)
+    _count("master_seed", master_seed, -math.inf)
     return grid, _each_n("spec.t", lambda n: deterministic_resolution_bounds(spec.t, n), grid)
 
 
@@ -579,24 +579,21 @@ def oracle_summary(
 
     One OracleSummary per n of n_grid, from one read of the sigma^2 oracle.
     """
-    grid, brackets = _summary_inputs(spec, n_grid)
+    grid, brackets = _summary_inputs(spec, n_grid, master_seed)
     sigma = sigma_sq_profile(spec, spec.phi.support)
     results = []
     for n, (lower, upper) in zip(grid, brackets):
-        risk_values = _risk_scan(spec.phi, spec.t, sigma, n, risk_naive)
-        m0 = int(np.argmin(risk_values))
         sample = generate_sample(spec, n, seed=seeds.sequence(master_seed, "oracle-study", n, 0))
         resolution = estimate_resolution(sample, config)
-        m1 = int(np.argmin(risk_values[: resolution + 1]))  # restricted_oracle_level, read off the profile
         summary = OracleSummary(
             n=n,
-            oracle_m=m0,
-            restricted_oracle_m=m1,
+            oracle_m=oracle_level(spec.phi, spec.t, sigma, n),
+            restricted_oracle_m=restricted_oracle_level(spec.phi, spec.t, sigma, n, resolution),
             resolution=int(resolution),
             lower_bound=int(lower),
             upper_bound=int(upper),
-            remainder=_gap_risk(spec.phi, spec.t, sigma, n, lower, m0),  # truncation_remainder, without its own scan
-            risk_values=risk_values,
+            remainder=truncation_remainder(spec.phi, spec.t, sigma, n),
+            risk_values=_risk_scan(spec.phi, spec.t, sigma, n, risk_naive),
             penalized_risk_values=_risk_scan(spec.phi, spec.t, sigma, n, risk_penalized),
         )
         results.append(summary)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -403,6 +404,25 @@ def test_make_test_function_supersmooth_and_zero():
     assert np.array_equal(vec.coeffs, [1.0, 1.0])
     zero = make_test_function(FunctionFamilySpec(kind="sobolev", s=1.0, amplitude=0.0, k_support=5))
     assert np.sum(zero.coeffs**2) == 0.0
+
+
+@pytest.mark.parametrize(
+    "gamma, expected",
+    [(0.0, [-2.0] * 50), (0.5, [-2.0 * math.exp(-0.5)] + [0.0] * 49), (1e300, [0.0] * 50)],
+)
+def test_supersmooth_past_float_range_is_its_limit_without_a_warning(gamma, expected):
+    # k^1000 passes float range from k = 3, where exp(-inf) is 0; exp(-gamma k^1000) underflows to 0 before it
+    spec = FunctionFamilySpec(kind="supersmooth", gamma=gamma, t_exp=1000.0, amplitude=-2.0, k_support=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert make_test_function(spec).coeffs.tolist() == expected
+
+
+@pytest.mark.parametrize("gamma, t_exp", [(0.0, 1.0), (-0.0, 3.5), (0.5, 1.0), (2.0, 0.5), (1e-3, 60.0)])
+def test_supersmooth_keeps_the_bits_of_its_closed_form(gamma, t_exp):
+    k = np.arange(1.0, 41.0)
+    spec = FunctionFamilySpec(kind="supersmooth", gamma=gamma, t_exp=t_exp, amplitude=1.5, k_support=40)
+    assert make_test_function(spec).coeffs.tobytes() == (1.5 * np.exp(-gamma * k**t_exp)).tobytes()
 
 
 def test_make_test_function_rejects_flat_decay():

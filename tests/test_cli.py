@@ -423,13 +423,18 @@ COEFFS_OR_FAMILY = [
     ("estimate", with_dgp(g={}), "dgp.g", "exactly one"),
 ]
 
-# a range rule is checked by the object that owns it, and its error names that object
+# a rule on a value names the value's dotted field, whichever object checks it
 OUT_OF_RANGE = [
-    ("estimate", with_dgp(t=-1.0), "dgp", "t must be above 0, not -1.0"),
-    ("estimate", with_estimator(penalty_log_exponent=-1), "estimator",
+    ("estimate", with_dgp(t=-1.0), "dgp.t", "t must be above 0, not -1.0"),
+    ("estimate", with_estimator(penalty_log_exponent=-1), "estimator.penalty_log_exponent",
      "penalty_log_exponent must be at least 0, not -1.0"),
-    ("estimate", with_phi(s=-3), "dgp.phi", "s must be above 0, not -3.0"),
-    ("estimate", with_phi(family="holder"), "dgp.phi", "unknown function family"),
+    ("estimate", with_phi(s=-3), "dgp.phi.s", "s must be above 0, not -3.0"),
+    ("estimate", with_phi(family="holder"), "dgp.phi.family", "unknown function family"),
+    ("estimate", with_estimator(k_max=0), "estimator.k_max", "k_max must be at least 1, not 0"),
+    ("estimate", with_dgp(eta_sd=-0.5), "dgp.eta_sd", "eta_sd must be at least 0, not -0.5"),
+    ("estimate", with_phi(q=1.2), "dgp.phi.q", "q > s + 1/2"),
+    ("estimate", with_phi(k_support=0), "dgp.phi.k_support", "k_support must be at least 1, not 0"),
+    ("estimate", with_dgp(g={**SUPERSMOOTH, "gamma": -1}), "dgp.g.gamma", "gamma must be at least 0, not -1.0"),
 ]
 
 # raw coefficients must be a JSON list of numbers: no booleans, no strings
@@ -659,6 +664,19 @@ def test_overflowing_response_gives_error_record(tmp_path, capsys, study, eta_sd
     assert json.loads(lines[0])["field"] == "dgp"
 
 
+@pytest.mark.parametrize("gamma, coeffs", [(0.0, [1.0] * 50), (0.5, [math.exp(-0.5)] + [0.0] * 49)])
+def test_a_supersmooth_g_past_float_range_runs_without_a_warning(tmp_path, capsys, gamma, coeffs):
+    # gamma >= 0 is valid: k^1000 passes float range from k = 3, and gamma = 0 keeps every coefficient at 1
+    g = {"family": "supersmooth", "gamma": gamma, "t_exp": 1000.0, "k_support": 50}
+    cfg = write_config(tmp_path, **with_dgp(g=g), n_grid=[100])
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "results.json").read_text())["config"]["dgp"]["g"]["coeffs"] == coeffs
+
+
 # one arm of counts that are valid up to past the n bound, so that many
 # draws get through every field to the study checks
 VALID_COUNTS = st.integers(min_value=1, max_value=2**64)
@@ -688,13 +706,13 @@ JSON_VALUES = st.one_of(
 LIBRARY_CHECKS = {
     "simulate": lambda c: risk._checked_grid(c.n_grid, min_n=1),
     "estimate": lambda c: [(resolution_threshold(n), c.estimator.penalty_weight(n)) for n in c.n_grid],
-    "risk-curve": lambda c: risk._ratio_inputs(c.dgp, c.estimator, c.n_grid, c.reps, c.jobs),
+    "risk-curve": lambda c: risk._ratio_inputs(c.dgp, c.estimator, c.n_grid, c.reps, c.master_seed, c.jobs),
     "rate-study": lambda c: (
-        risk._ratio_inputs(c.dgp, c.estimator, c.n_grid, c.reps, c.jobs),
+        risk._ratio_inputs(c.dgp, c.estimator, c.n_grid, c.reps, c.master_seed, c.jobs),
         rate_fit(c.n_grid, np.ones(len(c.n_grid)), 1.0, 1.0),
     ),
-    "coverage-study": lambda c: risk._coverage_inputs(c.dgp, c.n_grid, c.reps, c.jobs),
-    "oracle-study": lambda c: risk._summary_inputs(c.dgp, c.n_grid),
+    "coverage-study": lambda c: risk._coverage_inputs(c.dgp, c.n_grid, c.reps, c.master_seed, c.jobs),
+    "oracle-study": lambda c: risk._summary_inputs(c.dgp, c.n_grid, c.master_seed),
 }
 
 

@@ -28,11 +28,13 @@ from ivadapt import (
     make_test_function,
     oracle_level,
     oracle_ratio_study,
+    oracle_summary,
     penalized_criterion,
     rate_fit,
     restricted_oracle_level,
     risk_naive,
     sample_noise,
+    select_level,
     sigma_sq_profile,
     true_eigenvalue,
 )
@@ -75,6 +77,8 @@ def _bracket_after_its_valid_twin(t, n):
 
 NAN, INF = math.nan, math.inf
 LOSSES = [1.0, 0.5, 0.25, 0.125]
+NOT_A_GRID = "^n_grid must be a nonempty sequence of strictly increasing int sample sizes, at least 3 and at most "
+NOT_A_GRID += f"{np.iinfo(np.intp).max // 8}$"
 
 
 # (call, the full message); each of these was accepted, or failed inside numpy, before the one rule
@@ -126,6 +130,17 @@ REJECTED = {
     "supersmooth-nan-amplitude": (lambda: _supersmooth(amplitude=NAN), _not_real("amplitude", NAN)),
     "dgp-negative-eta_sd": (lambda: dataclasses.replace(SPEC, eta_sd=-0.5), "^eta_sd must be at least 0, not -0.5$"),
     "dgp-nan-a": (lambda: dataclasses.replace(SPEC, a=NAN), _not_real("a", NAN)),
+    # a flag is a Python or numpy bool, and a DgpSpec's functions are CoefficientVectors
+    "allow_empty_model-str": (lambda: EstimatorConfig(allow_empty_model="no"),
+                              "^allow_empty_model must be a bool, not 'no'$"),
+    "select_level-str": (lambda: select_level([0.0, 1.0, 2.0], allow_empty="no"), "^allow_empty must be a bool, not 'no'$"),
+    "dgp-list-phi": (lambda: dataclasses.replace(SPEC, phi=[1.0]), r"^phi must be a CoefficientVector, not \[1\.0\]$"),
+    "dgp-list-g": (lambda: dataclasses.replace(SPEC, g=[0.5]), r"^g must be a CoefficientVector, not \[0\.5\]$"),
+    # rate_fit's grid is a study grid
+    "rate_fit-grid-from-1": (lambda: rate_fit([1, 10, 100, 1000], LOSSES, s=1.0, t=1.0), NOT_A_GRID),
+    "rate_fit-grid-from-0": (lambda: rate_fit([0, 10, 100, 1000], LOSSES, s=1.0, t=1.0), NOT_A_GRID),
+    "rate_fit-unsorted-grid": (lambda: rate_fit([100, 10, 1000, 5], LOSSES, s=1.0, t=1.0), NOT_A_GRID),
+    "rate_fit-float-grid": (lambda: rate_fit([2.5, 30, 300, 3000], LOSSES, s=1.0, t=1.0), NOT_A_GRID),
 }
 
 # NaN, an infinity, a bool, a string and an int beyond float range, for t, eta_sd, the penalty exponent and gamma
@@ -171,6 +186,26 @@ def test_a_study_checks_reps_and_jobs_before_the_oracle_and_the_brackets(monkeyp
     with pytest.raises(ValueError, match=_not_int(argument, value)) as info:
         study(SPEC, EstimatorConfig(), [1000], counts["reps"], master_seed=37, jobs=counts["jobs"])
     assert info.value.argument == argument
+
+
+@pytest.mark.parametrize("value", [1.5, True, None, "7"], ids=["float", "bool", "none", "str"])
+@pytest.mark.parametrize("study", ["ratio", "coverage", "summary"])
+def test_a_study_checks_its_master_seed_before_the_oracle_the_brackets_and_any_sample(monkeypatch, study, value):
+    for name in ("sigma_sq_profile", "deterministic_resolution_bounds", "generate_sample"):
+        monkeypatch.setattr(risk, name, _no_work)
+    calls = {
+        "ratio": lambda: oracle_ratio_study(SPEC, EstimatorConfig(), [1000], 3, master_seed=value),
+        "coverage": lambda: coverage_study(SPEC, EstimatorConfig(), [1000], 3, master_seed=value),
+        "summary": lambda: oracle_summary(SPEC, EstimatorConfig(), [1000], master_seed=value),
+    }
+    with pytest.raises(ValueError, match=_not_int("master_seed", value)) as info:
+        calls[study]()
+    assert info.value.argument == "master_seed"
+
+
+def test_a_master_seed_is_any_int_read_as_its_64_bit_mask():
+    runs = [coverage_study(SPEC, EstimatorConfig(), [1000], 3, master_seed=seed) for seed in (-1, np.int64(-1), 2**64 - 1)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("t, n, argument", [(NAN, 1000, "t"), (True, 1000, "t"), (1.0, 1000.0, "n"), (1.0, 2, "n")])

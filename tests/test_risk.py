@@ -463,8 +463,9 @@ def test_rate_fit_rejects_degenerate_grids():
 
 @pytest.mark.parametrize(
     "mean_loss",
-    [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0], [1.0, 1.0, -0.5, 1.0]],
-    ids=["short", "long", "zero", "negative"],
+    [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0], [1.0, 1.0, -0.5, 1.0],
+     [1.0, math.nan, 1.0, 1.0], [1.0, 1.0, math.inf, 1.0]],
+    ids=["short", "long", "zero", "negative", "nan", "inf"],
 )
 def test_rate_fit_rejects_a_loss_list_that_is_not_one_positive_loss_per_point(mean_loss):
     # a grid that spans a decade, so only the losses can be at fault
@@ -506,22 +507,27 @@ def test_oracle_summary_consistency():
     assert to_plain(oracle_summary(spec, config, [2048], master_seed=38)) == to_plain(summaries[1:])
 
 
-def test_oracle_summary_scans_the_naive_risk_once(monkeypatch):
-    # the remainder reads the m0 and bracket the summary already holds
+def test_oracle_summary_reads_its_levels_and_remainder_off_the_public_functions(monkeypatch):
+    # each n's levels and remainder are those of oracle_level, restricted_oracle_level and truncation_remainder
     spec = DgpSpec.default()
     config = EstimatorConfig()
     sigma = sigma_sq_profile(spec, spec.phi.support)
     remainders = {n: truncation_remainder(spec.phi, spec.t, sigma, n) for n in (64, 2048)}
     assert remainders[64] > 0.0
-    calls = []
+    public = (oracle_level, restricted_oracle_level, truncation_remainder)
+    calls = set()
 
-    def counting(*args, **kwargs):
-        calls.append(args[3])
-        return risk_naive(*args, **kwargs)
+    def recording(fn):
+        def call(*args):
+            calls.add((fn.__name__, args[3]))
+            return fn(*args)
 
-    monkeypatch.setattr(risk, "risk_naive", counting)
+        return call
+
+    for fn in public:
+        monkeypatch.setattr(risk, fn.__name__, recording(fn))
     summaries = oracle_summary(spec, config, list(remainders), master_seed=38)
-    assert calls == list(remainders)
+    assert calls == {(fn.__name__, n) for fn in public for n in remainders}
     assert [s.remainder.hex() for s in summaries] == [r.hex() for r in remainders.values()]
 
 
