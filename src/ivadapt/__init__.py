@@ -5,14 +5,31 @@ polynomially decaying operator eigenvalues, the adaptive estimation
 pipeline (estimated eigenvalues, data-driven resolution bound,
 penalized level selection), and a reproducible Monte Carlo harness for
 oracle-ratio, rate, and bracketing studies.
+
+Names load on first use (PEP 562): ``import ivadapt`` loads no numpy,
+and the first public name read loads the four library modules basis,
+dgp, estimator and risk and binds their ``__all__``.  So the CLI can
+fix numpy's BLAS threads before numpy loads.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import basis, dgp, estimator, risk
-from .basis import *  # noqa: F401,F403
-from .dgp import *  # noqa: F401,F403
-from .estimator import *  # noqa: F401,F403
-from .risk import *  # noqa: F401,F403
+#: The library's modules in import order; the cli module is imported by name only.
+_MODULES = ("seeds", "basis", "serialize", "dgp", "estimator", "risk")
 
-__all__ = ["__version__", *basis.__all__, *dgp.__all__, *estimator.__all__, *risk.__all__]
+
+def __getattr__(name):
+    """A library module, or a public name: the first one read binds every module's __all__."""
+    if name in _MODULES:  # one module alone: a module importing its sibling reads it here
+        return importlib.import_module(f"{__name__}.{name}")
+    if (name.startswith("_") and name != "__all__") or name == "cli":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    modules = [importlib.import_module(f"{__name__}.{m}") for m in ("basis", "dgp", "estimator", "risk")]
+    public = {key: getattr(module, key) for module in modules for key in module.__all__}
+    globals().update(public, __all__=["__version__", *public])
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None

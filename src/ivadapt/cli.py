@@ -9,15 +9,27 @@ only in the manifest), for one numpy version and dispatch target.  At
 load, the library checks every config value and the study's inputs
 (_INPUT_CHECKS), and an error names the value's dotted field (_build),
 whichever layer checks it.
+
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is
+already set, before numpy loads: the library makes no BLAS call, its
+parallelism is --jobs worker processes, and numpy's OpenBLAS would
+otherwise start one busy-waiting thread per core.  Importing ivadapt as
+a library leaves BLAS alone.
 """
 
 from __future__ import annotations
+
+import os
+
+# before numpy loads: ivadapt makes no BLAS call, and idle OpenBLAS worker threads busy-wait
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,6 +73,8 @@ class ExperimentConfig:
             raise CliError("rate-study needs dgp.phi as a sobolev family, for its smoothness s", field="dgp.phi")
         if self.study in ("simulate", "estimate", "oracle-study"):  # these ignore reps, but it is still a count
             _build(_count, "", "reps", self.reps, 1)
+        if self.study in ("simulate", "estimate"):  # the other studies' checks take master_seed
+            _build(_count, "", "master_seed", self.master_seed, -math.inf)
         _build(_INPUT_CHECKS[self.study], "", self)
 
     def to_json_dict(self, run_params: bool = True) -> dict:

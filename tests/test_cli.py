@@ -283,6 +283,17 @@ def test_study_preconditions_give_error_record(tmp_path, capsys, study, override
     assert not out.exists()
 
 
+@pytest.mark.parametrize("study", ["simulate", "estimate"])
+@pytest.mark.parametrize("master_seed", [1.5, True, None, "7"])
+def test_a_library_built_config_checks_its_master_seed(tmp_path, study, master_seed):
+    # the JSON reader takes only ints; a config built in Python is checked at construction, not by run's seeds
+    config, _ = load_config(write_config(tmp_path), study=study, out=str(tmp_path / "x"))
+    with pytest.raises(CliError) as info:
+        dataclasses.replace(config, master_seed=master_seed)
+    assert info.value.context == {"field": "master_seed"}
+    assert dataclasses.replace(config, master_seed=-(2**70)).master_seed == -(2**70)
+
+
 @pytest.mark.parametrize(
     "overrides, field",
     [

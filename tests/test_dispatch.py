@@ -1,8 +1,10 @@
-"""The data files agree across numpy's SIMD dispatch targets: integers exactly, floats within a stated bound.
+"""The data files agree across numpy's SIMD dispatch targets (integers exactly, floats within a stated bound),
+and are byte-identical whatever OpenBLAS's thread count.
 
-A child process runs simulate and estimate at n = 4096 and a 20-rep rate-study over 2^9..2^13 once natively
-and once with NPY_DISABLE_CPU_FEATURES naming every target this host dispatches above numpy's baseline, so
-that numpy's float64 loops run their baseline code.  The variable acts on that child only.
+A child process runs simulate and estimate at n = 4096 and a 20-rep rate-study over 2^9..2^13 once natively,
+once with NPY_DISABLE_CPU_FEATURES naming every target this host dispatches above numpy's baseline, so
+that numpy's float64 loops run their baseline code, and once with OPENBLAS_NUM_THREADS=2 preset, where the
+CLI would start OpenBLAS with one thread.  Each variable acts on its child only.
 """
 
 import csv
@@ -50,18 +52,21 @@ STUDIES = {
 CHILD = "import json, sys; from ivadapt.cli import main; sys.exit(any(main(a) for a in json.loads(sys.argv[1])))"
 
 
-def _run(tmp_path: Path, side: str, disabled: str | None) -> dict:
-    """Each study's output directory of one child process."""
+def _run(tmp_path: Path, side: str, **preset) -> dict:
+    """Each study's output directory of one child process, whose environment sets PRESET's variables.
+
+    Neither variable is inherited (this process may hold OPENBLAS_NUM_THREADS from its own import of the CLI).
+    """
     argvs, outs = [], {}
     for study, fields in STUDIES.items():
         config = tmp_path / f"{study}.json"
         config.write_text(json.dumps({**CONFIG, **fields, "study": study}))
         outs[study] = tmp_path / side / study
         argvs.append([study, "--config", str(config), "--out", str(outs[study]), "--jobs", "1"])
-    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    inherited = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in inherited}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    if disabled:
-        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    env.update(preset)
     subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)], env=env, check=True, timeout=600)
     return outs
 
@@ -108,16 +113,33 @@ def _assert_close(native, baseline, path):
         assert abs(a - b) <= tolerance if type(a) is float else a == b, (path, a, b, tolerance)
 
 
+@pytest.fixture(scope="module")
+def native(tmp_path_factory):
+    return _run(tmp_path_factory.mktemp("native"), "native")
+
+
+def _data_files(out: Path) -> list:
+    return sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
 @pytest.mark.skipif(not TARGETS, reason="numpy dispatches no target above its baseline on this host")
-def test_data_files_agree_across_dispatch_targets(tmp_path):
-    native = _run(tmp_path, "native", None)
-    baseline = _run(tmp_path, "baseline", " ".join(TARGETS))
+def test_data_files_agree_across_dispatch_targets(tmp_path, native):
+    baseline = _run(tmp_path, "baseline", NPY_DISABLE_CPU_FEATURES=" ".join(TARGETS))
     for study, out in baseline.items():
         # the child ran numpy's baseline loops: every target its manifest records is the baseline
         dispatch = json.loads((out / "manifest.json").read_text())["numpy"]["dispatch"]
         currents = [loop["current"] for func in (dispatch or {}).values() for loop in func.values()]
         assert all(current.startswith("baseline") for current in currents), currents
-        files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
-        assert files == sorted(p.name for p in native[study].iterdir() if p.name != "manifest.json")
+        files = _data_files(out)
+        assert files == _data_files(native[study])
         for name in files:
             _assert_close(_values(native[study] / name), _values(out / name), f"{study}/{name}")
+
+
+def test_data_files_are_byte_identical_whatever_the_blas_thread_count(tmp_path, native):
+    preset = _run(tmp_path, "blas2", OPENBLAS_NUM_THREADS="2")
+    for study, out in preset.items():
+        files = _data_files(out)
+        assert files == _data_files(native[study])
+        for name in files:
+            assert (out / name).read_bytes() == (native[study] / name).read_bytes(), f"{study}/{name}"

@@ -1,10 +1,16 @@
-"""The shipped configs load, the public names stay as listed, the modules import in layers, only numpy and orjson are needed, and the private names the docs mention exist."""
+"""The shipped configs load, the public names stay as listed, the modules import in layers, only numpy and orjson are needed, and the private names the docs mention exist.
+
+Importing the package loads no numpy, and importing the CLI starts numpy's OpenBLAS with one thread unless
+OPENBLAS_NUM_THREADS is set; each is checked in a fresh interpreter.
+"""
 
 import ast
 import importlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -13,6 +19,7 @@ import pytest
 
 import ivadapt
 from ivadapt.cli import load_config
+from ivadapt.risk import _usable_cores
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,6 +74,39 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 42
     assert sorted(ivadapt.__all__) == PUBLIC_NAMES
+
+
+def _fresh(code: str, **preset) -> list:
+    """The words a fresh interpreter prints running code, with OPENBLAS_NUM_THREADS set only as preset says.
+
+    The variable is dropped from the inherited environment: this process may hold it from its own import of the CLI.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.update(preset)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_importing_the_package_loads_no_numpy_until_a_name_is_read():
+    code = (
+        "import sys, ivadapt; print(ivadapt.__version__, 'numpy' in sys.modules);"
+        "print(len(ivadapt.__all__), ivadapt.basis is sys.modules['ivadapt.basis'], 'numpy' in sys.modules)"
+    )
+    assert _fresh(code) == [ivadapt.__version__, "False", "42", "True", "True"]
+
+
+@pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_the_cli_sets_one_blas_thread_unless_the_user_set_a_count(preset, expected):
+    code = "import os, ivadapt, ivadapt.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(code, **preset) == [expected]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc to count this process's threads")
+@pytest.mark.skipif(_usable_cores() == 1, reason="on one usable core OpenBLAS starts no thread of its own anyway")
+def test_a_fresh_cli_process_has_one_thread():
+    assert _fresh("import os, ivadapt, ivadapt.cli; print(len(os.listdir('/proc/self/task')))") == ["1"]
 
 
 def _imported_modules(path):
