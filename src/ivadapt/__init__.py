@@ -16,7 +16,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-#: The library's modules in import order; the cli module is imported by name only.
+#: The library's modules in import order.
 _MODULES = ("seeds", "basis", "serialize", "dgp", "estimator", "risk")
 
 
@@ -24,6 +24,7 @@ def __getattr__(name):
     """A library module, or a public name: the first one read binds every module's __all__."""
     if name in _MODULES:  # one module alone: a module importing its sibling reads it here
         return importlib.import_module(f"{__name__}.{name}")
+    # cli is left to the import system, so that "from ivadapt import cli" loads numpy only after cli's first line
     if (name.startswith("_") and name != "__all__") or name == "cli":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     modules = [importlib.import_module(f"{__name__}.{m}") for m in ("basis", "dgp", "estimator", "risk")]

@@ -105,8 +105,9 @@ def test_the_cli_sets_one_blas_thread_unless_the_user_set_a_count(preset, expect
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc to count this process's threads")
 @pytest.mark.skipif(_usable_cores() == 1, reason="on one usable core OpenBLAS starts no thread of its own anyway")
-def test_a_fresh_cli_process_has_one_thread():
-    assert _fresh("import os, ivadapt, ivadapt.cli; print(len(os.listdir('/proc/self/task')))") == ["1"]
+@pytest.mark.parametrize("entry", ["import ivadapt, ivadapt.cli", "from ivadapt import cli"])
+def test_a_fresh_cli_process_has_one_thread(entry):
+    assert _fresh(f"import os; {entry}; print(len(os.listdir('/proc/self/task')))") == ["1"]
 
 
 def _imported_modules(path):
