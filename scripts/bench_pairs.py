@@ -37,9 +37,9 @@ of the bounded size cannot be told from the spread.  ``ratio`` is
 the median over pairs of change / base with a 95 % percentile
 bootstrap interval (pairs resampled with a fixed seed, so reruns give
 the same interval).  The header gives machine (with numpy's SIMD
-targets for float64 tan, cos and sin, ``numpy_simd``, or None where
-numpy cannot report them), nproc, both commits and the numpy version
-the runs reported.
+targets for the float64 functions whose targets the manifest records,
+``numpy_simd``), nproc, both commits and the numpy version the runs
+reported.
 """
 
 from __future__ import annotations
@@ -79,17 +79,16 @@ def cpu_model() -> str:
     return platform.processor()
 
 
-def simd_dispatch() -> dict | None:
-    """numpy's SIMD targets for float64 tan, cos and sin in this interpreter, or None where numpy lacks them.
+def simd_dispatch() -> dict:
+    """numpy's SIMD targets for float64 tan, arctan, exp, log and power in this interpreter.
 
-    The runs use the same interpreter, and the trig cost of a run
-    depends on these targets, so a gain is claimed for them only.
+    These are the functions whose targets ivadapt's manifest records; the
+    runs use the same interpreter, and their float cost depends on these
+    targets, so a gain is claimed for them only.
     """
-    try:
-        from numpy.lib.introspect import opt_func_info
-    except ImportError:
-        return None
-    return opt_func_info(func_name="^(tan|cos|sin)$", signature="float64")
+    from numpy.lib.introspect import opt_func_info  # numpy loads only for the header, not during the runs
+
+    return opt_func_info(func_name="^(tan|arctan|exp|log|power)$", signature="float64")
 
 
 def side_env(pycache: Path) -> dict:

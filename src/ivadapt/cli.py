@@ -34,6 +34,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 
 from . import __version__, risk, seeds
 from .basis import CoefficientVector, FunctionFamilySpec, _count, _InputError, make_test_function
@@ -69,6 +70,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise CliError(f"unknown study {self.study!r}", field="study")
+        try:
+            named = b"\0" not in os.fsencode(self.output_dir)
+        except UnicodeEncodeError:  # a lone surrogate that the file system encoding cannot take
+            named = False
+        if not named:
+            raise CliError("output_dir holds a NUL or a lone surrogate, which no file path takes", field="output_dir")
         if self.study == "rate-study" and getattr(self.phi_family, "kind", None) != "sobolev":
             raise CliError("rate-study needs dgp.phi as a sobolev family, for its smoothness s", field="dgp.phi")
         if self.study in ("simulate", "estimate", "oracle-study"):  # these ignore reps, but it is still a count
@@ -201,7 +208,7 @@ def load_config(path, study=None, seed=None, out=None, jobs=None):
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise CliError(f"config file not found: {path}", field="config") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer longer than int() reads
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an over-long integer, or deep nesting
         raise CliError(f"config file is not valid JSON: {exc}", field="config") from exc
     fields = _read(raw, _SCHEMA, "config")
     if study is not None and fields.get("study", study) != study:
@@ -339,33 +346,18 @@ _DISPATCH = {
 STUDIES = tuple(_DISPATCH)
 
 
-#: Bytes read per step when hashing an output, so a large CSV is never held whole.
-_HASH_BLOCK = 1 << 20
-
-
 def _sha256(path: Path) -> str:
-    # hashlib.file_digest (Python 3.11+) reads the same way, through one reused
-    # buffer; this one is no larger than the file, so a small output costs no memory
-    digest, block = hashlib.sha256(), bytearray(min(_HASH_BLOCK, path.stat().st_size))
-    view = memoryview(block)
-    with path.open("rb", buffering=0) as fh:
-        while size := fh.readinto(block):
-            digest.update(view[:size])
-    return digest.hexdigest()
+    with path.open("rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _numpy_record() -> dict:
-    """numpy's version and its float64 dispatch targets for tan, arctan, exp and power (None where numpy lacks them).
+    """numpy's version and its float64 dispatch targets for tan, arctan, exp, log and power.
 
     The data files' floats can move in their last bits with these, so a
     rerun is byte-identical for one version and one set of targets.
     """
-    try:
-        from numpy.lib.introspect import opt_func_info
-    except ImportError:
-        dispatch = None
-    else:
-        dispatch = opt_func_info(func_name="^(tan|arctan|exp|power)$", signature="float64")
+    dispatch = opt_func_info(func_name="^(tan|arctan|exp|log|power)$", signature="float64")
     return {"version": np.__version__, "dispatch": dispatch}
 
 
@@ -373,7 +365,7 @@ def run(config: ExperimentConfig, adjustments=()) -> dict:
     """Execute the configured study; returns the manifest payload."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    started = datetime.datetime.now(datetime.UTC).isoformat()
     try:
         files, results = _DISPATCH[config.study](config, out)
     except FloatingPointError as exc:  # from generate_sample, or from the estimator's moment sums
@@ -383,7 +375,7 @@ def run(config: ExperimentConfig, adjustments=()) -> dict:
     results_payload = {"config": config.to_json_dict(run_params=False), **results}
     write_json(out / "results.json", results_payload)
     files = list(files) + ["results.json"]
-    finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    finished = datetime.datetime.now(datetime.UTC).isoformat()
     manifest = {
         "tool": "ivadapt",
         "version": __version__,

@@ -4,10 +4,11 @@ import importlib.util
 import json
 import statistics
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from ivadapt import cli
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 SPEC = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -190,13 +191,11 @@ def test_each_side_runs_with_its_own_fresh_bytecode_cache(monkeypatch, tmp_path)
     assert "PYTHONPYCACHEPREFIX" in saved["pycache"]
 
 
-def test_the_header_records_numpys_trig_dispatch_or_none(monkeypatch):
-    pytest.importorskip("numpy.lib.introspect")
+def test_the_header_records_numpys_dispatch_for_the_manifests_functions():
     simd = bench_pairs.simd_dispatch()
-    assert set(simd) == {"tan", "cos", "sin"}
-    assert all(set(entry) == {"dd"} and "current" in entry["dd"] for entry in simd.values())
-    monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)  # a numpy without the introspection
-    assert bench_pairs.simd_dispatch() is None
+    assert set(simd) == set(cli._numpy_record()["dispatch"])
+    assert all(set(entry) in ({"dd"}, {"ddd"}) for entry in simd.values())  # power takes two arguments
+    assert all("current" in targets for entry in simd.values() for targets in entry.values())
 
 
 BOUNDED = [{**spec, "bound": 0.25} for spec in END_TO_END]

@@ -224,7 +224,7 @@ def test_manifest_records_numpy_and_its_dispatch_targets(tmp_path):
     assert set(record) == {"version", "dispatch"}
     assert record["version"] == np.__version__
     dispatch = record["dispatch"]
-    assert dispatch is None or set(dispatch) == {"tan", "arctan", "exp", "power"}
+    assert set(dispatch) == {"tan", "arctan", "exp", "log", "power"}
 
 
 def test_manifest_checksum_reads_an_output_in_blocks(tmp_path):
@@ -239,7 +239,7 @@ def test_manifest_checksum_reads_an_output_in_blocks(tmp_path):
         tracemalloc.stop()
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert peak < 2 * 2**20
-    for size in (0, 1, cli._HASH_BLOCK - 1, cli._HASH_BLOCK, cli._HASH_BLOCK + 1):
+    for size in (0, 1, 2**18 - 1, 2**18, 2**18 + 1):  # about hashlib.file_digest's 256 KiB read
         path.write_bytes(b"\x5a" * size)
         assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -631,6 +631,26 @@ def test_integral_floats_are_taken_as_ints(tmp_path):
     assert main(["simulate", "--config", str(cfg_a), "--out", str(tmp_path / "a")]) == 0
     assert main(["simulate", "--config", str(cfg_b), "--out", str(tmp_path / "b")]) == 0
     assert hash_outputs(tmp_path / "a") == hash_outputs(tmp_path / "b")
+
+
+@pytest.mark.parametrize(
+    "study, text, field",
+    [
+        ("estimate", "[" * 200_000, "config"),  # past the JSON decoder's recursion limit
+        ("coverage-study", json.dumps({**BASE_CONFIG, "output_dir": "a\0b"}), "output_dir"),
+        ("coverage-study", json.dumps({**BASE_CONFIG, "output_dir": "a\ud800b"}), "output_dir"),
+    ],
+    ids=["deep-nesting", "nul-in-output-dir", "surrogate-in-output-dir"],
+)
+def test_an_unusable_config_gives_one_error_record_and_makes_nothing(tmp_path, capsys, monkeypatch, study, text, field):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main([study, "--config", str(cfg)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["field"] == field
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_unwritable_output_dir(tmp_path, capsys):

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tokenize
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -124,7 +125,6 @@ def test_the_package_imports_no_scipy_and_does_not_depend_on_it():
     for path in sources:
         for module in _imported_modules(path):
             assert module.split(".")[0] != "scipy", (path.name, module)
-    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert not any(re.match(r"scipy\b", dep) for dep in project["dependencies"])
     assert any(re.match(r"scipy\b", dep) for dep in project["optional-dependencies"]["test"])
@@ -134,7 +134,6 @@ def test_the_package_imports_only_numpy_and_orjson_outside_the_standard_library(
     sources = sorted((ROOT / "src" / "ivadapt").glob("*.py"))
     imported = {module.split(".")[0] for path in sources for module in _imported_modules(path)}
     assert imported - sys.stdlib_module_names == {"numpy", "orjson"}
-    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert sorted(re.match(r"[\w-]+", dep).group() for dep in project["dependencies"]) == ["numpy", "orjson"]
 
